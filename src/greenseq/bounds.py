@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import NonStringAlgebraError, SearchBudgetExceeded, UnsupportedPotentialError
 from .exchange import initial_seed, mgs_length_extrema
-from .fho import FhoSequence, _hom_cache, is_maximal_fho, make_sequence
+from .fho import FhoSequence, is_maximal_fho, make_sequence
 from .linalg import is_zero
 from .qp import Quiver, QuiverWithPotential, RelationSet, jacobian_relations
 from .rep import Catalog, Representation
@@ -130,9 +130,8 @@ def assem_tilted(cut: Cut, catalog: Catalog) -> bool:
 
 def hom_digraph(catalog: Catalog, indices: Sequence[int]) -> dict[int, set[int]]:
     """Directed graph on the given catalog indices: i -> j iff Hom(M_i, M_j) != 0."""
-    cache = _hom_cache(catalog)
     return {
-        i: {j for j in indices if j != i and cache.hom(i, j) != 0}
+        i: {j for j in indices if j != i and catalog.hom(i, j) != 0}
         for i in indices
     }
 
@@ -177,7 +176,6 @@ def triangle_seed_cycles(qp: QuiverWithPotential, catalog: Catalog) -> list[tupl
     directed Hom cycle; these are the canonical disjoint cycles to start from.
     Triangles whose arrow modules are missing or fail the Hom test are skipped.
     """
-    cache = _hom_cache(catalog)
     by_arrow: dict[str, int] = {}
     for i, m in enumerate(catalog.modules):
         if m.walk and len(m.walk[1]) == 1:
@@ -190,11 +188,11 @@ def triangle_seed_cycles(qp: QuiverWithPotential, catalog: Catalog) -> list[tupl
             tri = tuple(by_arrow[aid] for aid in term.cycle)
         except KeyError:
             continue
-        if len(set(tri)) != 3 or not all(cache.schurian(i) for i in tri):
+        if len(set(tri)) != 3 or not all(catalog.schurian(i) for i in tri):
             continue
         for order in (tri, (tri[0], tri[2], tri[1])):
             if all(
-                cache.hom(order[t], order[(t + 1) % 3]) != 0 for t in range(3)
+                catalog.hom(order[t], order[(t + 1) % 3]) != 0 for t in range(3)
             ):
                 out.append(_canonical_cycle(order))
                 break
@@ -230,9 +228,7 @@ def disjoint_hom_cycles(
     is not promised to be maximum. Optional seed cycles (already validated,
     e.g. from `triangle_seed_cycles`) are taken first.
     """
-    cache = _hom_cache(catalog)
-    idx = cache.schurian_indices()
-    graph = hom_digraph(catalog, idx)
+    graph = hom_digraph(catalog, catalog.schurian_indices())
     taken: list[tuple[int, ...]] = []
     used: set[int] = set()
     for cyc in seed_cycles:

@@ -7,6 +7,16 @@ insertion test (no Schurian module fits at any position, and nothing at all
 is left over in the torsion-free class), while `is_fho_in_torsion_class`
 restricts insertion candidates to the torsion class generated by the
 sequence. The two agree on maximal sequences and are reported side by side.
+
+Every check over a catalog reads the catalog's Hom table (`Catalog.hom`,
+`Catalog.out_mask`, `Catalog.in_mask`), with modules named by their catalog
+positions, so each Hom space is computed at most once per catalog. The
+insertion tests all rest on one predicate, `insertion_window`: for a
+candidate C and a sequence, let last_out be the last position C maps to
+(Hom(C, M_t) != 0) and first_in the first position that maps to C
+(Hom(M_t, C) != 0). C fits after the first t members exactly for
+t = last_out + 1, ..., first_in, so it can be inserted iff
+last_out < first_in.
 """
 
 from __future__ import annotations
@@ -16,40 +26,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from greenseq import exchange
-from greenseq.errors import SearchBudgetExceeded
+from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.qp import QuiverWithPotential, b_matrix
-from greenseq.rep import Catalog, Representation, hom_dim, is_schurian
-
-
-class HomCache:
-    """Pairwise Hom dimensions over a catalog, computed once on demand."""
-
-    def __init__(self, catalog: Catalog):
-        self.catalog = catalog
-        self._table: dict[tuple[int, int], int] = {}
-        self._schurian: dict[int, bool] = {}
-
-    def hom(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._table:
-            self._table[key] = hom_dim(self.catalog.modules[i], self.catalog.modules[j])
-        return self._table[key]
-
-    def schurian(self, i: int) -> bool:
-        if i not in self._schurian:
-            self._schurian[i] = self.hom(i, i) == 1
-        return self._schurian[i]
-
-    def schurian_indices(self) -> list[int]:
-        return [i for i in range(len(self.catalog)) if self.schurian(i)]
-
-
-def _hom_cache(catalog: Catalog) -> HomCache:
-    cached = getattr(catalog, "_hom_cache", None)
-    if cached is None:
-        cached = HomCache(catalog)
-        catalog._hom_cache = cached
-    return cached
+from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -58,7 +37,6 @@ class FhoSequence:
 
     modules: tuple[Representation, ...]
     dim_vectors: tuple[tuple[int, ...], ...] = field(default=())
-    hom_table: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def __len__(self) -> int:
         return len(self.modules)
@@ -73,11 +51,7 @@ class FhoSequence:
 
 def make_sequence(modules: Sequence[Representation]) -> FhoSequence:
     mods = tuple(modules)
-    dims = tuple(m.dims for m in mods)
-    table = tuple(
-        tuple(hom_dim(a, b) for b in mods) for a in mods
-    )
-    return FhoSequence(modules=mods, dim_vectors=dims, hom_table=table)
+    return FhoSequence(modules=mods, dim_vectors=tuple(m.dims for m in mods))
 
 
 def dim_multiset(seq: FhoSequence) -> tuple[tuple[int, ...], ...]:
@@ -93,31 +67,86 @@ class TorsionPair:
     F: tuple[Representation, ...]
 
 
+def _torsion_free_mask(catalog: Catalog, seq: Sequence[int]) -> int:
+    """F(M) as a bitmask over catalog positions, M = sum of seq."""
+    reached = 0
+    for s in seq:
+        reached |= catalog.out_mask(s)
+    return ((1 << len(catalog)) - 1) & ~reached
+
+
+def _torsion_mask(catalog: Catalog, f_mask: int) -> int:
+    """G(M) as a bitmask: the positions with no nonzero map into F(M)."""
+    return sum(1 << i for i in range(len(catalog)) if not catalog.out_mask(i) & f_mask)
+
+
 def torsion_pair(m_list: Sequence[Representation], catalog: Catalog) -> TorsionPair:
     """The torsion pair (G(M), F(M)) of M = direct sum of m_list, on a catalog.
 
     F is every catalog module receiving no nonzero map from any M_i; G is
     every catalog module with no nonzero map to any member of F.
+
+    Raises:
+        ValueError: if some M_i is not a catalog member and equals none.
     """
-    f = tuple(
-        y for y in catalog if all(hom_dim(m, y) == 0 for m in m_list)
+    f_mask = _torsion_free_mask(catalog, catalog.indices(m_list))
+    g_mask = _torsion_mask(catalog, f_mask)
+    return TorsionPair(
+        G=tuple(x for i, x in enumerate(catalog) if g_mask >> i & 1),
+        F=tuple(y for j, y in enumerate(catalog) if f_mask >> j & 1),
     )
-    g = tuple(
-        x for x in catalog if all(hom_dim(x, y) == 0 for y in f)
-    )
-    return TorsionPair(G=g, F=f)
 
 
 def is_weakly_fho(modules: Sequence[Representation]) -> bool:
     """All members Schurian and Hom(M_i, M_j) = 0 for every i < j."""
-    mods = list(modules)
-    if not all(is_schurian(m) for m in mods):
-        return False
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if hom_dim(mods[i], mods[j]) != 0:
-                return False
+    mods = tuple(modules)
+    if not mods:
+        return True
+    return _weakly_fho(Catalog(mods[0].algebra, mods), range(len(mods)))
+
+
+def _weakly_fho(catalog: Catalog, seq: Sequence[int]) -> bool:
+    """`is_weakly_fho` on catalog positions, read from the table."""
+    later = 0
+    for s in reversed(seq):
+        if not catalog.schurian(s) or catalog.out_mask(s) & later:
+            return False
+        later |= 1 << s
     return True
+
+
+def insertion_window(catalog: Catalog, seq: Sequence[int], c: int) -> range:
+    """The positions t where catalog module c fits after seq[:t].
+
+    That is last_out + 1, ..., first_in, with last_out the last position c
+    maps to (-1 if none) and first_in the first position that maps to c
+    (len(seq) if none). Empty, so c cannot be inserted, iff
+    last_out >= first_in.
+    """
+    maps_in = catalog.in_mask(c)
+    first_in = len(seq)
+    for t, s in enumerate(seq):
+        if maps_in >> s & 1:
+            first_in = t
+            break
+    maps_out = catalog.out_mask(c)
+    last_out = -1
+    for t in range(len(seq) - 1, -1, -1):
+        if maps_out >> seq[t] & 1:
+            last_out = t
+            break
+    return range(last_out + 1, first_in + 1)
+
+
+def _local_table(
+    modules: Sequence[Representation], candidate: Representation
+) -> tuple[Catalog, range, int]:
+    """A Hom table over just the candidate and the sequence, with their positions.
+
+    Only the Homs between the candidate and the sequence get computed.
+    """
+    table = Catalog(candidate.algebra, (candidate, *modules))
+    return table, range(1, len(modules) + 1), 0
 
 
 def insertion_positions(
@@ -125,77 +154,69 @@ def insertion_positions(
 ) -> list[int]:
     """Positions t where candidate could be inserted after modules[:t],
     preserving pairwise Hom-vanishing in the extended sequence."""
-    mods = list(modules)
-    m = len(mods)
-    out = []
-    for t in range(m + 1):
-        if all(hom_dim(a, candidate) == 0 for a in mods[:t]) and all(
-            hom_dim(candidate, b) == 0 for b in mods[t:]
-        ):
-            out.append(t)
-    return out
+    return list(insertion_window(*_local_table(modules, candidate)))
 
 
 def insertion_obstructions(
     modules: Sequence[Representation], candidate: Representation
 ) -> list[tuple[int, Representation, Representation, int]]:
     """Per position t, one witness (t, src, tgt, hom_dim) of nonzero Hom that
-    blocks inserting the candidate there. Empty iff some position works."""
+    blocks inserting the candidate there. Empty iff some position works.
+
+    The witness is the first member of modules[:t] mapping to the candidate,
+    else the first member of modules[t:] the candidate maps to."""
+    table, seq, c = _local_table(modules, candidate)
+    window = insertion_window(table, seq, c)
+    if window:
+        return []
     mods = list(modules)
+    first_in = window.stop - 1
     out = []
-    for t in range(len(mods) + 1):
-        witness = None
-        for a in mods[:t]:
-            h = hom_dim(a, candidate)
-            if h:
-                witness = (t, a, candidate, h)
-                break
-        if witness is None:
-            for b in mods[t:]:
-                h = hom_dim(candidate, b)
-                if h:
-                    witness = (t, candidate, b, h)
-                    break
-        if witness is None:
-            return []
-        out.append(witness)
+    for t in range(len(seq) + 1):
+        if first_in < t:
+            out.append((t, mods[first_in], candidate, table.hom(seq[first_in], c)))
+        else:
+            u = next(u for u in range(t, len(seq)) if table.hom(c, seq[u]))
+            out.append((t, candidate, mods[u], table.hom(c, seq[u])))
     return out
+
+
+def _maximal(catalog: Catalog, seq: Sequence[int]) -> bool:
+    """Empty torsion-free class and no Schurian module insertable anywhere."""
+    if _torsion_free_mask(catalog, seq):
+        return False
+    return not any(insertion_window(catalog, seq, c) for c in catalog.schurian_indices())
 
 
 def is_maximal_fho(modules: Sequence[Representation], catalog: Catalog) -> bool:
     """Unrestricted maximality: weakly FHO, empty torsion-free class, and no
-    Schurian catalog module insertable at any position."""
-    mods = list(modules)
-    if not is_weakly_fho(mods):
-        return False
-    for y in catalog:
-        if all(hom_dim(m, y) == 0 for m in mods):
-            return False
-    for cand in catalog:
-        if not is_schurian(cand):
-            continue
-        if insertion_positions(mods, cand):
-            return False
-    return True
+    Schurian catalog module insertable at any position.
+
+    Raises:
+        ValueError: if some member is not a catalog member and equals none.
+    """
+    seq = catalog.indices(modules)
+    return _weakly_fho(catalog, seq) and _maximal(catalog, seq)
 
 
 def is_fho_in_torsion_class(
     modules: Sequence[Representation], catalog: Catalog
 ) -> bool:
     """Maximality within G(M): weakly FHO and, at every cut point k, no
-    Schurian member of G(M) lies in (prefix)^perp intersect perp(suffix)."""
-    mods = list(modules)
-    if not is_weakly_fho(mods):
+    Schurian member of G(M) lies in (prefix)^perp intersect perp(suffix).
+
+    Raises:
+        ValueError: if some member is not a catalog member and equals none.
+    """
+    seq = catalog.indices(modules)
+    if not _weakly_fho(catalog, seq):
         return False
-    pair = torsion_pair(mods, catalog)
-    g_set = [z for z in pair.G if is_schurian(z)]
-    for k in range(len(mods) + 1):
-        for z in g_set:
-            if all(hom_dim(a, z) == 0 for a in mods[:k]) and all(
-                hom_dim(z, b) == 0 for b in mods[k:]
-            ):
-                return False
-    return True
+    g_mask = _torsion_mask(catalog, _torsion_free_mask(catalog, seq))
+    return not any(
+        insertion_window(catalog, seq, z)
+        for z in catalog.schurian_indices()
+        if g_mask >> z & 1
+    )
 
 
 def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[FhoSequence]:
@@ -209,22 +230,8 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
     Raises:
         SearchBudgetExceeded: with `.partial` carrying sequences found so far.
     """
-    cache = _hom_cache(catalog)
-    schurian = cache.schurian_indices()
     found: list[FhoSequence] = []
     visited = 0
-
-    def maximal(seq: list[int]) -> bool:
-        for y in range(len(catalog)):
-            if all(cache.hom(m, y) == 0 for m in seq):
-                return False
-        for cand in schurian:
-            for t in range(len(seq) + 1):
-                if all(cache.hom(a, cand) == 0 for a in seq[:t]) and all(
-                    cache.hom(cand, b) == 0 for b in seq[t:]
-                ):
-                    return False
-        return True
 
     def walk(seq: list[int], candidates: list[int]):
         nonlocal visited
@@ -235,16 +242,17 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
                 partial=list(found),
             )
         if not candidates:
-            if maximal(seq):
+            if _maximal(catalog, seq):
                 found.append(make_sequence([catalog.modules[i] for i in seq]))
             return
         for c in candidates:
             seq.append(c)
-            narrowed = [d for d in candidates if d != c and cache.hom(c, d) == 0]
+            maps_out = catalog.out_mask(c)
+            narrowed = [d for d in candidates if d != c and not maps_out >> d & 1]
             walk(seq, narrowed)
             seq.pop()
 
-    walk([], schurian)
+    walk([], catalog.schurian_indices())
     return found
 
 
@@ -283,7 +291,7 @@ def verify_theorem1(
     for _ in range(samples):
         try:
             _, records = walls_mod.random_generic_base(catalog, rng)
-        except Exception as e:  # resampling exhausted
+        except GenericityError as e:  # resampling exhausted
             witnesses.append({"kind": "sampling-error", "detail": str(e)})
             continue
         key = tuple(r.module.dims for r in records)

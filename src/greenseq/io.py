@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
+from greenseq.linalg import MAX_FIELD_PRIME, is_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
 from greenseq.rep import Algebra, Representation, make_rep
 
@@ -120,7 +121,9 @@ def problem_from_json(data: dict) -> ProblemFile:
         raise ValueError("problem file is missing 'qp'")
     qp = qp_from_json(data["qp"])
     prime = int(data.get("field_prime", 2))
-    if prime < 2 or any(prime % q == 0 for q in range(2, prime)):
+    if prime > MAX_FIELD_PRIME:
+        raise ValueError(f"field_prime {prime} exceeds {MAX_FIELD_PRIME}")
+    if not is_prime(prime):
         raise ValueError(f"field_prime {prime} is not prime")
     budget = int(data.get("search_budget", 1_000_000))
     if budget <= 0:

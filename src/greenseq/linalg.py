@@ -11,6 +11,23 @@ from itertools import combinations, product
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# Largest accepted field prime: the largest prime below 2**31.
+MAX_FIELD_PRIME = 2**31 - 1
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by 2, 3 and the numbers 6k +- 1 up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0 or n % 3 == 0:
+        return n in (2, 3)
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
 
 def zeros(rows: int, cols: int) -> Matrix:
     return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))

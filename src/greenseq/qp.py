@@ -41,8 +41,13 @@ class Quiver:
 
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
+    # lookup tables built from the two fields above
+    _pos: dict[int, int] = field(init=False, repr=False, compare=False)
+    _arrow: dict[str, Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_arrow", {a.id: a for a in self.arrows})
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidQuiverError("duplicate vertex labels")
         ids = [a.id for a in self.arrows]
@@ -66,13 +71,16 @@ class Quiver:
 
     def pos(self, v: int) -> int:
         """Coordinate index of a vertex label."""
-        return self.vertices.index(v)
+        try:
+            return self._pos[v]
+        except KeyError:
+            raise ValueError(f"{v!r} is not a vertex") from None
 
     def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(f"no arrow with id {arrow_id!r}")
+        try:
+            return self._arrow[arrow_id]
+        except KeyError:
+            raise KeyError(f"no arrow with id {arrow_id!r}") from None
 
     def arrows_out(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]

@@ -32,7 +32,9 @@ class Algebra:
     p: int = 2
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+        if self.p > linalg.MAX_FIELD_PRIME:
+            raise ValueError(f"{self.p} exceeds {linalg.MAX_FIELD_PRIME}")
+        if not linalg.is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
 
@@ -58,12 +60,15 @@ class Representation:
     label: str = field(default="", compare=False)
     # (start vertex, word of (arrow id, +-1)) when built from a string walk
     walk: tuple = field(default=(), compare=False, repr=False)
+    # `mats` as a dict, for `mat`
+    _mat: dict[str, Matrix] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         quiver = self.algebra.quiver
         if len(self.dims) != quiver.n:
             raise ValueError("dims length does not match vertex count")
         mat_map = dict(self.mats)
+        object.__setattr__(self, "_mat", mat_map)
         if set(mat_map) != {a.id for a in quiver.arrows}:
             raise ValueError("mats must cover exactly the arrows of the quiver")
         for a in quiver.arrows:
@@ -81,10 +86,7 @@ class Representation:
             raise ValueError(f"relation from arrow {bad.arrow!r} violated")
 
     def mat(self, arrow_id: str) -> Matrix:
-        for aid, m in self.mats:
-            if aid == arrow_id:
-                return m
-        raise KeyError(arrow_id)
+        return self._mat[arrow_id]
 
     @property
     def total_dim(self) -> int:
@@ -396,15 +398,39 @@ def check_string_algebra(algebra: Algebra) -> None:
 
 @dataclass
 class Catalog:
-    """Complete list of indecomposables of a supported string algebra."""
+    """Complete list of indecomposables of a supported string algebra.
+
+    The catalog carries the Hom table of its modules, indexed by catalog
+    position and filled lazily: `hom(i, j)` calls `hom_dim` the first time a
+    pair is asked for and reads the stored value afterwards. `out_mask(i)`
+    and `in_mask(j)` are the table's nonzero pattern along a row or a column
+    as a bitmask over catalog positions, each built on first use.
+    """
 
     algebra: Algebra
     modules: tuple[Representation, ...]
+    # homs[i][j] = dim Hom(modules[i], modules[j]), None until first asked
+    homs: list[list[Optional[int]]] = field(init=False, repr=False, compare=False)
+    # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
+    out_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
+    in_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
+    # walls of the Schurian members, set by `walls.catalog_walls`
+    walls: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _by_dims: dict[tuple[int, ...], list[Representation]] = field(
+        init=False, repr=False, compare=False
+    )
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_dims: dict[tuple[int, ...], list[Representation]] = {}
-        for m in self.modules:
+        n = len(self.modules)
+        self.homs = [[None] * n for _ in range(n)]
+        self.out_masks = [None] * n
+        self.in_masks = [None] * n
+        self._by_dims = {}
+        self._index = {}
+        for i, m in enumerate(self.modules):
             self._by_dims.setdefault(m.dims, []).append(m)
+            self._index.setdefault(id(m), i)
 
     def __iter__(self):
         return iter(self.modules)
@@ -428,10 +454,45 @@ class Catalog:
         raise KeyError(label)
 
     def index(self, module: Representation) -> int:
+        """Catalog position of a member, or of the first module equal to it."""
+        i = self._index.get(id(module))
+        if i is not None:
+            return i
         for i, m in enumerate(self.modules):
-            if m is module or m == module:
+            if m == module:
                 return i
         raise ValueError("module not in catalog")
+
+    def indices(self, modules: Iterable[Representation]) -> list[int]:
+        return [self.index(m) for m in modules]
+
+    def hom(self, i: int, j: int) -> int:
+        """dim Hom(modules[i], modules[j]), from the table."""
+        row = self.homs[i]
+        h = row[j]
+        if h is None:
+            h = row[j] = hom_dim(self.modules[i], self.modules[j])
+        return h
+
+    def out_mask(self, i: int) -> int:
+        mask = self.out_masks[i]
+        if mask is None:
+            mask = sum(1 << j for j in range(len(self.modules)) if self.hom(i, j))
+            self.out_masks[i] = mask
+        return mask
+
+    def in_mask(self, j: int) -> int:
+        mask = self.in_masks[j]
+        if mask is None:
+            mask = sum(1 << i for i in range(len(self.modules)) if self.hom(i, j))
+            self.in_masks[j] = mask
+        return mask
+
+    def schurian(self, i: int) -> bool:
+        return self.hom(i, i) == 1
+
+    def schurian_indices(self) -> list[int]:
+        return [i for i in range(len(self.modules)) if self.schurian(i)]
 
 
 def string_catalog(algebra: Algebra, budget: int = 100_000) -> Catalog:

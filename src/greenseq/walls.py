@@ -22,7 +22,6 @@ from greenseq.errors import FiltrationError, GenericityError
 from greenseq.rep import (
     Catalog,
     Representation,
-    is_schurian,
     stable_subspace_tuples,
     submodule_dimvecs,
 )
@@ -104,13 +103,10 @@ def in_int_D(m: Union[Wall, Representation], x: Sequence) -> bool:
 
 
 def catalog_walls(catalog: Catalog) -> list[Wall]:
-    """Walls of the Schurian catalog members, cached on the catalog."""
-    cached = getattr(catalog, "_walls", None)
-    if cached is not None:
-        return cached
-    walls = [wall_for(m) for m in catalog if is_schurian(m)]
-    catalog._walls = walls
-    return walls
+    """Walls of the Schurian catalog members, kept in `catalog.walls`."""
+    if catalog.walls is None:
+        catalog.walls = [wall_for(catalog.modules[i]) for i in catalog.schurian_indices()]
+    return catalog.walls
 
 
 def crossing_time(base: Vector, normal: Sequence[int]) -> Fraction:

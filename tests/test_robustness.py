@@ -1,0 +1,82 @@
+"""Hostile inputs fail fast, and errors that are not genericity failures propagate."""
+
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+from greenseq import walls
+from greenseq.cli import main
+from greenseq.errors import SearchBudgetExceeded
+from greenseq.fho import verify_theorem1
+from greenseq.io import problem_from_json
+from greenseq.linalg import MAX_FIELD_PRIME, is_prime
+from greenseq.rep import Algebra, string_catalog
+
+import common
+
+A3 = str(common.PROBLEMS / "a3_cyclic.json")
+
+
+def test_is_prime_matches_trial_division():
+    expected = [n for n in range(200) if n >= 2 and all(n % q for q in range(2, n))]
+    assert [n for n in range(200) if is_prime(n)] == expected
+    assert is_prime(MAX_FIELD_PRIME)
+    assert not is_prime(2**31 + 1)
+    assert not is_prime(46349 * 46351)
+
+
+def _a3_with_prime(prime):
+    data = json.loads(Path(A3).read_text())
+    data["field_prime"] = prime
+    return data
+
+
+def test_largest_field_prime_loads_fast(capsys):
+    assert main(["mutate", A3, "--field-prime", str(MAX_FIELD_PRIME)]) == 0
+    # only the load is timed: trial division up to p would take minutes
+    t0 = time.perf_counter()
+    problem = problem_from_json(_a3_with_prime(MAX_FIELD_PRIME))
+    assert time.perf_counter() - t0 < 1.0
+    assert problem.field_prime == MAX_FIELD_PRIME
+
+
+@pytest.mark.parametrize(
+    "prime",
+    [
+        2147483649,  # 3 * 715827883, composite
+        4294967311,  # prime, but above the limit
+    ],
+)
+def test_bad_large_field_primes_exit_2(capsys, prime):
+    assert main(["mutate", A3, "--field-prime", str(prime)]) == 2
+    assert "field_prime" in capsys.readouterr().err
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="field_prime"):
+        problem_from_json(_a3_with_prime(prime))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_algebra_rejects_primes_above_the_limit(a3_algebra):
+    with pytest.raises(ValueError, match="exceeds"):
+        Algebra(quiver=a3_algebra.quiver, relations=a3_algebra.relations, p=4294967311)
+    with pytest.raises(ValueError, match="not prime"):
+        Algebra(quiver=a3_algebra.quiver, relations=a3_algebra.relations, p=2147483645)
+
+
+def test_verify_propagates_budget_errors_from_wall_construction(monkeypatch, a3_qp):
+    wall_for, sample = walls.wall_for, walls.random_generic_base
+    samples = []
+
+    def counted(*args, **kwargs):
+        samples.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(walls, "wall_for", lambda m: wall_for(m, max_total_dim=0))
+    monkeypatch.setattr(walls, "random_generic_base", counted)
+    catalog = string_catalog(common.algebra("a3_cyclic"))
+    with pytest.raises(SearchBudgetExceeded, match="brute-force budget"):
+        verify_theorem1(a3_qp, catalog, samples=5)
+    # the first sample raised, and nothing swallowed it
+    assert len(samples) == 1
