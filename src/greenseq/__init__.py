@@ -13,6 +13,7 @@ small CLI (`greenseq.cli`).
 """
 
 from greenseq.errors import (
+    FiltrationError,
     GenericityError,
     InvalidQuiverError,
     NonStringAlgebraError,
@@ -22,6 +23,7 @@ from greenseq.errors import (
 )
 
 __all__ = [
+    "FiltrationError",
     "GenericityError",
     "InvalidQuiverError",
     "NonStringAlgebraError",

@@ -198,6 +198,19 @@ def reduce_against(v: tuple[int, ...], red_rows: list[list[int]], pivots: list[i
     return tuple(x % p for x in w)
 
 
+def subspace_count(d: int, p: int) -> int:
+    """The number of subspaces of F_p^d, i.e. len(subspaces(d, p)), without
+    building them: the sum over k of the Gaussian binomials [d choose k]_p."""
+    total = 0
+    for k in range(d + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (d - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
 def subspaces(d: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
     """All subspaces of F_p^d, each as a tuple of rref basis rows.
 

@@ -656,17 +656,15 @@ def stable_subspace_tuples(
         raise SearchBudgetExceeded(
             f"total dimension {m.total_dim} exceeds the brute-force budget {max_total_dim}"
         )
-    per_vertex: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
     prod_size = 1
-    for v in quiver.vertices:
-        d = m.dims[quiver.pos(v)]
-        per_vertex[v] = linalg.subspaces(d, p)
-        prod_size *= len(per_vertex[v])
+    for d in m.dims:
+        prod_size *= linalg.subspace_count(d, p)
     if prod_size > max_product:
         raise SearchBudgetExceeded(
             f"{prod_size} subspace tuples exceed the enumeration budget"
         )
     verts = list(quiver.vertices)
+    per_vertex = {v: linalg.subspaces(m.dims[quiver.pos(v)], p) for v in verts}
     out = []
     for combo in product(*(per_vertex[v] for v in verts)):
         chosen = dict(zip(verts, combo))

@@ -1,9 +1,10 @@
 """Semistability walls, green paths, crossing sequences, and compartments.
 
 The wall of a module M is D(M) = {x : x . dim M = 0 and x . d <= 0 for every
-submodule dimension vector d}. Green paths are affine lines x + t*(1,...,1);
-the all-ones direction makes every wall crossing time unique, so a path is
-described exactly by its ordered crossing records.
+submodule dimension vector d}. Green paths are affine lines x + t*(1,...,1),
+each given by its base point x; the all-ones direction makes every wall
+crossing time unique, so a path is described exactly by its ordered crossing
+records.
 
 All geometry is exact: points are tuples of Fraction, membership tests are
 rational, and feasibility questions go through a small phase-1 simplex over
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from greenseq import linalg
+from greenseq import exchange, linalg
 from greenseq.errors import FiltrationError, GenericityError
 from greenseq.rep import (
     Catalog,
@@ -27,16 +28,6 @@ from greenseq.rep import (
 )
 
 Vector = tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class GreenPath:
-    """The line t -> base + (t, ..., t), considered for all real t."""
-
-    base: Vector
-
-    def point(self, t: Fraction) -> Vector:
-        return tuple(b + t for b in self.base)
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,6 @@ class Wall:
 class CrossingRecord:
     time: Fraction
     module: Representation
-    point: Vector
     interior: bool
 
     @property
@@ -78,28 +68,39 @@ def _dot(x: Vector, d: Sequence[int]) -> Fraction:
     return sum((xi * di for xi, di in zip(x, d)), Fraction(0))
 
 
+def _faces(wall: Wall) -> list[tuple[int, ...]]:
+    """The proper nonzero submodule dimension vectors of the wall's module,
+    sorted (the order fixes the constraint order of the feasibility solves)."""
+    full = tuple(wall.normal)
+    return sorted(d for d in wall.sub_dimvecs if any(d) and d != full)
+
+
+def _side(wall: Wall, v: Vector) -> Optional[bool]:
+    """None when v is off D(M), otherwise whether v is in the interior of D(M).
+
+    The zero and full submodules always give x . d = 0 on the hyperplane, so
+    the proper nonzero faces decide both membership and interiority.
+    """
+    if _dot(v, wall.normal) != 0:
+        return None
+    interior = True
+    for d in _faces(wall):
+        x = _dot(v, d)
+        if x > 0:
+            return None
+        if x == 0:
+            interior = False
+    return interior
+
+
 def in_D(m: Union[Wall, Representation], x: Sequence) -> bool:
     """Exact membership of x in the wall D(M)."""
-    wall = _as_wall(m)
-    v = _as_vector(x)
-    if _dot(v, wall.normal) != 0:
-        return False
-    return all(_dot(v, d) <= 0 for d in wall.sub_dimvecs)
+    return _side(_as_wall(m), _as_vector(x)) is not None
 
 
 def in_int_D(m: Union[Wall, Representation], x: Sequence) -> bool:
     """Strict-interior membership: x . d < 0 for proper nonzero submodules."""
-    wall = _as_wall(m)
-    v = _as_vector(x)
-    if _dot(v, wall.normal) != 0:
-        return False
-    full = tuple(wall.normal)
-    for d in wall.sub_dimvecs:
-        if not any(d) or d == full:
-            continue
-        if _dot(v, d) >= 0:
-            return False
-    return True
+    return _side(_as_wall(m), _as_vector(x)) is True
 
 
 def catalog_walls(catalog: Catalog) -> list[Wall]:
@@ -117,10 +118,8 @@ def crossing_time(base: Vector, normal: Sequence[int]) -> Fraction:
     return -_dot(base, normal) / s
 
 
-def crossing_sequence(
-    path: Union[GreenPath, Sequence], catalog: Catalog
-) -> list[CrossingRecord]:
-    """Ordered wall crossings of a generic green path.
+def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
+    """Ordered wall crossings of the generic green path through base.
 
     For each Schurian catalog module the unique candidate time is computed;
     the crossing is retained when the point actually lies on the wall. The
@@ -131,17 +130,13 @@ def crossing_sequence(
         GenericityError: with `.colliding` set to the offending module pair
             (equal times) or single module (boundary point).
     """
-    if not isinstance(path, GreenPath):
-        path = GreenPath(base=_as_vector(path))
+    base = _as_vector(base)
     records = []
     for wall in catalog_walls(catalog):
-        assert sum(wall.normal) > 0
-        t = crossing_time(path.base, wall.normal)
-        pt = path.point(t)
-        if not in_D(wall, pt):
-            continue
-        interior = in_int_D(wall, pt)
-        records.append(CrossingRecord(time=t, module=wall.module, point=pt, interior=interior))
+        t = crossing_time(base, wall.normal)
+        interior = _side(wall, tuple(b + t for b in base))
+        if interior is not None:
+            records.append(CrossingRecord(time=t, module=wall.module, interior=interior))
     records.sort(key=lambda r: r.time)
     for a, b in zip(records, records[1:]):
         if a.time == b.time:
@@ -286,12 +281,7 @@ def d_full_rank(module: Union[Wall, Representation]) -> bool:
     wall = _as_wall(module)
     n = len(wall.normal)
     eqs = [(wall.normal, Fraction(0))]
-    ineqs = []
-    full = tuple(wall.normal)
-    for d in sorted(wall.sub_dimvecs):
-        if not any(d) or d == full:
-            continue
-        ineqs.append((d, Fraction(-1)))
+    ineqs = [(d, Fraction(-1)) for d in _faces(wall)]
     return rational_feasible(n, eqs, ineqs) is not None
 
 
@@ -318,10 +308,7 @@ def find_base_for_sequence(
     for idx, w in enumerate(walls):
         # interior at the crossing point: for proper nonzero d != dims,
         # s_i*(x.d) - (x.normal)*(1.d) <= -1
-        full = tuple(w.normal)
-        for d in sorted(w.sub_dimvecs):
-            if not any(d) or d == full:
-                continue
+        for d in _faces(w):
             coeff = [
                 Fraction(s[idx] * d[c] - w.normal[c] * sum(d)) for c in range(n)
             ]
@@ -352,7 +339,7 @@ def realize_sequence(
     candidate = base
     for step in range(attempts):
         try:
-            records = crossing_sequence(GreenPath(candidate), catalog)
+            records = crossing_sequence(candidate, catalog)
         except GenericityError:
             denom = 10**7 + step
             candidate = tuple(
@@ -383,24 +370,29 @@ def random_generic_base(
     for _ in range(retries):
         base = random_rational_base(rng, catalog.algebra.quiver.n, scale=scale)
         try:
-            return base, crossing_sequence(GreenPath(base), catalog)
+            return base, crossing_sequence(base, catalog)
         except GenericityError as e:
             last = e
     assert last is not None
     raise last
 
 
-def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:
-    """Identity of the compartment containing base: the ordered walls already
-    crossed at t < 0 (compartments are convex, so this is well defined)."""
+def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
+    """crossing_sequence(base), after checking that base lies on no wall."""
     v = _as_vector(base)
     for wall in catalog_walls(catalog):
-        if in_D(wall, v):
+        if _side(wall, v) is not None:
             raise GenericityError(
                 f"base lies on the wall of {wall.module.label or wall.normal}",
                 colliding=(wall.module,),
             )
-    records = crossing_sequence(GreenPath(v), catalog)
+    return crossing_sequence(v, catalog)
+
+
+def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:
+    """Identity of the compartment containing base: the ordered walls already
+    crossed at t < 0 (compartments are convex, so this is well defined)."""
+    records = _compartment_crossings(base, catalog)
     return tuple(r.module.dims for r in records if r.time < 0)
 
 
@@ -421,44 +413,21 @@ def compartment_cvectors(
 
     Raises:
         GenericityError: if base lies on a wall or fails genericity.
+        ValueError: if a crossed wall is not the c-vector of a green vertex
+            (the wall and exchange descriptions disagree).
     """
-    from greenseq import exchange
-
-    v = _as_vector(base)
-    for wall in catalog_walls(catalog):
-        if in_D(wall, v):
-            raise GenericityError(
-                f"base lies on the wall of {wall.module.label or wall.normal}",
-                colliding=(wall.module,),
-            )
-    records = crossing_sequence(GreenPath(v), catalog)
-    m = seed
-    n = m.n
-    for r in records:
-        if r.time >= 0:
-            break
-        k = None
-        for cand in range(n):
-            if exchange.c_vector(m, cand) == r.module.dims and exchange.is_green(m, cand):
-                k = cand
-                break
-        if k is None:
-            raise AssertionError(
-                f"no green mutation index matches crossed wall {r.module.dims}"
-            )
-        m = exchange.mutate(m, k)
-    columns = tuple(exchange.c_vector(m, k) for k in range(n))
-    assert len(set(columns)) == n
-    before = [r for r in records if r.time < 0]
-    after = [r for r in records if r.time > 0]
+    records = _compartment_crossings(base, catalog)
+    before = [r.module.dims for r in records if r.time < 0]
+    after = [r.module.dims for r in records if r.time > 0]
+    _, m = exchange.replay_c_vector_sequence(seed, before)
+    columns = tuple(exchange.c_vector(m, k) for k in range(m.n))
+    assert len(set(columns)) == m.n
     if before:
-        last = before[-1].module.dims
-        assert tuple(-c for c in last) in columns, (
-            f"wall {last} behind the base is not a negated c-vector"
+        assert tuple(-c for c in before[-1]) in columns, (
+            f"wall {before[-1]} behind the base is not a negated c-vector"
         )
     if after:
-        nxt = after[0].module.dims
-        assert nxt in columns, f"wall {nxt} ahead of the base is not a c-vector"
+        assert after[0] in columns, f"wall {after[0]} ahead of the base is not a c-vector"
     return columns
 
 

@@ -1,5 +1,6 @@
 """Command line interface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,3 +186,30 @@ def test_corrupted_module_fails_before_any_work(tmp_path, capsys):
     code, out, err = run(capsys, ["mutate", str(path), "1"])
     assert code == 2
     assert "relation" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["walls", A5, "--random", "50", "--seed", "1", "--format", "json"],
+            "c559ff09143e0f2fe602909a1fa7e3c212c4cc257588e512ed6ffdb4cdcdde6c",
+        ),
+        (
+            ["walls", str(common.PROBLEMS / "a9_example.json"), "--random", "20",
+             "--seed", "1", "--format", "json"],
+            "1788f3b6a23e62e4fe0b09e76dfe61a97d81021ef712c63a6cfeb084ce4c0d49",
+        ),
+        (
+            ["walls", A3, "--base", "0,1,2", "--format", "json"],
+            "3698a25f8af0b715b8c8095cc79c1473799e0a62ad5576667a56a8bf79f56cfa",
+        ),
+    ],
+)
+def test_walls_stdout_is_pinned(capsys, argv, digest):
+    # any change to the sampled bases, the crossing records, their order or
+    # their formatting changes these digests
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from greenseq import walls
+from greenseq import linalg, walls
 from greenseq.cli import main
 from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import verify_theorem1
 from greenseq.io import problem_from_json
-from greenseq.linalg import MAX_FIELD_PRIME, is_prime
-from greenseq.rep import Algebra, string_catalog
+from greenseq.linalg import MAX_FIELD_PRIME, is_prime, subspace_count, subspaces
+from greenseq.rep import Algebra, make_rep, stable_subspace_tuples, string_catalog
 
 import common
 
@@ -80,3 +80,21 @@ def test_verify_propagates_budget_errors_from_wall_construction(monkeypatch, a3_
         verify_theorem1(a3_qp, catalog, samples=5)
     # the first sample raised, and nothing swallowed it
     assert len(samples) == 1
+
+
+@pytest.mark.parametrize("d, p, count", [(5, 2, 374), (6, 3, 56_632)])
+def test_subspace_count_matches_the_enumeration(d, p, count):
+    assert subspace_count(d, p) == len(subspaces(d, p)) == count
+
+
+def test_subspace_budget_is_checked_before_any_subspace_is_built(monkeypatch, a3_algebra):
+    # total dimension 10 passes the max_total_dim=12 guard; F_2^10 alone has
+    # 229,755,605 subspaces
+    m = make_rep(a3_algebra, [10, 0, 0], {})
+
+    def refuse(d, p):
+        raise AssertionError(f"subspaces({d}, {p}) built before the budget check")
+
+    monkeypatch.setattr(linalg, "subspaces", refuse)
+    with pytest.raises(SearchBudgetExceeded, match="229755605 subspace tuples"):
+        stable_subspace_tuples(m)

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import greenseq
 from greenseq import exchange
 from greenseq.errors import GenericityError
 from greenseq.fho import is_maximal_fho
-from greenseq.rep import projective
+from greenseq.rep import projective, submodule_dimvecs
 from greenseq.walls import (
+    catalog_walls,
     compartment_cvectors,
     compartment_signature,
     crossing_sequence,
@@ -25,6 +27,8 @@ from greenseq.walls import (
     realize_sequence,
     wall_for,
 )
+
+import common
 
 FIVE_DIMS = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
 
@@ -190,3 +194,72 @@ def test_random_rational_base_shape():
     base = random_rational_base(rng, 5)
     assert len(base) == 5
     assert all(isinstance(x, Fraction) for x in base)
+
+
+def _reference_crossings(base, modules, subs):
+    """(time, module, point, on wall, interior) for each module, straight from
+    the definition of D(M) over its submodule dimension vectors."""
+    out = []
+    for m, sub in zip(modules, subs):
+        t = -sum(b * c for b, c in zip(base, m.dims)) / sum(m.dims)
+        pt = tuple(b + t for b in base)
+
+        def dot(d):
+            return sum(x * c for x, c in zip(pt, d))
+
+        assert dot(m.dims) == 0
+        on = all(dot(d) <= 0 for d in sub)
+        proper = [d for d in sub if any(d) and d != m.dims]
+        out.append((t, m, pt, on, on and all(dot(d) < 0 for d in proper)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a3_cyclic", "d4_cyclic", "a5_example"])
+def test_sign_pass_matches_the_wall_definition(name):
+    catalog = common.catalog(name)
+    modules = [catalog.modules[i] for i in catalog.schurian_indices()]
+    subs = [submodule_dimvecs(m) for m in modules]
+    walls = catalog_walls(catalog)
+    n = catalog.algebra.quiver.n
+    rng = random.Random(11)
+    seen = set()
+    for k in range(30):
+        # small integer bases put crossing points on wall boundaries and make
+        # crossing times collide; the others are generic
+        if k % 2:
+            base = random_rational_base(rng, n)
+        else:
+            base = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+        ref = _reference_crossings(base, modules, subs)
+        for wall, (t, m, pt, on, interior) in zip(walls, ref):
+            assert wall.module is m
+            assert in_D(wall, pt) == on
+            assert in_int_D(wall, pt) == interior
+            seen.add((on, interior))
+        crossed = sorted((r for r in ref if r[3]), key=lambda r: r[0])
+        collisions = [(a[1], b[1]) for a, b in zip(crossed, crossed[1:]) if a[0] == b[0]]
+        if collisions:
+            with pytest.raises(GenericityError, match="collide") as info:
+                crossing_sequence(base, catalog)
+            assert info.value.colliding == collisions[0]
+        elif not all(r[4] for r in crossed):
+            with pytest.raises(GenericityError, match="boundary"):
+                crossing_sequence(base, catalog)
+        else:
+            records = crossing_sequence(base, catalog)
+            assert [(r.time, r.module, r.interior) for r in records] == [
+                (t, m, True) for t, m, _, _, _ in crossed
+            ]
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_hn_stratification_without_crossings_raises(a3_catalog):
+    assert "FiltrationError" in greenseq.__all__
+    with pytest.raises(greenseq.FiltrationError, match="no stratification"):
+        hn_stratification(a3_catalog.by_label("2<3"), [])
+
+
+def test_compartment_cvectors_rejects_a_seed_that_disagrees(a3_qp, a3_catalog):
+    seed = exchange.mutate(exchange.initial_seed(a3_qp.quiver), 0)
+    with pytest.raises(ValueError, match="no green vertex"):
+        compartment_cvectors(frac(5, 7, 11), a3_catalog, seed)
