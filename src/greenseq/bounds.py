@@ -312,10 +312,11 @@ def bounds_report(
     maximality check. Upper bound: the smaller of `indec - k` (valid when the
     potential is made of triangles and the catalog is a full type-A count,
     where no sequence is shorter than n + k) and `indec - c` with c the number
-    of vertex-disjoint Hom cycles found. Enumeration of the exact extrema is
-    skipped or cut short when the budget runs out; the report then marks them
-    unknown. The conjecture flag compares the exact (or certified) maximum
-    with the lower bound.
+    of vertex-disjoint Hom cycles found. The exact extrema come from the
+    exchange-graph summary (`mgs_length_extrema`, whose budget counts
+    exchange-graph states); they are skipped when `enumerate_extrema` is
+    False and marked unknown when the budget runs out. The conjecture flag
+    compares the exact (or certified) maximum with the lower bound.
     """
     n = qp.quiver.n
     k = qp.cycle_count

@@ -45,7 +45,13 @@ def _parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--field-prime", type=int, default=None, help="override the field prime")
-        p.add_argument("--budget", type=int, default=None, help="override the search budget")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=None,
+            help="override the search budget (`mgs extrema` counts exchange-graph "
+            "states, not paths)",
+        )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--retries", type=int, default=50, help="genericity retry cap")
@@ -139,6 +145,20 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
     seed = exchange.initial_seed(quiver)
     if args.construct_max:
         return _construct_max(args, problem, seed)
+    if args.action == "extrema":
+        summary = exchange.mgs_summary(seed, budget=problem.search_budget)
+        payload = {
+            "partial": False,
+            "min": summary.min_len,
+            "max": summary.max_len,
+            "count": summary.count,
+        }
+        text = (
+            f"maximal green sequences: {summary.count}"
+            f"\nmin length {summary.min_len}\nmax length {summary.max_len}"
+        )
+        _emit(args, payload, text)
+        return 0
     try:
         seqs = exchange.enumerate_green_sequences(
             seed, maximal_only=True, budget=problem.search_budget
@@ -147,20 +167,7 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
     except SearchBudgetExceeded as e:
         seqs = list(e.partial or [])
         partial = True
-    if args.action == "extrema":
-        lengths = sorted(len(s) for s in seqs)
-        payload = {
-            "partial": partial,
-            "min": lengths[0] if lengths else None,
-            "max": lengths[-1] if lengths else None,
-            "count": len(seqs),
-        }
-        text = (
-            f"maximal green sequences: {len(seqs)}"
-            + (" (partial)" if partial else "")
-            + f"\nmin length {payload['min']}\nmax length {payload['max']}"
-        )
-    elif args.action == "classes":
+    if args.action == "classes":
         classes = exchange.equivalence_classes(seqs)
         rows = sorted(
             (len(members[0]), key, len(members))

@@ -9,7 +9,7 @@ wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
 
@@ -32,8 +32,9 @@ class ExtExchangeMatrix:
     c: IntMatrix
 
     def __post_init__(self):
+        n = self.n
         for half in (self.b, self.c):
-            if len(half) != self.n or any(len(row) != self.n for row in half):
+            if len(half) != n or any(map(n.__ne__, map(len, half))):
                 raise ValueError("matrix halves must be n x n")
 
     def column(self, k: int) -> IntVector:
@@ -114,6 +115,10 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     Entries in row i, column j with i != k != j gain b_ik * |b_kj| whenever
     b_ik and b_kj have the same sign; row k and column k flip sign.
 
+    A row with b_ik = 0 is reused as it is. Any other row adds b_ik times
+    [b_k.]_+ (when b_ik > 0) or [-b_k.]_+ (when b_ik < 0), both computed
+    once; their k-th entry is -2, so that b_ik becomes -b_ik.
+
     Args:
         m: matrix to mutate (unchanged; a new value is returned).
         k: 0-based column index.
@@ -124,22 +129,21 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     n = m.n
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} out of range for n={n}")
-    old = m.rows()
+    row_k = m.b[k]
+    plus = [x if x > 0 else 0 for x in row_k]
+    minus = [-x if x < 0 else 0 for x in row_k]
+    plus[k] = minus[k] = -2
     new = []
-    for i in range(2 * n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-old[i][j])
-            else:
-                bik, bkj = old[i][k], old[k][j]
-                if bik > 0 and bkj > 0:
-                    row.append(old[i][j] + bik * bkj)
-                elif bik < 0 and bkj < 0:
-                    row.append(old[i][j] - bik * bkj)
-                else:
-                    row.append(old[i][j])
-        new.append(tuple(row))
+    for i, row in enumerate(m.b + m.c):
+        bik = row[k]
+        if i == k:
+            new.append(tuple([-x for x in row]))
+        elif bik > 0:
+            new.append(tuple([x + bik * y for x, y in zip(row, plus)]))
+        elif bik < 0:
+            new.append(tuple([x + bik * y for x, y in zip(row, minus)]))
+        else:
+            new.append(row)
     return ExtExchangeMatrix(n=n, b=tuple(new[:n]), c=tuple(new[n:]))
 
 
@@ -156,15 +160,24 @@ def is_green(m: ExtExchangeMatrix, k: int) -> bool:
     return any(col) and all(x >= 0 for x in col)
 
 
-def _check_sign_coherent(m: ExtExchangeMatrix) -> None:
-    for k in range(m.n):
-        col = m.column(k)
-        if not any(col):
+def _green_columns(cols: tuple[IntVector, ...]) -> list[int]:
+    """Indices of the green columns among the c-columns `cols`.
+
+    Asserts sign coherence: every column is nonzero and has no entries of
+    both signs, so a column is green iff it has a positive entry.
+    """
+    greens = []
+    for k, col in enumerate(cols):
+        positive, negative = max(col) > 0, min(col) < 0
+        if not (positive or negative):
             raise AssertionError(f"zero c-column {k}: sign coherence violated")
-        if any(x > 0 for x in col) and any(x < 0 for x in col):
+        if positive and negative:
             raise AssertionError(
                 f"mixed-sign c-column {k} = {col}: sign coherence violated"
             )
+        if positive:
+            greens.append(k)
+    return greens
 
 
 def enumerate_green_sequences(
@@ -177,7 +190,8 @@ def enumerate_green_sequences(
 
     Branches are explored in increasing mutation index, so the output is in
     lexicographic order of the index sequences. Sign coherence is asserted at
-    every node visited.
+    every node visited. The search keeps its own stack, so its depth is
+    bounded by `budget`, not by Python's recursion limit.
 
     Args:
         seed: the starting extended exchange matrix (normally an initial seed).
@@ -194,9 +208,11 @@ def enumerate_green_sequences(
             exception's `partial` attribute carries the sequences found so far.
     """
     found: list[GreenSequence] = []
+    indices: list[int] = []
+    cvecs: list[IntVector] = []
     visited = 0
 
-    def walk(m: ExtExchangeMatrix, indices: list[int], cvecs: list[IntVector]):
+    def enter(m: ExtExchangeMatrix):
         nonlocal visited
         visited += 1
         if visited > budget:
@@ -204,38 +220,163 @@ def enumerate_green_sequences(
                 f"green-sequence search exceeded {budget} nodes",
                 partial=list(found),
             )
-        _check_sign_coherent(m)
-        greens = [k for k in range(m.n) if is_green(m, k)]
+        cols = tuple(zip(*m.c))
+        greens = _green_columns(cols)
         if maximal_only:
             if not greens:
-                found.append(
-                    GreenSequence(tuple(indices), tuple(cvecs))
-                )
-                return
+                found.append(GreenSequence(tuple(indices), tuple(cvecs)))
         elif indices:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
         if max_len is not None and len(indices) >= max_len:
-            return
-        for k in greens:
-            indices.append(k)
-            cvecs.append(c_vector(m, k))
-            walk(mutate(m, k), indices, cvecs)
-            indices.pop()
-            cvecs.pop()
+            greens = []
+        return m, cols, iter(greens)
 
-    walk(seed, [], [])
+    # one frame per node on the current path: len(stack) == len(indices) + 1
+    stack = [enter(seed)]
+    while stack:
+        m, cols, branches = stack[-1]
+        k = next(branches, None)
+        if k is None:
+            stack.pop()
+            if stack:
+                indices.pop()
+                cvecs.pop()
+            continue
+        indices.append(k)
+        cvecs.append(cols[k])
+        stack.append(enter(mutate(m, k)))
     return found
+
+
+class MgsSummary(NamedTuple):
+    """What the oriented exchange graph says about maximal green sequences.
+
+    Attributes:
+        count: number of maximal green sequences.
+        min_len, max_len: their shortest and longest length.
+        states: number of distinct seeds (up to relabelling) reached by green
+            mutations, the initial seed included.
+    """
+
+    count: int
+    min_len: int
+    max_len: int
+    states: int
+
+
+def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
+    """Count maximal green sequences and their extremal lengths without
+    listing them.
+
+    Maximal green sequences are the maximal paths of the oriented exchange
+    graph, whose states are seeds up to relabelling and whose edges are green
+    mutations. Its count, minimum and maximum are a memo over the states,
+    filled by a depth-first search with its own stack that enters each state
+    once. A state's key is the set of its c-vectors (one bit per distinct
+    c-vector, OR-ed into an int): B_t = C_t^T B_0 C_t, so the c-vectors fix
+    the seed up to relabelling, and relabelling changes none of the three
+    numbers. The key at the end of a green edge is computed from the
+    c-vectors alone, so `mutate` runs only to enter a new state, and its
+    result must have that key. Sign coherence is asserted at every state
+    entered.
+
+    Args:
+        seed: the starting extended exchange matrix (normally an initial seed).
+        budget: maximum number of states entered.
+
+    Raises:
+        SearchBudgetExceeded: if more than `budget` states are entered. No
+            partial answer is kept (`partial` is None).
+        AssertionError: on a sign-incoherent c-column, if `mutate` disagrees
+            with the predicted key, or if a green mutation leads back to a
+            state whose search is still open.
+    """
+    bits: dict[IntVector, int] = {}
+    # key -> (count, min, max); None while the state's search is open
+    memo: dict[int, Optional[tuple[int, int, int]]] = {}
+
+    def bit(col: IntVector) -> int:
+        b = bits.get(col)
+        if b is None:
+            b = bits[col] = 1 << len(bits)
+        return b
+
+    def keyed(m: ExtExchangeMatrix) -> tuple[int, tuple[IntVector, ...]]:
+        cols = tuple(zip(*m.c))
+        key = 0
+        for col in cols:
+            key |= bit(col)
+        return key, cols
+
+    def child_key(
+        m: ExtExchangeMatrix, key: int, cols: tuple[IntVector, ...], k: int
+    ) -> int:
+        # The key of mutate(m, k) from m's c-vectors alone. Column k is green,
+        # so every c_ik >= 0: column j != k gains [b_kj]_+ times c_k, and
+        # column k flips sign. A seed's c-vectors are distinct, so each
+        # changed column swaps one bit for another.
+        ck = cols[k]
+        key += bit(tuple([-x for x in ck])) - bit(ck)
+        for j, bkj in enumerate(m.b[k]):
+            if bkj > 0:
+                cj = cols[j]
+                key += bit(tuple([x + bkj * y for x, y in zip(cj, ck)])) - bit(cj)
+        return key
+
+    def enter(m: ExtExchangeMatrix, key: int, cols: tuple[IntVector, ...]):
+        if len(memo) >= budget:
+            raise SearchBudgetExceeded(
+                f"exchange-graph search exceeded {budget} states"
+            )
+        memo[key] = None
+        return key, m, cols, iter(_green_columns(cols)), []
+
+    root_key, cols = keyed(seed)
+    stack = [enter(seed, root_key, cols)]
+    while stack:
+        key, m, cols, branches, below = stack[-1]
+        k = next(branches, None)
+        if k is None:
+            stack.pop()
+            if below:
+                summary = (
+                    sum(c for c, _, _ in below),
+                    1 + min(lo for _, lo, _ in below),
+                    1 + max(hi for _, _, hi in below),
+                )
+            else:
+                summary = (1, 0, 0)
+            memo[key] = summary
+            if stack:
+                stack[-1][4].append(summary)  # the parent's `below`
+            continue
+        target = child_key(m, key, cols, k)
+        if target not in memo:
+            child = mutate(m, k)
+            mutated_key, child_cols = keyed(child)
+            if mutated_key != target:
+                raise AssertionError(
+                    f"c-vectors of mutate(m, {k}) disagree with the green mutation rule"
+                )
+            stack.append(enter(child, target, child_cols))
+        elif memo[target] is None:
+            raise AssertionError("green mutation returned to an open state")
+        else:
+            below.append(memo[target])
+    count, lo, hi = memo[root_key]
+    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(memo))
 
 
 def mgs_length_extrema(
     seed: ExtExchangeMatrix, budget: int = 1_000_000
 ) -> tuple[int, int]:
-    """Minimum and maximum length over all maximal green sequences."""
-    seqs = enumerate_green_sequences(seed, maximal_only=True, budget=budget)
-    if not seqs:
-        raise ValueError("no maximal green sequence found")
-    lengths = [len(s) for s in seqs]
-    return min(lengths), max(lengths)
+    """Minimum and maximum length over all maximal green sequences.
+
+    Computed by `mgs_summary` on the exchange graph, so `budget` caps the
+    number of exchange-graph states entered, not the number of paths.
+    """
+    summary = mgs_summary(seed, budget=budget)
+    return summary.min_len, summary.max_len
 
 
 def replay_c_vector_sequence(

@@ -70,6 +70,14 @@ def test_mgs_classes(capsys):
     assert sum(c["size"] for c in payload["classes"]) == 9
 
 
+def test_mgs_extrema_a9(capsys):
+    # 1.6e15 sequences: only the exchange-graph summary can answer this
+    code, out, err = run(capsys, ["mgs", str(common.PROBLEMS / "a9_example.json"), "extrema"])
+    assert code == 0
+    assert err == ""
+    assert out == "maximal green sequences: 1555927224943624\nmin length 13\nmax length 37\n"
+
+
 def test_mgs_budget_exhaustion(capsys):
     code, out, err = run(capsys, ["mgs", A3, "--budget", "3"])
     assert code == 1

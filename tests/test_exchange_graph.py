@@ -1,0 +1,179 @@
+"""Mutation rule, iterative enumeration and the exchange-graph summary."""
+
+import random
+
+import pytest
+
+from greenseq import exchange
+from greenseq.errors import SearchBudgetExceeded
+
+import common
+
+SMALL = ("a3_cyclic", "d4_cyclic", "a5_example")
+
+# maximal green sequences: (count, min length, max length, exchange-graph states)
+SUMMARIES = {
+    "a3_cyclic": (9, 4, 5, 14),
+    "d4_cyclic": (112, 6, 9, 50),
+    "a5_example": (2242, 7, 13, 132),
+    "a9_example": (1_555_927_224_943_624, 13, 37, 16_796),
+}
+
+
+def seed_of(name):
+    return exchange.initial_seed(common.problem(name).qp.quiver)
+
+
+def reference_mutate(m, k):
+    """The entrywise three-branch Fomin-Zelevinsky rule, one entry at a time."""
+    old = m.rows()
+    new = []
+    for i in range(2 * m.n):
+        row = []
+        for j in range(m.n):
+            if i == k or j == k:
+                row.append(-old[i][j])
+            else:
+                bik, bkj = old[i][k], old[k][j]
+                if bik > 0 and bkj > 0:
+                    row.append(old[i][j] + bik * bkj)
+                elif bik < 0 and bkj < 0:
+                    row.append(old[i][j] - bik * bkj)
+                else:
+                    row.append(old[i][j])
+        new.append(tuple(row))
+    return exchange.ExtExchangeMatrix(m.n, tuple(new[: m.n]), tuple(new[m.n :]))
+
+
+def reference_sequences(seed, max_len=None, maximal_only=False):
+    """Recursive enumeration by the definition, in lexicographic order."""
+    out = []
+
+    def walk(m, indices, cvecs):
+        greens = [k for k in range(m.n) if exchange.is_green(m, k)]
+        if maximal_only:
+            if not greens:
+                out.append((indices, cvecs))
+        elif indices:
+            out.append((indices, cvecs))
+        if max_len is not None and len(indices) >= max_len:
+            return
+        for k in greens:
+            walk(exchange.mutate(m, k), indices + (k,), cvecs + (exchange.c_vector(m, k),))
+
+    walk(seed, (), ())
+    return out
+
+
+def mutated_seeds(name, count):
+    """Initial seeds of the first `count` new B-matrices met on a seeded
+    random walk through the problem's mutation class."""
+    rng = random.Random(f"{name}-mutation-class")
+    m = seed_of(name)
+    seen = {m.b}
+    seeds = []
+    while len(seeds) < count:
+        m = exchange.mutate(m, rng.randrange(m.n))
+        if m.b not in seen:
+            seen.add(m.b)
+            seeds.append(exchange.initial_seed_from_matrix(m.b))
+    return seeds
+
+
+def kronecker_seed():
+    return exchange.initial_seed_from_matrix([[0, 2], [-2, 0]])
+
+
+@pytest.mark.parametrize("name", common.PROBLEM_NAMES)
+def test_mutate_matches_the_entrywise_rule(name):
+    rng = random.Random(f"{name}-walk")
+    m = seed_of(name)
+    for _ in range(2000):
+        k = rng.randrange(m.n)
+        step = exchange.mutate(m, k)
+        assert step == reference_mutate(m, k)
+        assert exchange.mutate(step, k) == m
+        m = step
+
+
+@pytest.mark.parametrize("name", ("a3_cyclic", "d4_cyclic"))
+@pytest.mark.parametrize("max_len, maximal_only", [(None, True), (None, False), (3, True), (3, False)])
+def test_enumeration_matches_the_recursive_definition(name, max_len, maximal_only):
+    seed = seed_of(name)
+    got = exchange.enumerate_green_sequences(seed, max_len=max_len, maximal_only=maximal_only)
+    assert [(s.mutation_indices, s.c_vectors) for s in got] == reference_sequences(
+        seed, max_len, maximal_only
+    )
+
+
+def test_enumeration_budget_counts_nodes():
+    # without maximal_only every node but the root is one sequence
+    seed = seed_of("d4_cyclic")
+    every = exchange.enumerate_green_sequences(seed)
+    assert len(exchange.enumerate_green_sequences(seed, budget=len(every) + 1)) == len(every)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exchange.enumerate_green_sequences(seed, budget=len(every))
+    assert info.value.partial == every[:-1]
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    # one green branch of the Kronecker quiver never ends
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exchange.enumerate_green_sequences(kronecker_seed(), maximal_only=True, budget=5000)
+    assert isinstance(info.value.partial, list)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_summary_matches_enumeration(name):
+    for seed in [seed_of(name)] + mutated_seeds(name, 3):
+        seqs = exchange.enumerate_green_sequences(seed, maximal_only=True)
+        lengths = [len(s) for s in seqs]
+        summary = exchange.mgs_summary(seed)
+        assert (summary.count, summary.min_len, summary.max_len) == (
+            len(seqs), min(lengths), max(lengths),
+        )
+        assert summary.states == SUMMARIES[name][3]
+
+
+def test_summary_a9():
+    summary = exchange.mgs_summary(seed_of("a9_example"))
+    assert (summary.count, summary.min_len, summary.max_len, summary.states) == SUMMARIES[
+        "a9_example"
+    ]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_states_are_seeds_fixed_by_their_c_vectors(name):
+    # B_t = C_t^T B_0 C_t at every state reached by green mutations, and the
+    # states counted by c-vector sets are those counted by the summary
+    b0 = seed_of(name).b
+    n = len(b0)
+    seen = set()
+    todo = [seed_of(name)]
+    while todo:
+        m = todo.pop()
+        key = frozenset(zip(*m.c))
+        if key in seen:
+            continue
+        seen.add(key)
+        c = m.c
+        assert m.b == tuple(
+            tuple(
+                sum(c[p][i] * b0[p][q] * c[q][j] for p in range(n) for q in range(n))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        todo.extend(exchange.mutate(m, k) for k in range(n) if exchange.is_green(m, k))
+    assert len(seen) == SUMMARIES[name][3]
+
+
+def test_summary_budget_counts_states():
+    seed = seed_of("a5_example")
+    assert exchange.mgs_summary(seed, budget=132).states == 132
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exchange.mgs_summary(seed, budget=131)
+    assert info.value.partial is None
+    assert exchange.mgs_length_extrema(seed, budget=132) == (7, 13)
+    with pytest.raises(SearchBudgetExceeded):
+        exchange.mgs_summary(kronecker_seed(), budget=2000)

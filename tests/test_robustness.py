@@ -98,3 +98,29 @@ def test_subspace_budget_is_checked_before_any_subspace_is_built(monkeypatch, a3
     monkeypatch.setattr(linalg, "subspaces", refuse)
     with pytest.raises(SearchBudgetExceeded, match="229755605 subspace tuples"):
         stable_subspace_tuples(m)
+
+
+KRONECKER = {
+    "qp": {
+        "vertices": [1, 2],
+        "arrows": [{"id": "a", "src": 1, "tgt": 2}, {"id": "b", "src": 1, "tgt": 2}],
+        "potential": [],
+    },
+    "field_prime": 2,
+    "search_budget": 1000000,
+    "rng_seed": 0,
+}
+
+
+@pytest.mark.parametrize("action", ["extrema", "enumerate", "classes"])
+def test_infinite_exchange_graph_runs_out_of_budget(tmp_path, capsys, action):
+    # one green branch of the Kronecker quiver never ends, so every search
+    # runs out of budget; main must return, not die of the recursion limit
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps(KRONECKER))
+    assert main(["mgs", str(path), action, "--budget", "2000"]) == 1
+    out, err = capsys.readouterr()
+    if action == "extrema":
+        assert "search budget exceeded" in err
+    else:
+        assert "(partial)" in out
