@@ -4,6 +4,7 @@ Everything here is cached so the catalogs and algebras are constructed once
 per session no matter how many test modules ask for them.
 """
 
+import hashlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -68,3 +69,11 @@ def bounds_report(name, enumerate_extrema=True):
 
 def labels(cat):
     return sorted(m.label for m in cat.modules)
+
+
+def digest(reps):
+    """sha256 over (dims, mats, label) of each representation, in order."""
+    h = hashlib.sha256()
+    for r in reps:
+        h.update(repr((r.dims, r.mats, r.label)).encode())
+    return h.hexdigest()

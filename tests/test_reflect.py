@@ -100,3 +100,41 @@ def test_find_isomorphism_basics(a3_algebra, a3_catalog):
     m = a3_catalog.by_label("2<3")
     assert find_isomorphism(m, m) is not None
     assert find_isomorphism(m, a3_catalog.by_label("1<2")) is None
+
+
+@pytest.mark.parametrize(
+    "name, pairs, psi_digest, inverse_digest",
+    [
+        (
+            "a3_cyclic", 12,
+            "fc90de4e6a159ec6a5a7faefb07677fe54ae308eaca595d700c5f55515fa17e7",
+            "430bef9b17d1ccb0db8866b394a5c10e6f1543293ca325b5766125ef361d29ad",
+        ),
+        (
+            "d4_cyclic", 36,
+            "fc72be5b5e2caeb4ccad06cbd8bb6f98ea0487ffcf80f8aa7260ec6bad4b0c0d",
+            "c822272a402ed4bdb414c4841a9e17f68959ece1f12a1985090e7fea3f751956",
+        ),
+        (
+            "a5_example", 59,
+            "c1ec28ee0a509c18c04a471c0657057928647f0358e2e8ea3ef4e20a3c19bdf7",
+            "b01fa6df01a91787515cf6c2568bfc3b3358703f6acd230e544a71fe80b1f4d6",
+        ),
+    ],
+)
+def test_reflections_are_pinned(name, pairs, psi_digest, inverse_digest):
+    """psi_k and psi_k_inverse reproduce exact matrices, not just isomorphism
+    classes, on every legal (vertex, catalog module) pair."""
+    qp = common.problem(name).qp
+    alg = common.algebra(name)
+    cat = common.catalog(name)
+    images, backs = [], []
+    for k in qp.quiver.vertices:
+        ctx = reflection_context(qp, k)
+        for m in legal_at(cat, alg, k):
+            y = psi_k(ctx, m)
+            images.append(y)
+            backs.append(psi_k_inverse(ctx, y))
+    assert len(images) == pairs
+    assert common.digest(images) == psi_digest
+    assert common.digest(backs) == inverse_digest

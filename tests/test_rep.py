@@ -2,7 +2,7 @@
 
 import pytest
 
-from greenseq.errors import NonStringAlgebraError
+from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
 from greenseq.qp import Arrow, Quiver, RelationSet
 from greenseq.rep import (
     Algebra,
@@ -86,6 +86,58 @@ def test_projectives_and_injectives(a3_algebra):
     assert injective(a3_algebra, 1).dims == (1, 1, 0)
     assert injective(a3_algebra, 2).dims == (0, 1, 1)
     assert injective(a3_algebra, 3).dims == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, projective_digest, injective_digest",
+    [
+        (
+            "a3_cyclic",
+            "5a12b6d517a90abbb108fd03adaf30c86ff6ee0c5597c1f2c3b16bc93bf36cc2",
+            "a288fffdfd0491003d86c31402923c2754d4f11c806f58517dd454bcacb9c43f",
+        ),
+        (
+            "a5_example",
+            "7ad97034642f522f58b50ab83ffb1d4564f28709568705bd339f6d301836c6c2",
+            "eb80947004f00b713084549c85b1c7a4f88ad5925e0de2d4b39396082902e5ab",
+        ),
+        (
+            "d4_cyclic",
+            "962dc631d691110112cf9fb743eb57ce994c57c3343d4dc78204c864e4d69073",
+            "541438bf5b3748abf48a2fba221dc5e71349ace6ebbb9aa9854dd8442890986a",
+        ),
+        (
+            "a9_example",
+            "b9df2752a54df5636c469285e5859585f4dbeb71608fdace7c38a96233485dae",
+            "eeb404d58886937c6c492cdf87e5872e1d2ba22885d163a837eb27b9b4cf7603",
+        ),
+        (
+            "nakayama",
+            "434bc6bf1ebea6833c070e914a421fdd4cfe41e4f848ece708d452d5cc1ac35d",
+            "0ccc2e7c482f779ae2ee608e20f68489daba3fd95fcf28e63e014b789773224d",
+        ),
+    ],
+)
+def test_projectives_and_injectives_are_pinned(name, projective_digest, injective_digest):
+    """Exact matrices and labels of every P_v and I_v: the catalog finds
+    `projective(alg, v)` by equality, so basis order matters."""
+    alg = common.nakayama_algebra() if name == "nakayama" else common.algebra(name)
+    vertices = alg.quiver.vertices
+    assert common.digest(projective(alg, v) for v in vertices) == projective_digest
+    assert common.digest(injective(alg, v) for v in vertices) == injective_digest
+
+
+def test_paths_of_an_infinite_dimensional_algebra_hit_the_cap():
+    """An oriented 3-cycle without relations has paths of every length."""
+    cycle = Quiver(
+        vertices=(1, 2, 3),
+        arrows=(Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1)),
+    )
+    alg = Algebra(quiver=cycle, relations=RelationSet(()), p=2)
+    with pytest.raises(SearchBudgetExceeded):
+        projective(alg, 1)
+    with pytest.raises(SearchBudgetExceeded):
+        injective(alg, 1)
 
 
 def test_relations_hold_on_catalog_modules(a3_catalog, a5_catalog):
