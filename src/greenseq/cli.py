@@ -54,7 +54,6 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--retries", type=int, default=50, help="genericity retry cap")
 
     p = sub.add_parser("mutate", help="print the exchange-matrix chain of a mutation sequence")
     common(p)
@@ -81,6 +80,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--base", default=None, help="comma-separated rational coordinates, e.g. 1/2,-3,4")
     p.add_argument("--random", type=int, default=None, metavar="N", help="sample N generic bases")
+    p.add_argument("--retries", type=int, default=50, help="genericity retry cap for --random")
     return top
 
 

@@ -22,7 +22,7 @@ last_out < first_in.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from greenseq import exchange
@@ -36,7 +36,10 @@ class FhoSequence:
     """An ordered, weakly forward hom-orthogonal sequence of catalog modules."""
 
     modules: tuple[Representation, ...]
-    dim_vectors: tuple[tuple[int, ...], ...] = field(default=())
+
+    @property
+    def dim_vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(m.dims for m in self.modules)
 
     def __len__(self) -> int:
         return len(self.modules)
@@ -50,8 +53,7 @@ class FhoSequence:
 
 
 def make_sequence(modules: Sequence[Representation]) -> FhoSequence:
-    mods = tuple(modules)
-    return FhoSequence(modules=mods, dim_vectors=tuple(m.dims for m in mods))
+    return FhoSequence(modules=tuple(modules))
 
 
 def dim_multiset(seq: FhoSequence) -> tuple[tuple[int, ...], ...]:

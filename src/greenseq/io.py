@@ -4,21 +4,19 @@ Conventions:
   * rationals are encoded as strings "p/q" (or "p" when integral),
   * a quiver with potential is {"vertices": [...], "arrows": [{"id","src","tgt"}...],
     "potential": [{"coeff": "p/q", "cycle": [arrow ids]}...]},
-  * a module is {"dims": [...], "mats": {arrow_id: [[row]...]}} with dims
-    ordered like "vertices",
   * a problem file wraps one qp plus run parameters.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from greenseq.linalg import MAX_FIELD_PRIME, is_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
-from greenseq.rep import Algebra, Representation, make_rep
+from greenseq.rep import Algebra, algebra_from_qp
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -71,43 +69,20 @@ def qp_from_json(data: dict) -> QuiverWithPotential:
     return QuiverWithPotential(quiver=quiver, potential=potential)
 
 
-def module_to_json(m: Representation) -> dict:
-    out: dict[str, Any] = {
-        "dims": list(m.dims),
-        "mats": {aid: [list(row) for row in mat] for aid, mat in m.mats},
-    }
-    if m.label:
-        out["label"] = m.label
-    return out
-
-
-def module_from_json(data: dict, algebra: Algebra) -> Representation:
-    if not isinstance(data, dict) or "dims" not in data or "mats" not in data:
-        raise ValueError("module must be an object with 'dims' and 'mats'")
-    dims = [int(d) for d in data["dims"]]
-    if any(d < 0 for d in dims):
-        raise ValueError("dims must be nonnegative")
-    mats = {str(k): v for k, v in data["mats"].items()}
-    return make_rep(algebra, dims, mats, label=str(data.get("label", "")))
-
-
 @dataclass
 class ProblemFile:
     """A fully validated problem description."""
 
     qp: QuiverWithPotential
     field_prime: int = 2
-    modules: list[dict] = field(default_factory=list)
     search_budget: int = 1_000_000
     rng_seed: int = 0
 
     def algebra(self) -> Algebra:
-        from greenseq.rep import algebra_from_qp
-
         return algebra_from_qp(self.qp, p=self.field_prime)
 
 
-_KNOWN_KEYS = {"qp", "field_prime", "modules", "search_budget", "rng_seed"}
+_KNOWN_KEYS = {"qp", "field_prime", "search_budget", "rng_seed"}
 
 
 def problem_from_json(data: dict) -> ProblemFile:
@@ -129,21 +104,7 @@ def problem_from_json(data: dict) -> ProblemFile:
     if budget <= 0:
         raise ValueError("search_budget must be positive")
     seed = int(data.get("rng_seed", 0))
-    modules = data.get("modules", [])
-    if not isinstance(modules, list):
-        raise ValueError("modules must be a list")
-    problem = ProblemFile(
-        qp=qp,
-        field_prime=prime,
-        modules=list(modules),
-        search_budget=budget,
-        rng_seed=seed,
-    )
-    # validate the modules eagerly so a bad file fails before any computation
-    algebra = problem.algebra()
-    for m in modules:
-        module_from_json(m, algebra)
-    return problem
+    return ProblemFile(qp=qp, field_prime=prime, search_budget=budget, rng_seed=seed)
 
 
 def load_problem(path: str) -> ProblemFile:

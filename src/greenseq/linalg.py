@@ -59,13 +59,6 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     return tuple(out)
 
 
-def mat_add(a: Matrix, b: Matrix, p: int, scale_b: int = 1) -> Matrix:
-    return tuple(
-        tuple((x + scale_b * y) % p for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return ()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from greenseq.errors import InvalidQuiverError, UnsupportedPotentialError
 
@@ -226,11 +226,13 @@ class MutationData:
 
     The reflection functors need the pair partition and the correction paths,
     not just the mutated quiver, so `mutate_qp_data` returns this record and
-    `mutate_qp` forwards the `target` field.
+    `mutate_qp` forwards the `target` field. The maps are plain dicts, keyed
+    by a vertex i in I or j in J, or by a pair (i, j).
 
     f_paths are stored after the rescaling that makes every triangle
     coefficient 1; g_paths store the decomposition W ∋ -G_{ij} β_j α_i, i.e.
     a through-k term with coefficient c contributes -c times its return path.
+    Pairs without correction paths are absent from f_paths and g_paths.
     """
 
     source: QuiverWithPotential
@@ -240,42 +242,15 @@ class MutationData:
     j_set: tuple[int, ...]
     p_pairs: tuple[tuple[int, int], ...]
     p_prime: tuple[tuple[int, int], ...]
-    alpha: tuple[tuple[int, str], ...]  # i -> id of a_i : i -> k
-    beta: tuple[tuple[int, str], ...]   # j -> id of b_j : k -> j
-    gamma: tuple[tuple[tuple[int, int], str], ...]  # (i,j) in P -> id of g: j -> i
-    alpha_star: tuple[tuple[int, str], ...]
-    beta_star: tuple[tuple[int, str], ...]
-    gamma_star: tuple[tuple[tuple[int, int], str], ...]
-    f_paths: tuple[tuple[tuple[int, int], tuple[tuple[Fraction, Path], ...]], ...]
-    g_paths: tuple[tuple[tuple[int, int], tuple[tuple[Fraction, Path], ...]], ...]
-    triangle_coeff: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    def alpha_id(self, i: int) -> str:
-        return dict(self.alpha)[i]
-
-    def beta_id(self, j: int) -> str:
-        return dict(self.beta)[j]
-
-    def gamma_id(self, pair: tuple[int, int]) -> str:
-        return dict(self.gamma)[pair]
-
-    def alpha_star_id(self, i: int) -> str:
-        return dict(self.alpha_star)[i]
-
-    def beta_star_id(self, j: int) -> str:
-        return dict(self.beta_star)[j]
-
-    def gamma_star_id(self, pair: tuple[int, int]) -> str:
-        return dict(self.gamma_star)[pair]
-
-    def f_terms(self, pair: tuple[int, int]) -> tuple[tuple[Fraction, Path], ...]:
-        return dict(self.f_paths).get(pair, ())
-
-    def g_terms(self, pair: tuple[int, int]) -> tuple[tuple[Fraction, Path], ...]:
-        return dict(self.g_paths).get(pair, ())
-
-    def triangle(self, pair: tuple[int, int]) -> Fraction:
-        return dict(self.triangle_coeff)[pair]
+    alpha: dict[int, str]  # i -> id of a_i : i -> k
+    beta: dict[int, str]   # j -> id of b_j : k -> j
+    gamma: dict[tuple[int, int], str]  # (i,j) in P -> id of g: j -> i
+    alpha_star: dict[int, str]
+    beta_star: dict[int, str]
+    gamma_star: dict[tuple[int, int], str]  # (i,j) in P' -> id of g*: i -> j
+    f_paths: dict[tuple[int, int], tuple[tuple[Fraction, Path], ...]]
+    g_paths: dict[tuple[int, int], tuple[tuple[Fraction, Path], ...]]
+    triangle_coeff: dict[tuple[int, int], Fraction]
 
 
 def mutate_qp(qp: QuiverWithPotential, k: int) -> QuiverWithPotential:
@@ -479,13 +454,13 @@ def mutate_qp_data(qp: QuiverWithPotential, k: int) -> MutationData:
         j_set=tuple(j_set),
         p_pairs=tuple(p_pairs),
         p_prime=tuple(p_prime),
-        alpha=tuple((i, alpha_by_src[i].id) for i in i_set),
-        beta=tuple((j, beta_by_tgt[j].id) for j in j_set),
-        gamma=tuple((pair, gamma_by_pair[pair].id) for pair in p_pairs),
-        alpha_star=tuple(sorted(alpha_star.items())),
-        beta_star=tuple(sorted(beta_star.items())),
-        gamma_star=tuple(sorted(gamma_star.items())),
-        f_paths=tuple((pair, tuple(f_paths[pair])) for pair in sorted(f_paths)),
-        g_paths=tuple((pair, tuple(g_paths[pair])) for pair in sorted(g_paths)),
-        triangle_coeff=tuple(sorted(triangle_coeff.items())),
+        alpha={i: alpha_by_src[i].id for i in i_set},
+        beta={j: beta_by_tgt[j].id for j in j_set},
+        gamma={pair: gamma_by_pair[pair].id for pair in p_pairs},
+        alpha_star=alpha_star,
+        beta_star=beta_star,
+        gamma_star=gamma_star,
+        f_paths={pair: tuple(terms) for pair, terms in f_paths.items()},
+        g_paths={pair: tuple(terms) for pair, terms in g_paths.items()},
+        triangle_coeff=triangle_coeff,
     )

@@ -11,7 +11,6 @@ psi_k_inverse runs the kernel construction the other way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from greenseq import linalg
@@ -23,7 +22,7 @@ from greenseq.rep import (
     Representation,
     _coeff_mod,
     algebra_from_qp,
-    eval_path,
+    eval_terms,
     hom_basis,
     make_rep,
 )
@@ -31,31 +30,11 @@ from greenseq.rep import (
 
 @dataclass(frozen=True)
 class ReflectionContext:
-    """Source and target algebras of one mutation, plus the pair partition."""
+    """One mutation's bookkeeping with its source and target algebras."""
 
     data: MutationData
     source_algebra: Algebra
     target_algebra: Algebra
-
-    @property
-    def k(self) -> int:
-        return self.data.k
-
-    @property
-    def i_set(self) -> tuple[int, ...]:
-        return self.data.i_set
-
-    @property
-    def j_set(self) -> tuple[int, ...]:
-        return self.data.j_set
-
-    @property
-    def p_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.data.p_pairs
-
-    @property
-    def p_prime(self) -> tuple[tuple[int, int], ...]:
-        return self.data.p_prime
 
 
 def reflection_context(qp: QuiverWithPotential, k: int, p: int = 2) -> ReflectionContext:
@@ -141,22 +120,6 @@ def _scale(m: Matrix, c: int, p: int) -> Matrix:
     return tuple(tuple((c * x) % p for x in row) for row in m)
 
 
-def _neg(m: Matrix, p: int) -> Matrix:
-    return tuple(tuple((-x) % p for x in row) for row in m)
-
-
-def _eval_terms(rep: Representation, terms, rows: int, cols: int) -> Matrix:
-    p = rep.algebra.p
-    acc = [[0] * cols for _ in range(rows)]
-    for coeff, path in terms:
-        c = _coeff_mod(Fraction(coeff), p)
-        m = eval_path(rep, path)
-        for i in range(rows):
-            for j in range(cols):
-                acc[i][j] = (acc[i][j] + c * m[i][j]) % p
-    return tuple(tuple(row) for row in acc)
-
-
 def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
     """Transport X across the mutation at k (cokernel construction).
 
@@ -185,7 +148,7 @@ def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
     i_list = list(data.i_set)
 
     # stacked (b_j) : X_k -> direct sum of X_j, blocks in j_set order
-    blocks = [x.mat(data.beta_id(j)) for j in j_list]
+    blocks = [x.mat(data.beta[j]) for j in j_list]
     stacked = _vstack(blocks)
     if not stacked and d_k:
         raise ReflectionError(f"hom_dim(S_{k}, X) != 0: no outgoing arrows to absorb X_{k}")
@@ -215,8 +178,8 @@ def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
     # gamma matrices in unit-triangle normal form
     gamma_mats = {}
     for pair in data.p_pairs:
-        lam = _coeff_mod(data.triangle(pair), p)
-        gamma_mats[pair] = _scale(x.mat(data.gamma_id(pair)), lam, p)
+        lam = _coeff_mod(data.triangle_coeff[pair], p)
+        gamma_mats[pair] = _scale(x.mat(data.gamma[pair]), lam, p)
 
     alpha_star_mats = {}
     for i in i_list:
@@ -227,8 +190,8 @@ def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
             if pair in gamma_mats:
                 rhs_blocks.append(gamma_mats[pair])
             else:
-                g = _eval_terms(x, data.g_terms(pair), d_i, x.dim_at(j))
-                rhs_blocks.append(_neg(g, p))
+                g = eval_terms(x, data.g_paths.get(pair, ()), d_i, x.dim_at(j))
+                rhs_blocks.append(_scale(g, -1, p))
         rhs = _hstack(rhs_blocks, d_i)  # shape d_i x total_j
         # solve M q = rhs for M: d_i x y_k; q has full row rank
         if y_k == 0:
@@ -252,28 +215,26 @@ def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
 
     target_quiver = data.target.quiver
     mats: dict[str, Matrix] = {}
-    for a in target_quiver.arrows:
-        mats[a.id] = None  # filled below
     surviving = {a.id for a in quiver.arrows} & {a.id for a in target_quiver.arrows}
     for aid in surviving:
         mats[aid] = x.mat(aid)
     for j in j_list:
-        mats[data.beta_star_id(j)] = beta_star_mats[j]
+        mats[data.beta_star[j]] = beta_star_mats[j]
     for i in i_list:
-        mats[data.alpha_star_id(i)] = alpha_star_mats[i]
+        mats[data.alpha_star[i]] = alpha_star_mats[i]
     for pair in data.p_prime:
         i, j = pair
         if d_k == 0:
-            mats[data.gamma_star_id(pair)] = linalg.zeros(x.dim_at(j), x.dim_at(i))
+            mats[data.gamma_star[pair]] = linalg.zeros(x.dim_at(j), x.dim_at(i))
         else:
-            mats[data.gamma_star_id(pair)] = linalg.mat_mul(
-                x.mat(data.beta_id(j)), x.mat(data.alpha_id(i)), p
+            mats[data.gamma_star[pair]] = linalg.mat_mul(
+                x.mat(data.beta[j]), x.mat(data.alpha[i]), p
             )
 
     dims = phi_k(x.dims, quiver, k)
     assert dims[quiver.pos(k)] == y_k
     label = f"r{k}[{x.label}]" if x.label else ""
-    return make_rep(ctx.target_algebra, dims, {a: m for a, m in mats.items()}, label=label)
+    return make_rep(ctx.target_algebra, dims, mats, label=label)
 
 
 def psi_k_inverse(ctx: ReflectionContext, y: Representation) -> Representation:
@@ -303,7 +264,7 @@ def psi_k_inverse(ctx: ReflectionContext, y: Representation) -> Representation:
     d_k = y.dim_at(k)
 
     # stacked (b_j*) : direct sum of Y_j -> Y_k, blocks side by side
-    blocks = [y.mat(data.beta_star_id(j)) for j in j_list]
+    blocks = [y.mat(data.beta_star[j]) for j in j_list]
     total_j = sum(y.dim_at(j) for j in j_list)
     stacked = _hstack(blocks, d_k) if d_k else ()
     if d_k and (not stacked or linalg.rank(stacked, p) != d_k):
@@ -336,11 +297,11 @@ def psi_k_inverse(ctx: ReflectionContext, y: Representation) -> Representation:
         rhs_blocks = []
         for j in j_list:
             pair = (i, j)
-            if pair in dict(data.gamma_star):
-                rhs_blocks.append(y.mat(data.gamma_star_id(pair)))
+            if pair in data.gamma_star:
+                rhs_blocks.append(y.mat(data.gamma_star[pair]))
             else:
-                f = _eval_terms(y, data.f_terms(pair), y.dim_at(j), d_i)
-                rhs_blocks.append(_neg(f, p))
+                f = eval_terms(y, data.f_paths.get(pair, ()), y.dim_at(j), d_i)
+                rhs_blocks.append(_scale(f, -1, p))
         rhs = _vstack(rhs_blocks)  # shape total_j x d_i
         if x_k == 0:
             alpha_mats[i] = ()
@@ -364,24 +325,24 @@ def psi_k_inverse(ctx: ReflectionContext, y: Representation) -> Representation:
     for aid in surviving:
         mats[aid] = y.mat(aid)
     for j in j_list:
-        mats[data.beta_id(j)] = beta_mats[j]
+        mats[data.beta[j]] = beta_mats[j]
     for i in i_list:
-        mats[data.alpha_id(i)] = alpha_mats[i]
+        mats[data.alpha[i]] = alpha_mats[i]
     for pair in data.p_pairs:
         i, j = pair
         if y.dim_at(k) == 0:
             prod = linalg.zeros(y.dim_at(i), y.dim_at(j))
         else:
             prod = linalg.mat_mul(
-                y.mat(data.alpha_star_id(i)), y.mat(data.beta_star_id(j)), p
+                y.mat(data.alpha_star[i]), y.mat(data.beta_star[j]), p
             )
-        lam = _coeff_mod(1 / data.triangle(pair), p)
-        mats[data.gamma_id(pair)] = _scale(prod, lam, p)
+        lam = _coeff_mod(1 / data.triangle_coeff[pair], p)
+        mats[data.gamma[pair]] = _scale(prod, lam, p)
 
     dims = phi_k(y.dims, source_quiver, k)
     assert dims[source_quiver.pos(k)] == x_k
     label = f"r{k}'[{y.label}]" if y.label else ""
-    return make_rep(ctx.source_algebra, dims, {a: m for a, m in mats.items()}, label=label)
+    return make_rep(ctx.source_algebra, dims, mats, label=label)
 
 
 def iterated_reflection(

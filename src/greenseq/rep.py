@@ -140,14 +140,13 @@ def eval_path(rep: Representation, path: Sequence[str]) -> Matrix:
     return m
 
 
-def eval_relation(rep: Representation, rel: Relation) -> Matrix:
+def eval_terms(
+    rep: Representation, terms: Iterable[tuple[Fraction, Sequence[str]]], rows: int, cols: int
+) -> Matrix:
+    """Evaluate a linear combination of parallel paths as a rows x cols matrix."""
     p = rep.algebra.p
-    quiver = rep.algebra.quiver
-    src, tgt = rel.src_tgt(quiver)
-    rows = rep.dims[quiver.pos(tgt)]
-    cols = rep.dims[quiver.pos(src)]
     acc = [[0] * cols for _ in range(rows)]
-    for coeff, path in rel.terms:
+    for coeff, path in terms:
         c = _coeff_mod(coeff, p)
         m = eval_path(rep, path)
         for i in range(rows):
@@ -158,10 +157,14 @@ def eval_relation(rep: Representation, rel: Relation) -> Matrix:
 
 def check_relations(rep: Representation) -> Optional[Relation]:
     """First violated relation, or None when all hold."""
+    quiver = rep.algebra.quiver
     for rel in rep.algebra.relations:
         if not rel.terms:
             continue
-        if not linalg.is_zero(eval_relation(rep, rel)):
+        src, tgt = rel.src_tgt(quiver)
+        rows = rep.dims[quiver.pos(tgt)]
+        cols = rep.dims[quiver.pos(src)]
+        if not linalg.is_zero(eval_terms(rep, rel.terms, rows, cols)):
             return rel
     return None
 
@@ -194,26 +197,6 @@ def _path_is_nonzero(path: Sequence[str], rel_paths: list[tuple[str, ...]]) -> b
     return True
 
 
-def _nonzero_paths_from(algebra: Algebra, i: int, cap: int = 64) -> list[tuple[str, ...]]:
-    """All relation-reduced paths starting at vertex i, trivial path included."""
-    rel_paths = _monomial_relation_paths(algebra)
-    quiver = algebra.quiver
-    out: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[tuple[str, ...], int]] = [((), i)]
-    while frontier:
-        path, v = frontier.pop()
-        if len(path) > cap:
-            raise SearchBudgetExceeded(
-                f"paths from {i} exceed length {cap}; algebra may be infinite dimensional"
-            )
-        for a in quiver.arrows_out(v):
-            cand = path + (a.id,)
-            if _path_is_nonzero(cand, rel_paths):
-                out.append(cand)
-                frontier.append((cand, a.tgt))
-    return sorted(out, key=lambda q: (len(q), q))
-
-
 def simple(algebra: Algebra, i: int) -> Representation:
     """The simple module S_i (one-dimensional at vertex i)."""
     dims = [0] * algebra.quiver.n
@@ -221,69 +204,59 @@ def simple(algebra: Algebra, i: int) -> Representation:
     return make_rep(algebra, dims, {}, label=f"S_{i}")
 
 
-def projective(algebra: Algebra, i: int) -> Representation:
-    """The indecomposable projective P_i, spanned by the nonzero paths from i."""
+def _path_module(algebra: Algebra, i: int, forward: bool) -> Representation:
+    """P_i (forward) or I_i (backward), with one basis vector per nonzero path.
+
+    The paths start at i (forward) or end at i (backward), trivial path
+    included; relation-avoiding walks grow each path at its far end, which is
+    where its basis vector lives. Within a vertex, paths are ordered by
+    (length, path). The last arrow a of a path q = q'a sends q' to q on P_i;
+    dually, the first arrow a of q = aq' sends q to q' on I_i.
+    """
     quiver = algebra.quiver
-    paths = _nonzero_paths_from(algebra, i)
-    endpoint = {}
-    for q in paths:
-        v = i if not q else quiver.arrow(q[-1]).tgt
-        endpoint[q] = v
+    rel_paths = _monomial_relation_paths(algebra)
+    cap = 64
+    far_end: dict[tuple[str, ...], int] = {(): i}
+    frontier: list[tuple[str, ...]] = [()]
+    while frontier:
+        path = frontier.pop()
+        if len(path) > cap:
+            raise SearchBudgetExceeded(
+                f"paths {'from' if forward else 'to'} {i} exceed length {cap}; "
+                "algebra may be infinite dimensional"
+            )
+        v = far_end[path]
+        for a in quiver.arrows_out(v) if forward else quiver.arrows_in(v):
+            cand = path + (a.id,) if forward else (a.id,) + path
+            if _path_is_nonzero(cand, rel_paths):
+                far_end[cand] = a.tgt if forward else a.src
+                frontier.append(cand)
+    paths = sorted(far_end, key=lambda q: (len(q), q))
     by_vertex: dict[int, list[tuple[str, ...]]] = {v: [] for v in quiver.vertices}
     for q in paths:
-        by_vertex[endpoint[q]].append(q)
-    index = {q: by_vertex[endpoint[q]].index(q) for q in paths}
+        by_vertex[far_end[q]].append(q)
+    index = {q: r for qs in by_vertex.values() for r, q in enumerate(qs)}
+    mats: dict[str, list[list[int]]] = {
+        a.id: [[0] * len(by_vertex[a.src]) for _ in range(len(by_vertex[a.tgt]))]
+        for a in quiver.arrows
+    }
+    for q in paths[1:]:  # paths[0] is the trivial path
+        if forward:
+            mats[q[-1]][index[q]][index[q[:-1]]] = 1
+        else:
+            mats[q[0]][index[q[1:]]][index[q]] = 1
     dims = [len(by_vertex[v]) for v in quiver.vertices]
-    mats: dict[str, list[list[int]]] = {}
-    for a in quiver.arrows:
-        dr = len(by_vertex[a.tgt])
-        dc = len(by_vertex[a.src])
-        m = [[0] * dc for _ in range(dr)]
-        for q in by_vertex[a.src]:
-            ext = q + (a.id,)
-            if ext in index:
-                m[index[ext]][index[q]] = 1
-        mats[a.id] = m
-    return make_rep(algebra, dims, mats, label=f"P_{i}")
+    return make_rep(algebra, dims, mats, label=f"P_{i}" if forward else f"I_{i}")
+
+
+def projective(algebra: Algebra, i: int) -> Representation:
+    """The indecomposable projective P_i, spanned by the nonzero paths from i."""
+    return _path_module(algebra, i, forward=True)
 
 
 def injective(algebra: Algebra, i: int) -> Representation:
-    """The indecomposable injective I_i, dual to the paths ending at i."""
-    quiver = algebra.quiver
-    rel_paths = _monomial_relation_paths(algebra)
-    # paths ending at i, found by walking arrows backwards
-    paths: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[tuple[str, ...], int]] = [((), i)]
-    while frontier:
-        path, v = frontier.pop()
-        if len(path) > 64:
-            raise SearchBudgetExceeded("paths too long; is the algebra finite dimensional?")
-        for a in quiver.arrows_in(v):
-            cand = (a.id,) + path
-            if _path_is_nonzero(cand, rel_paths):
-                paths.append(cand)
-                frontier.append((cand, a.src))
-    paths.sort(key=lambda q: (len(q), q))
-    start = {}
-    for q in paths:
-        start[q] = i if not q else quiver.arrow(q[0]).src
-    by_vertex: dict[int, list[tuple[str, ...]]] = {v: [] for v in quiver.vertices}
-    for q in paths:
-        by_vertex[start[q]].append(q)
-    index = {q: by_vertex[start[q]].index(q) for q in paths}
-    dims = [len(by_vertex[v]) for v in quiver.vertices]
-    mats: dict[str, list[list[int]]] = {}
-    for a in quiver.arrows:
-        # duality: the matrix of a on I_i is the transpose of "prepend a"
-        dr = len(by_vertex[a.tgt])
-        dc = len(by_vertex[a.src])
-        m = [[0] * dc for _ in range(dr)]
-        for q in by_vertex[a.tgt]:
-            ext = (a.id,) + q
-            if ext in index:
-                m[index[q]][index[ext]] = 1
-        mats[a.id] = m
-    return make_rep(algebra, dims, mats, label=f"I_{i}")
+    """The indecomposable injective I_i, dual to the nonzero paths ending at i."""
+    return _path_module(algebra, i, forward=False)
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,17 @@ def test_mgs_extrema_a9(capsys):
     assert out == "maximal green sequences: 1555927224943624\nmin length 13\nmax length 37\n"
 
 
+@pytest.mark.parametrize("command", ["mutate", "mgs", "verify"])
+def test_retries_belongs_to_walls(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, A3, "--retries", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --retries 5" in capsys.readouterr().err
+    code, out, err = run(capsys, ["walls", A3, "--random", "1", "--retries", "5"])
+    assert code == 0
+    assert out.startswith("base ")
+
+
 def test_mgs_budget_exhaustion(capsys):
     code, out, err = run(capsys, ["mgs", A3, "--budget", "3"])
     assert code == 1
@@ -193,7 +204,7 @@ def test_corrupted_module_fails_before_any_work(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, ["mutate", str(path), "1"])
     assert code == 2
-    assert "relation" in err
+    assert "unknown problem keys: ['modules']" in err
 
 
 @pytest.mark.parametrize(

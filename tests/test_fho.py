@@ -2,6 +2,7 @@
 
 from greenseq import exchange
 from greenseq.fho import (
+    FhoSequence,
     dim_multiset,
     enumerate_maximal_fho,
     insertion_obstructions,
@@ -30,6 +31,16 @@ TORSION_CHAIN = [
 
 def by_labels(cat, labels):
     return [cat.by_label(s) for s in labels]
+
+
+def test_dim_vectors_follow_the_modules(a3_catalog):
+    mods = tuple(by_labels(a3_catalog, FIVE))
+    seq = FhoSequence(modules=mods)
+    dims = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
+    assert seq.dim_vectors == tuple(dims)
+    assert seq.to_json()["dims"] == [list(d) for d in dims]
+    assert dim_multiset(seq) == tuple(sorted(dims))
+    assert seq == make_sequence(mods)
 
 
 def test_five_step_sequence_is_maximal(a3_catalog):
