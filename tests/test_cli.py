@@ -223,6 +223,11 @@ def test_corrupted_module_fails_before_any_work(tmp_path, capsys):
             ["walls", A3, "--base", "0,1,2", "--format", "json"],
             "3698a25f8af0b715b8c8095cc79c1473799e0a62ad5576667a56a8bf79f56cfa",
         ),
+        (
+            # mixed denominators: the sign pass scales by their lcm
+            ["walls", A3, "--base", "1/3,-2/7,5", "--format", "json"],
+            "413bc9f32542f940629f405b6f9bb88faf6dce265687c9a8a592f42cfcb428ed",
+        ),
     ],
 )
 def test_walls_stdout_is_pinned(capsys, argv, digest):

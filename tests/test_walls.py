@@ -1,5 +1,6 @@
 """Wall geometry: crossing sequences, compartments, and stratifications."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 import greenseq
 from greenseq import exchange
 from greenseq.errors import GenericityError
-from greenseq.fho import is_maximal_fho
+from greenseq.fho import enumerate_maximal_fho, is_maximal_fho
 from greenseq.rep import projective, submodule_dimvecs
 from greenseq.walls import (
     catalog_walls,
@@ -263,3 +264,31 @@ def test_compartment_cvectors_rejects_a_seed_that_disagrees(a3_qp, a3_catalog):
     seed = exchange.mutate(exchange.initial_seed(a3_qp.quiver), 0)
     with pytest.raises(ValueError, match="no green vertex"):
         compartment_cvectors(frac(5, 7, 11), a3_catalog, seed)
+
+
+@pytest.mark.parametrize(
+    "name, count, digest",
+    [
+        (
+            "d4_cyclic",
+            112,
+            "5b558c79057d42b025299fc2c7350c6e81b1d2be67d69b9196c9063d85cf4ae4",
+        ),
+        (
+            "a5_example",
+            200,
+            "fd265895305eb12b08e3e6e28622279cb1c76ebe6abdfc191a573ab6f864f12a",
+        ),
+    ],
+)
+def test_simplex_bases_are_pinned(name, count, digest):
+    # the bases come from the exact simplex, so any change to its pivots
+    # (or to the constraint rows and their order) changes these digests
+    catalog = common.catalog(name)
+    keys = sorted(s.dim_vectors for s in enumerate_maximal_fho(catalog))[:count]
+    assert len(keys) == count
+    h = hashlib.sha256()
+    for key in keys:
+        base = find_base_for_sequence(catalog, key)
+        h.update(repr(None if base is None else [str(c) for c in base]).encode())
+    assert h.hexdigest() == digest
