@@ -100,7 +100,10 @@ def torsion_pair(m_list: Sequence[Representation], catalog: Catalog) -> TorsionP
 
 
 def is_weakly_fho(modules: Sequence[Representation]) -> bool:
-    """All members Schurian and Hom(M_i, M_j) = 0 for every i < j."""
+    """All members Schurian and Hom(M_i, M_j) = 0 for every i < j.
+
+    Computes only those Hom spaces, over a table of just the members.
+    """
     mods = tuple(modules)
     if not mods:
         return True
@@ -111,7 +114,7 @@ def _weakly_fho(catalog: Catalog, seq: Sequence[int]) -> bool:
     """`is_weakly_fho` on catalog positions, read from the table."""
     later = 0
     for s in reversed(seq):
-        if not catalog.schurian(s) or catalog.out_mask(s) & later:
+        if not catalog.schurian(s) or catalog.maps_into(s, later):
             return False
         later |= 1 << s
     return True

@@ -454,6 +454,17 @@ class Catalog:
             self.out_masks[i] = mask
         return mask
 
+    def maps_into(self, i: int, mask: int) -> bool:
+        """Whether Hom(modules[i], modules[j]) != 0 for some bit j of mask.
+
+        Reads the row mask once `out_mask(i)` has built it; before that, asks
+        the table for the pairs in mask only and stops at the first nonzero.
+        """
+        row = self.out_masks[i]
+        if row is not None:
+            return bool(row & mask)
+        return any(self.hom(i, j) for j in range(mask.bit_length()) if mask >> j & 1)
+
     def in_mask(self, j: int) -> int:
         mask = self.in_masks[j]
         if mask is None:

@@ -6,9 +6,12 @@ each given by its base point x; the all-ones direction makes every wall
 crossing time unique, so a path is described exactly by its ordered crossing
 records.
 
-All geometry is exact: points are tuples of Fraction, membership tests are
-rational, and feasibility questions go through a small phase-1 simplex over
-Fraction (Bland's rule, so it terminates).
+All geometry is exact and runs on integers inside. A rational point is
+multiplied by the lcm of its denominators, which keeps every sign the
+walls test, so the sign pass and the crossing points are integer vectors;
+feasibility questions go through a fraction-free phase-1 simplex on integer
+rows (Bland's rule, so it terminates). `Fraction` appears only at the API
+edges: the crossing times and the points that are returned.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from greenseq import exchange, linalg
@@ -35,6 +40,9 @@ class Wall:
     module: Representation
     normal: tuple[int, ...]
     sub_dimvecs: frozenset[tuple[int, ...]]
+    # the proper nonzero submodule dimension vectors, sorted (the order fixes
+    # the constraint order of the feasibility solves)
+    faces: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,12 @@ class CrossingRecord:
 
 
 def wall_for(module: Representation, max_total_dim: int = 12) -> Wall:
+    subs = frozenset(submodule_dimvecs(module, max_total_dim=max_total_dim))
     return Wall(
         module=module,
         normal=module.dims,
-        sub_dimvecs=frozenset(submodule_dimvecs(module, max_total_dim=max_total_dim)),
+        sub_dimvecs=subs,
+        faces=tuple(sorted(d for d in subs if any(d) and d != module.dims)),
     )
 
 
@@ -60,32 +70,35 @@ def _as_wall(m: Union[Wall, Representation]) -> Wall:
     return m if isinstance(m, Wall) else wall_for(m)
 
 
-def _as_vector(x: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in x)
+def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
+    """(L*x, L) with L the lcm of the denominators of x: an integer vector
+    that is a positive multiple of x."""
+    x = [Fraction(v) for v in x]
+    scale = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (scale // c.denominator) for c in x), scale
 
 
 def _dot(x: Vector, d: Sequence[int]) -> Fraction:
     return sum((xi * di for xi, di in zip(x, d)), Fraction(0))
 
 
-def _faces(wall: Wall) -> list[tuple[int, ...]]:
-    """The proper nonzero submodule dimension vectors of the wall's module,
-    sorted (the order fixes the constraint order of the feasibility solves)."""
-    full = tuple(wall.normal)
-    return sorted(d for d in wall.sub_dimvecs if any(d) and d != full)
+def _idot(v: Sequence[int], d: Sequence[int]) -> int:
+    return sum([a * b for a, b in zip(v, d)])
 
 
-def _side(wall: Wall, v: Vector) -> Optional[bool]:
+def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
     """None when v is off D(M), otherwise whether v is in the interior of D(M).
 
-    The zero and full submodules always give x . d = 0 on the hyperplane, so
-    the proper nonzero faces decide both membership and interiority.
+    v is an integer vector, a positive multiple of the point tested, so
+    every sign below is the sign at the point. The zero and full submodules
+    always give x . d = 0 on the hyperplane, so the proper nonzero faces
+    decide both membership and interiority.
     """
-    if _dot(v, wall.normal) != 0:
+    if _idot(v, wall.normal):
         return None
     interior = True
-    for d in _faces(wall):
-        x = _dot(v, d)
+    for d in wall.faces:
+        x = _idot(v, d)
         if x > 0:
             return None
         if x == 0:
@@ -95,12 +108,12 @@ def _side(wall: Wall, v: Vector) -> Optional[bool]:
 
 def in_D(m: Union[Wall, Representation], x: Sequence) -> bool:
     """Exact membership of x in the wall D(M)."""
-    return _side(_as_wall(m), _as_vector(x)) is not None
+    return _side(_as_wall(m), _scaled(x)[0]) is not None
 
 
 def in_int_D(m: Union[Wall, Representation], x: Sequence) -> bool:
     """Strict-interior membership: x . d < 0 for proper nonzero submodules."""
-    return _side(_as_wall(m), _as_vector(x)) is True
+    return _side(_as_wall(m), _scaled(x)[0]) is True
 
 
 def catalog_walls(catalog: Catalog) -> list[Wall]:
@@ -126,17 +139,27 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     retained crossings must then have pairwise distinct times and interior
     points, otherwise the base was not generic.
 
+    With B = L*base integral, a wall with normal of sum s is met at
+    t = -(B . normal)/(s*L), where the point is (s*B - (B . normal)*1)/(s*L):
+    its integer numerator goes to the sign pass, and a Fraction is built only
+    for the time of a retained crossing.
+
     Raises:
         GenericityError: with `.colliding` set to the offending module pair
             (equal times) or single module (boundary point).
     """
-    base = _as_vector(base)
+    scaled, scale = _scaled(base)
     records = []
     for wall in catalog_walls(catalog):
-        t = crossing_time(base, wall.normal)
-        interior = _side(wall, tuple(b + t for b in base))
+        s = sum(wall.normal)
+        bn = _idot(scaled, wall.normal)
+        interior = _side(wall, [s * b - bn for b in scaled])
         if interior is not None:
-            records.append(CrossingRecord(time=t, module=wall.module, interior=interior))
+            records.append(
+                CrossingRecord(
+                    time=Fraction(-bn, s * scale), module=wall.module, interior=interior
+                )
+            )
     records.sort(key=lambda r: r.time)
     for a, b in zip(records, records[1:]):
         if a.time == b.time:
@@ -170,99 +193,100 @@ def crossings_to_json(records: Iterable[CrossingRecord]) -> list[dict]:
 
 
 # --------------------------------------------------------------------------
-# exact rational feasibility (phase-1 simplex, Bland's rule)
+# exact rational feasibility (fraction-free phase-1 simplex, Bland's rule)
 
 def rational_feasible(
     n: int,
-    eqs: Sequence[tuple[Sequence, Fraction]],
-    ineqs: Sequence[tuple[Sequence, Fraction]],
+    eqs: Sequence[tuple[Sequence[int], int]],
+    ineqs: Sequence[tuple[Sequence[int], int]],
 ) -> Optional[Vector]:
     """A rational x with a.x = b for all eqs and a.x <= b for all ineqs, or None.
 
-    Works over exact Fractions: x is split into u - v with u, v >= 0, slacks
-    turn inequalities into equations, and a phase-1 simplex with artificial
-    variables and Bland's pivoting rule decides feasibility.
+    The rows a and bounds b are integers. x is split into u - v with
+    u, v >= 0, slacks turn inequalities into equations, and a phase-1
+    simplex with artificial variables and Bland's pivoting rule decides
+    feasibility.
+
+    The tableau is held as integer numerators over one positive common
+    denominator D, the determinant of the current basis (1 at the start).
+    Pivoting is integer-preserving (Bareiss/Edmonds): with piv the pivot
+    entry, every other row becomes (piv*row - f*pivot_row)/D, where f is the
+    row's entry in the entering column, and D becomes piv; each of these
+    divisions is exact, and asserted to be. The reduced costs, times D, are
+    one more row of the tableau, updated by the same pivots. The entering
+    column (the first with a negative reduced cost) and the leaving row (the
+    minimum ratio, compared by cross-multiplication, ties to the smallest
+    basic variable) are those of the same simplex over Fractions, so the
+    pivot path and the returned x are too.
     """
     m = len(ineqs)
     width = 2 * n + m
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     for a, b in list(eqs) + list(ineqs):
         if len(a) != n:
             raise ValueError("constraint arity mismatch")
-    for a, b in eqs:
-        row = [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * m
-        rows.append(row)
-        rhs.append(Fraction(b))
-    for idx, (a, b) in enumerate(ineqs):
-        row = [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * m
-        row[2 * n + idx] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(b))
-    ncons = len(rows)
-    for i in range(ncons):
-        if rhs[i] < 0:
-            rows[i] = [-c for c in rows[i]]
-            rhs[i] = -rhs[i]
-    # artificial columns
+        if not isinstance(b, int) or not all(map(isinstance, a, repeat(int))):
+            raise TypeError("constraint rows and bounds must be integers")
+    ncons = len(eqs) + m
     total = width + ncons
-    tableau = []
-    for i in range(ncons):
-        row = rows[i] + [Fraction(0)] * ncons + [rhs[i]]
-        row[width + i] = Fraction(1)
+    # columns: u, v, slacks, artificials, then the right-hand side
+    tableau: list[list[int]] = []
+    for i, (a, b) in enumerate(list(eqs) + list(ineqs)):
+        row = list(a) + [-c for c in a] + [0] * (m + ncons) + [b]
+        if i >= len(eqs):
+            row[2 * n + i - len(eqs)] = 1
+        if b < 0:
+            row = [-c for c in row]
+        row[width + i] = 1
         tableau.append(row)
+    # reduced costs of the phase-1 objective (the sum of the artificials)
+    # with every artificial basic: c_j - (sum of column j)
+    reduced = [0] * width + [1] * ncons + [0]
+    for row in tableau:
+        reduced = [r - c for r, c in zip(reduced, row)]
+    tableau.append(reduced)
     basis = [width + i for i in range(ncons)]
-    cost = [Fraction(0)] * width + [Fraction(1)] * ncons
+    denom = 1
 
     while True:
-        # reduced costs r_j = c_j - sum_i c_basis[i] * T[i][j]
-        entering = -1
-        for j in range(total):
-            if j in basis:
-                continue
-            r = cost[j]
-            for i in range(ncons):
-                if cost[basis[i]]:
-                    r -= cost[basis[i]] * tableau[i][j]
-            if r < 0:
-                entering = j
-                break
+        reduced = tableau[ncons]
+        entering = next((j for j in range(total) if reduced[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best: Optional[Fraction] = None
+        best_num = best_den = 0
         for i in range(ncons):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][total] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
+                num = tableau[i][total]
+                # num/coef against best_num/best_den, both denominators > 0
+                if leaving < 0 or num * best_den < best_num * coef or (
+                    num * best_den == best_num * coef and basis[i] < basis[leaving]
                 ):
-                    best = ratio
+                    best_num, best_den = num, coef
                     leaving = i
         if leaving < 0:
             # phase-1 objective is bounded below by zero, so this cannot occur
             raise RuntimeError("phase-1 simplex reported unboundedness")
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [c / piv for c in tableau[leaving]]
-        for i in range(ncons):
-            if i == leaving:
+        prow = tableau[leaving]
+        piv = prow[entering]
+        psum = sum(prow)
+        for i, row in enumerate(tableau):
+            f = row[entering]
+            if i == leaving or (not f and piv == denom):
                 continue
-            f = tableau[i][entering]
-            if f:
-                tableau[i] = [
-                    c - f * d for c, d in zip(tableau[i], tableau[leaving])
-                ]
+            new = [(piv * c - f * d) // denom for c, d in zip(row, prow)]
+            # floor division leaves remainders in [0, D): they are all zero
+            # iff the row sums agree
+            assert denom * sum(new) == piv * sum(row) - f * psum, "inexact pivot"
+            tableau[i] = new
+        denom = piv
         basis[leaving] = entering
 
-    objective = sum(
-        (cost[basis[i]] * tableau[i][total] for i in range(ncons)), Fraction(0)
-    )
-    if objective != 0:
+    if any(tableau[i][total] for i in range(ncons) if basis[i] >= width):
         return None
     values = [Fraction(0)] * total
     for i in range(ncons):
-        values[basis[i]] = tableau[i][total]
+        values[basis[i]] = Fraction(tableau[i][total], denom)
     x = tuple(values[j] - values[n + j] for j in range(n))
     for a, b in eqs:
         assert _dot(x, a) == b
@@ -280,9 +304,8 @@ def d_full_rank(module: Union[Wall, Representation]) -> bool:
     """
     wall = _as_wall(module)
     n = len(wall.normal)
-    eqs = [(wall.normal, Fraction(0))]
-    ineqs = [(d, Fraction(-1)) for d in _faces(wall)]
-    return rational_feasible(n, eqs, ineqs) is not None
+    ineqs = [(d, -1) for d in wall.faces]
+    return rational_feasible(n, [(wall.normal, 0)], ineqs) is not None
 
 
 def find_base_for_sequence(
@@ -295,28 +318,29 @@ def find_base_for_sequence(
     losslessly replaced by <= -1 and the question becomes exact rational
     feasibility. The returned base (if any) is re-verified by the caller via
     crossing_sequence; None means the sequence is not realizable this way.
+    The walls are the catalog's (`catalog_walls`); a module with no wall
+    there, not being Schurian, gets its own.
     """
+    by_module = {id(w.module): w for w in catalog_walls(catalog)}
     walls = []
     for dims in dims_seq:
         module = catalog.unique_by_dims(dims)
-        walls.append(wall_for(module))
+        walls.append(by_module.get(id(module)) or wall_for(module))
     if not walls:
         return None
     n = len(walls[0].normal)
-    ineqs: list[tuple[Sequence, Fraction]] = []
+    ineqs: list[tuple[list[int], int]] = []
     s = [sum(w.normal) for w in walls]
     for idx, w in enumerate(walls):
         # interior at the crossing point: for proper nonzero d != dims,
         # s_i*(x.d) - (x.normal)*(1.d) <= -1
-        for d in _faces(w):
-            coeff = [
-                Fraction(s[idx] * d[c] - w.normal[c] * sum(d)) for c in range(n)
-            ]
-            ineqs.append((coeff, Fraction(-1)))
+        for d in w.faces:
+            coeff = [s[idx] * d[c] - w.normal[c] * sum(d) for c in range(n)]
+            ineqs.append((coeff, -1))
     for (i, a), (jdx, b) in zip(enumerate(walls), list(enumerate(walls))[1:]):
         # t_i < t_j  <=>  s_i*(x.n_j) - s_j*(x.n_i) <= -1
-        coeff = [Fraction(s[i] * b.normal[c] - s[jdx] * a.normal[c]) for c in range(n)]
-        ineqs.append((coeff, Fraction(-1)))
+        coeff = [s[i] * b.normal[c] - s[jdx] * a.normal[c] for c in range(n)]
+        ineqs.append((coeff, -1))
     return rational_feasible(n, [], ineqs)
 
 
@@ -379,14 +403,14 @@ def random_generic_base(
 
 def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     """crossing_sequence(base), after checking that base lies on no wall."""
-    v = _as_vector(base)
+    v = _scaled(base)[0]
     for wall in catalog_walls(catalog):
         if _side(wall, v) is not None:
             raise GenericityError(
                 f"base lies on the wall of {wall.module.label or wall.normal}",
                 colliding=(wall.module,),
             )
-    return crossing_sequence(v, catalog)
+    return crossing_sequence(base, catalog)
 
 
 def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:
