@@ -78,12 +78,8 @@ def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (scale // c.denominator) for c in x), scale
 
 
-def _dot(x: Vector, d: Sequence[int]) -> Fraction:
-    return sum((xi * di for xi, di in zip(x, d)), Fraction(0))
-
-
-def _idot(v: Sequence[int], d: Sequence[int]) -> int:
-    return sum([a * b for a, b in zip(v, d)])
+def _dot(x: Sequence, d: Sequence[int]):
+    return sum([a * b for a, b in zip(x, d)])
 
 
 def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
@@ -94,11 +90,11 @@ def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
     always give x . d = 0 on the hyperplane, so the proper nonzero faces
     decide both membership and interiority.
     """
-    if _idot(v, wall.normal):
+    if _dot(v, wall.normal):
         return None
     interior = True
     for d in wall.faces:
-        x = _idot(v, d)
+        x = _dot(v, d)
         if x > 0:
             return None
         if x == 0:
@@ -128,7 +124,7 @@ def crossing_time(base: Vector, normal: Sequence[int]) -> Fraction:
     s = sum(normal)
     if s <= 0:
         raise ValueError("normal must be a nonzero effective dimension vector")
-    return -_dot(base, normal) / s
+    return Fraction(-_dot(base, normal), s)
 
 
 def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
@@ -152,7 +148,7 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     records = []
     for wall in catalog_walls(catalog):
         s = sum(wall.normal)
-        bn = _idot(scaled, wall.normal)
+        bn = _dot(scaled, wall.normal)
         interior = _side(wall, [s * b - bn for b in scaled])
         if interior is not None:
             records.append(
