@@ -116,7 +116,7 @@ def random_system(rng):
 def test_matches_the_fraction_simplex_on_random_systems():
     rng = random.Random(20170620)
     feasible = infeasible = 0
-    for _ in range(1000):
+    for _ in range(600):
         n, eqs, ineqs = random_system(rng)
         got = rational_feasible(n, eqs, ineqs)
         assert got == reference_feasible(n, eqs, ineqs), (n, eqs, ineqs)
@@ -125,7 +125,7 @@ def test_matches_the_fraction_simplex_on_random_systems():
         else:
             assert all(isinstance(c, Fraction) for c in got)
             feasible += 1
-    assert feasible > 300 and infeasible > 300
+    assert feasible > 200 and infeasible > 200
 
 
 def test_rows_must_be_integers():
