@@ -237,3 +237,53 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ["mgs", A3, "enumerate", "--format", "json"],
+            0,
+            "031f662191117896ab648692be43e7ecf1b84485c43982f122f95b2e48397dc7",
+        ),
+        (
+            ["mgs", D4, "classes", "--format", "json"],
+            0,
+            "8352c670d2b2c77450d8fc27cc5517b917df383b94263e62610d195b7abb6c18",
+        ),
+        (
+            ["mgs", D4, "--construct-max"],
+            0,
+            "b602e5d48bba62499e84b447437824cd7423839b32711f6bba20cb73b7703571",
+        ),
+        (
+            ["mgs", A5, "--construct-max", "--format", "json"],
+            0,
+            "088ae1f5ba77b7082614927956041f24ad10b666adb763aa16f436d19b0cbb18",
+        ),
+        (
+            ["mgs", str(common.PROBLEMS / "a9_example.json"), "--construct-max"],
+            0,
+            "e3bebe465f4e023c02e63dbbe1439f45bde07a8aaafcc6545a8352ace82e99ad",
+        ),
+        (
+            # the budget runs out: a partial listing and exit 1
+            ["mgs", A3, "--budget", "3"],
+            1,
+            "8ae762933d29528d90dbaab11c6da127d323c5bbf60146ae9aed6cabb28451f1",
+        ),
+        (
+            ["mutate", A3, "3", "1", "2", "--format", "json"],
+            0,
+            "1d60170d62c06a70103e6951eca16720e3cad7c9c35f18f49992149d3dd0e7e6",
+        ),
+    ],
+)
+def test_mgs_stdout_is_pinned(capsys, argv, code, digest):
+    # any change to the listed sequences, their order, the chosen cut or the
+    # formatting changes these digests
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
