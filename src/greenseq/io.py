@@ -47,26 +47,53 @@ def qp_to_json(qp: QuiverWithPotential) -> dict:
     }
 
 
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer; a boolean or a float is an error, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _typed(value: Any, kind: type, what: str):
+    """`value` itself if it is a JSON list (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "an object"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def qp_from_json(data: dict) -> QuiverWithPotential:
     if not isinstance(data, dict):
         raise ValueError("qp must be an object")
     for key in ("vertices", "arrows"):
         if key not in data:
             raise ValueError(f"qp is missing {key!r}")
-    vertices = tuple(int(v) for v in data["vertices"])
-    arrows = tuple(
-        Arrow(id=str(a["id"]), src=int(a["src"]), tgt=int(a["tgt"]))
-        for a in data["arrows"]
+    vertices = tuple(
+        _integer(v, f"qp.vertices[{i}]")
+        for i, v in enumerate(_typed(data["vertices"], list, "qp.vertices"))
     )
-    potential = tuple(
-        PotentialTerm(
-            coeff=fraction_from_str(t.get("coeff", 1)),
-            cycle=tuple(str(x) for x in t["cycle"]),
+    arrows = []
+    for i, a in enumerate(_typed(data["arrows"], list, "qp.arrows")):
+        _typed(a, dict, f"qp.arrows[{i}]")
+        arrows.append(
+            Arrow(
+                id=str(a["id"]),
+                src=_integer(a["src"], f"qp.arrows[{i}].src"),
+                tgt=_integer(a["tgt"], f"qp.arrows[{i}].tgt"),
+            )
         )
-        for t in data.get("potential", [])
-    )
-    quiver = Quiver(vertices=vertices, arrows=arrows)
-    return QuiverWithPotential(quiver=quiver, potential=potential)
+    potential = []
+    for i, t in enumerate(_typed(data.get("potential", []), list, "qp.potential")):
+        _typed(t, dict, f"qp.potential[{i}]")
+        cycle = _typed(t["cycle"], list, f"qp.potential[{i}].cycle")
+        potential.append(
+            PotentialTerm(
+                coeff=fraction_from_str(t.get("coeff", 1)),
+                cycle=tuple(str(x) for x in cycle),
+            )
+        )
+    quiver = Quiver(vertices=vertices, arrows=tuple(arrows))
+    return QuiverWithPotential(quiver=quiver, potential=tuple(potential))
 
 
 @dataclass
@@ -95,15 +122,15 @@ def problem_from_json(data: dict) -> ProblemFile:
     if "qp" not in data:
         raise ValueError("problem file is missing 'qp'")
     qp = qp_from_json(data["qp"])
-    prime = int(data.get("field_prime", 2))
+    prime = _integer(data.get("field_prime", 2), "field_prime")
     if prime > MAX_FIELD_PRIME:
         raise ValueError(f"field_prime {prime} exceeds {MAX_FIELD_PRIME}")
     if not is_prime(prime):
         raise ValueError(f"field_prime {prime} is not prime")
-    budget = int(data.get("search_budget", 1_000_000))
+    budget = _integer(data.get("search_budget", 1_000_000), "search_budget")
     if budget <= 0:
         raise ValueError("search_budget must be positive")
-    seed = int(data.get("rng_seed", 0))
+    seed = _integer(data.get("rng_seed", 0), "rng_seed")
     return ProblemFile(qp=qp, field_prime=prime, search_budget=budget, rng_seed=seed)
 
 

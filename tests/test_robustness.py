@@ -124,3 +124,36 @@ def test_infinite_exchange_graph_runs_out_of_budget(tmp_path, capsys, action):
         assert "search budget exceeded" in err
     else:
         assert "(partial)" in out
+
+
+def _set_path(data, path, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("field_prime",), [2]),
+        (("field_prime",), 2.9),
+        (("rng_seed",), [1]),
+        (("search_budget",), 1e3),
+        (("search_budget",), True),
+        (("qp", "vertices"), 3),
+        (("qp", "arrows"), ["a"]),
+        (("qp", "potential", 0, "cycle"), 5),
+    ],
+)
+def test_mistyped_problem_values_exit_2(tmp_path, capsys, path, value):
+    # a wrong JSON type is invalid input: no traceback, no silent truncation
+    data = json.loads(Path(A3).read_text())
+    _set_path(data, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["mgs", str(bad), "extrema"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid problem file" in err
+    assert "Traceback" not in err
+    assert path[-1] in err  # the message names the key
