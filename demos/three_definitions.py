@@ -24,7 +24,7 @@ def main():
     prob = load_problem(str(ROOT / "problems" / "a3_cyclic.json"))
     catalog = string_catalog(algebra_from_qp(prob.qp, prob.field_prime))
 
-    mgs = enumerate_green_sequences(initial_seed(prob.qp.quiver), maximal_only=True)
+    mgs = enumerate_green_sequences(initial_seed(prob.qp.quiver))
     print(f"maximal green sequences of the exchange matrix: {len(mgs)}")
     for s in mgs:
         print("   ", " ".join(str(v) for v in s.c_vectors))

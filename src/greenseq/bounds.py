@@ -169,6 +169,20 @@ def construct_max_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     return make_sequence([catalog.modules[i] for i in order])
 
 
+def maximal_cut_sequences(
+    qp: QuiverWithPotential, catalog: Catalog
+) -> list[tuple[Cut, Optional[FhoSequence]]]:
+    """Each cut with the sequence it carries, kept only if it passes the full
+    maximality check (`is_maximal_fho`); None otherwise."""
+    out = []
+    for cut in cuts(qp):
+        seq = construct_max_sequence(cut, catalog)
+        if seq is not None and not is_maximal_fho(seq.modules, catalog):
+            seq = None
+        out.append((cut, seq))
+    return out
+
+
 def triangle_seed_cycles(qp: QuiverWithPotential, catalog: Catalog) -> list[tuple[int, ...]]:
     """Hom 3-cycles formed by the arrow modules of each triangle of the potential.
 
@@ -231,15 +245,10 @@ def disjoint_hom_cycles(
     graph = hom_digraph(catalog, catalog.schurian_indices())
     taken: list[tuple[int, ...]] = []
     used: set[int] = set()
-    for cyc in seed_cycles:
+    for cyc in itertools.chain(seed_cycles, _short_cycles(graph)):
         if used & set(cyc):
             continue
         taken.append(tuple(cyc))
-        used.update(cyc)
-    for cyc in _short_cycles(graph):
-        if used & set(cyc):
-            continue
-        taken.append(cyc)
         used.update(cyc)
     return taken
 
@@ -324,15 +333,14 @@ def bounds_report(
 
     cut_rows: list[dict] = []
     lower = 0
-    for cut in cuts(qp):
+    for cut, seq in maximal_cut_sequences(qp, catalog):
         row: dict = {"deleted": sorted(cut.deleted_arrows)}
         row["c_count"] = c_module_count(cut, catalog)
         try:
             row["tilted"] = assem_tilted(cut, catalog)
         except UnsupportedPotentialError:
             row["tilted"] = None
-        seq = construct_max_sequence(cut, catalog)
-        if seq is not None and is_maximal_fho(seq.modules, catalog):
+        if seq is not None:
             row["length"] = len(seq)
             row["labels"] = [m.label for m in seq.modules]
             lower = max(lower, len(seq))

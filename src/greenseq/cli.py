@@ -66,6 +66,11 @@ def _parser() -> argparse.ArgumentParser:
         nargs="?",
         choices=("enumerate", "extrema", "classes"),
         default="enumerate",
+        help="enumerate (default) lists every maximal green sequence, one path at "
+        "a time (1.6e15 paths on a9_example); classes lists them too and groups "
+        "them by c-vector multiset, which is not a function of the end state; "
+        "extrema counts them and gives their shortest and longest length from "
+        "the exchange graph, visiting each state once, so it finishes on a9_example",
     )
     p.add_argument(
         "--construct-max",
@@ -160,9 +165,7 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
         _emit(args, payload, text)
         return 0
     try:
-        seqs = exchange.enumerate_green_sequences(
-            seed, maximal_only=True, budget=problem.search_budget
-        )
+        seqs = exchange.enumerate_green_sequences(seed, budget=problem.search_budget)
         partial = False
     except SearchBudgetExceeded as e:
         seqs = list(e.partial or [])
@@ -214,14 +217,10 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
 def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
     quiver = problem.qp.quiver
     catalog = string_catalog(problem.algebra(), budget=problem.search_budget)
-    best = None
-    best_cut = None
-    for cut in bounds.cuts(problem.qp):
-        seq = bounds.construct_max_sequence(cut, catalog)
-        if seq is None or not fho.is_maximal_fho(seq.modules, catalog):
-            continue
-        if best is None or len(seq) > len(best):
-            best, best_cut = seq, cut
+    best_cut = best = None
+    for cut, seq in bounds.maximal_cut_sequences(problem.qp, catalog):
+        if seq is not None and (best is None or len(seq) > len(best)):
+            best_cut, best = cut, seq
     if best is None:
         print("error: no cut carries a maximal sequence", file=sys.stderr)
         return 1
@@ -271,13 +270,16 @@ def cmd_verify(args, problem: gio.ProblemFile) -> int:
     return 0 if report["equal"] else 1
 
 
-def _crossings_text(records) -> list[str]:
-    lines = []
+def _walls_block(base, records) -> tuple[dict, str]:
+    """JSON payload and text block for the crossings of one base."""
+    coords = [gio.fraction_to_str(c) for c in base]
+    payload = {"base": coords, "crossings": walls_mod.crossings_to_json(records)}
+    lines = ["base " + ",".join(coords)]
     for r in records:
         lines.append(
             f"t={r.time}  {r.module.label or r.module.dims}  dims {tuple(r.dims)}"
         )
-    return lines
+    return payload, "\n".join(lines)
 
 
 def cmd_walls(args, problem: gio.ProblemFile) -> int:
@@ -298,18 +300,10 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: degenerate base: {e}", file=sys.stderr)
             return 2
-        payload = {
-            "base": [gio.fraction_to_str(c) for c in coords],
-            "crossings": walls_mod.crossings_to_json(records),
-        }
-        text = "\n".join(
-            ["base " + ",".join(gio.fraction_to_str(c) for c in coords)]
-            + _crossings_text(records)
-        )
-        _emit(args, payload, text)
+        _emit(args, *_walls_block(coords, records))
         return 0
     rng = random.Random(problem.rng_seed)
-    reports = []
+    blocks = []
     for _ in range(args.random):
         try:
             base, records = walls_mod.random_generic_base(
@@ -318,25 +312,9 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: retry cap exceeded: {e}", file=sys.stderr)
             return 1
-        reports.append((base, records))
-    payload = {
-        "bases": [
-            {
-                "base": [gio.fraction_to_str(c) for c in base],
-                "crossings": walls_mod.crossings_to_json(records),
-            }
-            for base, records in reports
-        ]
-    }
-    blocks = []
-    for base, records in reports:
-        blocks.append(
-            "\n".join(
-                ["base " + ",".join(gio.fraction_to_str(c) for c in base)]
-                + _crossings_text(records)
-            )
-        )
-    _emit(args, payload, "\n\n".join(blocks))
+        blocks.append(_walls_block(base, records))
+    payload = {"bases": [payload for payload, _ in blocks]}
+    _emit(args, payload, "\n\n".join(text for _, text in blocks))
     return 0
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
+from greenseq.qp import Quiver, b_matrix
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -36,9 +37,6 @@ class ExtExchangeMatrix:
         for half in (self.b, self.c):
             if len(half) != n or any(map(n.__ne__, map(len, half))):
                 raise ValueError("matrix halves must be n x n")
-
-    def column(self, k: int) -> IntVector:
-        return tuple(self.c[i][k] for i in range(self.n))
 
     def rows(self) -> IntMatrix:
         """The full 2n x n stack (B over C)."""
@@ -79,34 +77,11 @@ def initial_seed_from_matrix(b: Iterable[Iterable[int]]) -> ExtExchangeMatrix:
     return ExtExchangeMatrix(n=n, b=bt, c=ident)
 
 
-def initial_seed(q) -> ExtExchangeMatrix:
-    """Initial extended exchange matrix of a quiver.
-
-    Args:
-        q: a `greenseq.qp.Quiver` (anything with `vertices` and `arrows`).
-
-    Returns:
-        ExtExchangeMatrix with b[i][j] = #(i -> j) - #(j -> i) and c = I.
-
-    Raises:
-        InvalidQuiverError: if the quiver has a loop or a 2-cycle.
-    """
-    verts = list(q.vertices)
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    b = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        if a.src == a.tgt:
-            raise InvalidQuiverError(f"loop at vertex {a.src}")
-        b[pos[a.src]][pos[a.tgt]] += 1
-        b[pos[a.tgt]][pos[a.src]] -= 1
-    counts: dict[tuple[int, int], int] = {}
-    for a in q.arrows:
-        counts[(a.src, a.tgt)] = counts.get((a.src, a.tgt), 0) + 1
-    for (s, t) in counts:
-        if (t, s) in counts:
-            raise InvalidQuiverError(f"2-cycle between vertices {s} and {t}")
-    return initial_seed_from_matrix(b)
+def initial_seed(q: Quiver) -> ExtExchangeMatrix:
+    """Initial extended exchange matrix of a quiver: B = `qp.b_matrix(q)`,
+    so b[i][j] = #(i -> j) - #(j -> i), over C = I. The `Quiver` constructor
+    has already rejected loops and 2-cycles."""
+    return initial_seed_from_matrix(b_matrix(q))
 
 
 def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
@@ -151,7 +126,7 @@ def c_vector(m: ExtExchangeMatrix, k: int) -> IntVector:
     """The k-th c-vector (k-th column of the bottom half)."""
     if not 0 <= k < m.n:
         raise IndexError(f"column {k} out of range for n={m.n}")
-    return m.column(k)
+    return tuple(row[k] for row in m.c)
 
 
 def is_green(m: ExtExchangeMatrix, k: int) -> bool:
@@ -181,13 +156,11 @@ def _green_columns(cols: tuple[IntVector, ...]) -> list[int]:
 
 
 def enumerate_green_sequences(
-    seed: ExtExchangeMatrix,
-    max_len: Optional[int] = None,
-    maximal_only: bool = False,
-    budget: int = 1_000_000,
+    seed: ExtExchangeMatrix, budget: int = 1_000_000
 ) -> list[GreenSequence]:
-    """Depth-first enumeration of green sequences from a seed.
+    """Depth-first enumeration of the maximal green sequences from a seed.
 
+    A green sequence is maximal when its final matrix has no green column.
     Branches are explored in increasing mutation index, so the output is in
     lexicographic order of the index sequences. Sign coherence is asserted at
     every node visited. The search keeps its own stack, so its depth is
@@ -195,10 +168,8 @@ def enumerate_green_sequences(
 
     Args:
         seed: the starting extended exchange matrix (normally an initial seed).
-        max_len: depth cap; None means unbounded (finite type terminates).
-        maximal_only: if True, return exactly the sequences whose final matrix
-            has no green column (the maximal green sequences).
-        budget: node budget for the search.
+        budget: node budget for the search; every green sequence, maximal or
+            not, is one node, and so is the empty one at the seed.
 
     Returns:
         List of GreenSequence in lexicographic order.
@@ -222,13 +193,8 @@ def enumerate_green_sequences(
             )
         cols = tuple(zip(*m.c))
         greens = _green_columns(cols)
-        if maximal_only:
-            if not greens:
-                found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        elif indices:
+        if not greens:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        if max_len is not None and len(indices) >= max_len:
-            greens = []
         return m, cols, iter(greens)
 
     # one frame per node on the current path: len(stack) == len(indices) + 1
@@ -385,7 +351,8 @@ def replay_c_vector_sequence(
     """Rebuild a green sequence from the c-vectors it is supposed to consume.
 
     At each step the (unique, the c-columns are a basis) green vertex whose
-    c-column equals the requested vector is mutated.
+    c-column equals the requested vector is mutated. Sign coherence is
+    asserted at every step.
 
     Raises:
         ValueError: if some step has no green vertex with that c-vector.
@@ -395,10 +362,8 @@ def replay_c_vector_sequence(
     consumed: list[IntVector] = []
     for t, want in enumerate(c_vectors):
         want = tuple(int(x) for x in want)
-        k = next(
-            (k for k in range(m.n) if is_green(m, k) and c_vector(m, k) == want),
-            None,
-        )
+        cols = tuple(zip(*m.c))
+        k = next((k for k in _green_columns(cols) if cols[k] == want), None)
         if k is None:
             raise ValueError(f"step {t}: no green vertex carries c-vector {want}")
         indices.append(k)

@@ -284,7 +284,7 @@ def verify_theorem1(
 
     seed = exchange.initial_seed(qp.quiver)
     assert seed.b == b_matrix(qp.quiver)
-    mgs = exchange.enumerate_green_sequences(seed, maximal_only=True, budget=budget)
+    mgs = exchange.enumerate_green_sequences(seed, budget=budget)
     set_mgs = {tuple(s.c_vectors) for s in mgs}
 
     fho_seqs = enumerate_maximal_fho(catalog, budget=budget)

@@ -440,7 +440,7 @@ def compartment_cvectors(
     before = [r.module.dims for r in records if r.time < 0]
     after = [r.module.dims for r in records if r.time > 0]
     _, m = exchange.replay_c_vector_sequence(seed, before)
-    columns = tuple(exchange.c_vector(m, k) for k in range(m.n))
+    columns = tuple(zip(*m.c))
     assert len(set(columns)) == m.n
     if before:
         assert tuple(-c for c in before[-1]) in columns, (

@@ -59,7 +59,7 @@ def test_criterion_2_three_descriptions_agree():
     assert [list(d) for d in FIVE_DIMS] in report["sequences"]
     seed = exchange.initial_seed(qp.quiver)
     assert FIVE_DIMS in {
-        g.c_vectors for g in exchange.enumerate_green_sequences(seed, maximal_only=True)
+        g.c_vectors for g in exchange.enumerate_green_sequences(seed)
     }
     assert FIVE_DIMS in {tuple(s.dim_vectors) for s in enumerate_maximal_fho(cat)}
     assert realize_sequence(cat, FIVE_DIMS, random.Random(0)) is not None
@@ -107,7 +107,7 @@ def test_criterion_5_four_cycle():
     qp = common.problem("d4_cyclic").qp
     assert len(cat.modules) == 12
     seed = exchange.initial_seed(qp.quiver)
-    seqs = exchange.enumerate_green_sequences(seed, maximal_only=True)
+    seqs = exchange.enumerate_green_sequences(seed)
     classes = exchange.equivalence_classes(seqs)
     longest = [k for k, v in classes.items() if len(v[0].mutation_indices) == 9]
     assert exchange.mgs_length_extrema(seed) == (6, 9)

@@ -64,7 +64,7 @@ def test_initial_seed_from_matrix_matches_quiver_seed(a3_qp):
 
 def test_a3_census(a3_qp):
     seed = exchange.initial_seed(a3_qp.quiver)
-    seqs = exchange.enumerate_green_sequences(seed, maximal_only=True)
+    seqs = exchange.enumerate_green_sequences(seed)
     assert len(seqs) == 9
     lengths = sorted(len(s.mutation_indices) for s in seqs)
     assert lengths == [4] * 6 + [5] * 3
@@ -74,7 +74,7 @@ def test_a3_census(a3_qp):
 
 def test_a3_every_sequence_ends_with_no_green(a3_qp):
     seed = exchange.initial_seed(a3_qp.quiver)
-    for seq in exchange.enumerate_green_sequences(seed, maximal_only=True):
+    for seq in exchange.enumerate_green_sequences(seed):
         m = seed
         for k in seq.mutation_indices:
             assert exchange.is_green(m, k)
@@ -84,7 +84,7 @@ def test_a3_every_sequence_ends_with_no_green(a3_qp):
 
 def test_green_sequence_json(a3_qp):
     seed = exchange.initial_seed(a3_qp.quiver)
-    seq = exchange.enumerate_green_sequences(seed, maximal_only=True)[0]
+    seq = exchange.enumerate_green_sequences(seed)[0]
     js = seq.to_json()
     assert js["length"] == len(seq.mutation_indices)
     assert js["indices"] == list(seq.mutation_indices)
@@ -108,13 +108,13 @@ def test_replay_rejects_unreachable_c_vector(a3_qp):
 def test_budget_exhaustion_carries_partial_results(a3_qp):
     seed = exchange.initial_seed(a3_qp.quiver)
     with pytest.raises(SearchBudgetExceeded) as info:
-        exchange.enumerate_green_sequences(seed, maximal_only=True, budget=3)
+        exchange.enumerate_green_sequences(seed, budget=3)
     assert info.value.partial is not None
 
 
 def test_d4_census(d4_qp):
     seed = exchange.initial_seed(d4_qp.quiver)
-    seqs = exchange.enumerate_green_sequences(seed, maximal_only=True)
+    seqs = exchange.enumerate_green_sequences(seed)
     assert len(seqs) == 112
     assert exchange.mgs_length_extrema(seed) == (6, 9)
     classes = exchange.equivalence_classes(seqs)

@@ -45,8 +45,9 @@ def reference_mutate(m, k):
     return exchange.ExtExchangeMatrix(m.n, tuple(new[: m.n]), tuple(new[m.n :]))
 
 
-def reference_sequences(seed, max_len=None, maximal_only=False):
-    """Recursive enumeration by the definition, in lexicographic order."""
+def reference_sequences(seed, maximal_only=False):
+    """Recursive enumeration by the definition, in lexicographic order: every
+    nonempty green sequence, or only the maximal ones."""
     out = []
 
     def walk(m, indices, cvecs):
@@ -56,8 +57,6 @@ def reference_sequences(seed, max_len=None, maximal_only=False):
                 out.append((indices, cvecs))
         elif indices:
             out.append((indices, cvecs))
-        if max_len is not None and len(indices) >= max_len:
-            return
         for k in greens:
             walk(exchange.mutate(m, k), indices + (k,), cvecs + (exchange.c_vector(m, k),))
 
@@ -97,36 +96,37 @@ def test_mutate_matches_the_entrywise_rule(name):
 
 
 @pytest.mark.parametrize("name", ("a3_cyclic", "d4_cyclic"))
-@pytest.mark.parametrize("max_len, maximal_only", [(None, True), (None, False), (3, True), (3, False)])
-def test_enumeration_matches_the_recursive_definition(name, max_len, maximal_only):
+def test_enumeration_matches_the_recursive_definition(name):
     seed = seed_of(name)
-    got = exchange.enumerate_green_sequences(seed, max_len=max_len, maximal_only=maximal_only)
+    got = exchange.enumerate_green_sequences(seed)
     assert [(s.mutation_indices, s.c_vectors) for s in got] == reference_sequences(
-        seed, max_len, maximal_only
+        seed, maximal_only=True
     )
 
 
 def test_enumeration_budget_counts_nodes():
-    # without maximal_only every node but the root is one sequence
+    # every nonempty green sequence is one node, and so is the root; the last
+    # node entered is a leaf, i.e. the last maximal green sequence
     seed = seed_of("d4_cyclic")
+    nodes = len(reference_sequences(seed)) + 1
     every = exchange.enumerate_green_sequences(seed)
-    assert len(exchange.enumerate_green_sequences(seed, budget=len(every) + 1)) == len(every)
+    assert exchange.enumerate_green_sequences(seed, budget=nodes) == every
     with pytest.raises(SearchBudgetExceeded) as info:
-        exchange.enumerate_green_sequences(seed, budget=len(every))
+        exchange.enumerate_green_sequences(seed, budget=nodes - 1)
     assert info.value.partial == every[:-1]
 
 
 def test_enumeration_is_not_bounded_by_the_recursion_limit():
     # one green branch of the Kronecker quiver never ends
     with pytest.raises(SearchBudgetExceeded) as info:
-        exchange.enumerate_green_sequences(kronecker_seed(), maximal_only=True, budget=5000)
+        exchange.enumerate_green_sequences(kronecker_seed(), budget=5000)
     assert isinstance(info.value.partial, list)
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_summary_matches_enumeration(name):
     for seed in [seed_of(name)] + mutated_seeds(name, 3):
-        seqs = exchange.enumerate_green_sequences(seed, maximal_only=True)
+        seqs = exchange.enumerate_green_sequences(seed)
         lengths = [len(s) for s in seqs]
         summary = exchange.mgs_summary(seed)
         assert (summary.count, summary.min_len, summary.max_len) == (

@@ -102,7 +102,7 @@ def test_enumeration_matches_green_sequences(a3_qp, a3_catalog):
     lengths = sorted(len(s.modules) for s in seqs)
     assert lengths == [4] * 6 + [5] * 3
     seed = exchange.initial_seed(a3_qp.quiver)
-    green = exchange.enumerate_green_sequences(seed, maximal_only=True)
+    green = exchange.enumerate_green_sequences(seed)
     assert {tuple(s.dim_vectors) for s in seqs} == {g.c_vectors for g in green}
 
 
@@ -110,7 +110,7 @@ def test_d4_enumeration_count(d4_qp, d4_catalog):
     seqs = enumerate_maximal_fho(d4_catalog)
     assert len(seqs) == 112
     seed = exchange.initial_seed(d4_qp.quiver)
-    assert len(exchange.enumerate_green_sequences(seed, maximal_only=True)) == len(seqs)
+    assert len(exchange.enumerate_green_sequences(seed)) == len(seqs)
 
 
 def test_a5_seven_step_sequence(a5_algebra, a5_catalog):
