@@ -35,6 +35,16 @@ _VALIDATION_ERRORS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="greenseq",
@@ -84,8 +94,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walls", help="wall-crossing report for one or more green paths")
     common(p)
     p.add_argument("--base", default=None, help="comma-separated rational coordinates, e.g. 1/2,-3,4")
-    p.add_argument("--random", type=int, default=None, metavar="N", help="sample N generic bases")
-    p.add_argument("--retries", type=int, default=50, help="genericity retry cap for --random")
+    p.add_argument(
+        "--random", type=_positive_int, default=None, metavar="N", help="sample N generic bases"
+    )
+    p.add_argument(
+        "--retries", type=_positive_int, default=50, help="genericity retry cap for --random"
+    )
     return top
 
 

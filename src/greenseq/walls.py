@@ -384,17 +384,20 @@ def random_generic_base(
     """Sample bases until one passes the genericity checks.
 
     Raises:
-        GenericityError: if every retry collided (the last error is re-raised).
+        ValueError: if retries < 1.
+        GenericityError: if every retry collided (the last one's error).
     """
-    last: Optional[GenericityError] = None
-    for _ in range(retries):
-        base = random_rational_base(rng, catalog.algebra.quiver.n, scale=scale)
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
+    n = catalog.algebra.quiver.n
+    for _ in range(retries - 1):
+        base = random_rational_base(rng, n, scale=scale)
         try:
             return base, crossing_sequence(base, catalog)
-        except GenericityError as e:
-            last = e
-    assert last is not None
-    raise last
+        except GenericityError:
+            pass
+    base = random_rational_base(rng, n, scale=scale)
+    return base, crossing_sequence(base, catalog)
 
 
 def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:

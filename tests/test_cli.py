@@ -152,6 +152,23 @@ def test_walls_requires_exactly_one_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--random", "2", "--retries", "0"], "--retries"),
+        (["--random", "2", "--retries", "-1"], "--retries"),
+        (["--random", "-3"], "--random"),
+    ],
+)
+def test_walls_counts_must_be_positive(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["walls", A3] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected a positive integer" in captured.err
+
+
 def test_outputs_are_deterministic(capsys):
     first = run(capsys, ["walls", A3, "--random", "4", "--format", "json"])
     second = run(capsys, ["walls", A3, "--random", "4", "--format", "json"])

@@ -182,6 +182,12 @@ def test_random_generic_base_is_deterministic(a3_catalog):
     assert [c.module.label for c in r1] == [c.module.label for c in r2]
 
 
+@pytest.mark.parametrize("retries", [0, -1])
+def test_random_generic_base_needs_a_retry(a3_catalog, retries):
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        random_generic_base(a3_catalog, random.Random(7), retries=retries)
+
+
 def test_random_bases_yield_maximal_sequences(a3_catalog):
     rng = random.Random(3)
     for _ in range(25):
