@@ -238,7 +238,7 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
     found: list[FhoSequence] = []
     visited = 0
 
-    def walk(seq: list[int], candidates: list[int]):
+    def walk(seq: list[int], candidates: Sequence[int]):
         nonlocal visited
         visited += 1
         if visited > budget:

@@ -387,6 +387,10 @@ class Catalog:
     # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
     out_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
     in_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
+    # positions i with hom(i, i) == 1, set by `schurian_indices` on first call
+    schurian_positions: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # walls of the Schurian members, set by `walls.catalog_walls`
     walls: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _by_dims: dict[tuple[int, ...], list[Representation]] = field(
@@ -475,8 +479,13 @@ class Catalog:
     def schurian(self, i: int) -> bool:
         return self.hom(i, i) == 1
 
-    def schurian_indices(self) -> list[int]:
-        return [i for i in range(len(self.modules)) if self.schurian(i)]
+    def schurian_indices(self) -> tuple[int, ...]:
+        """Positions of the Schurian members, computed once per catalog."""
+        if self.schurian_positions is None:
+            self.schurian_positions = tuple(
+                i for i in range(len(self.modules)) if self.schurian(i)
+            )
+        return self.schurian_positions
 
 
 def string_catalog(algebra: Algebra, budget: int = 100_000) -> Catalog:
