@@ -4,6 +4,13 @@ Matrices are plain tuples of int tuples, so every value in this module is
 immutable and hashable. Mutation returns fresh matrices; nothing is modified
 in place. Python integers are arbitrary precision, so entries cannot silently
 wrap.
+
+Both green-sequence searches number the distinct c-vectors they meet with int
+ids (`_CVectors`). Sign coherence is asserted once per distinct c-vector, when
+its id is made; the ids after a green mutation come from memoized negations
+and sums c_j + b c_k; and every seed the search enters is checked to have the
+c-columns `mutate` gives it. `enumerate_green_sequences` calls `mutate` once
+per labelled seed, `mgs_summary` once per exchange-graph state.
 """
 
 from __future__ import annotations
@@ -135,24 +142,62 @@ def is_green(m: ExtExchangeMatrix, k: int) -> bool:
     return any(col) and all(x >= 0 for x in col)
 
 
-def _green_columns(cols: tuple[IntVector, ...]) -> list[int]:
-    """Indices of the green columns among the c-columns `cols`.
+class _CVectors:
+    """The distinct c-vectors met by one search, each with an int id.
 
-    Asserts sign coherence: every column is nonzero and has no entries of
-    both signs, so a column is green iff it has a positive entry.
+    `vecs[i]` is the c-vector with id i and `green[i]` its colour, computed
+    when the id is made, so sign coherence is asserted once per distinct
+    c-vector. A seed's c-columns are a tuple of ids in column order.
     """
-    greens = []
-    for k, col in enumerate(cols):
-        positive, negative = max(col) > 0, min(col) < 0
-        if not (positive or negative):
-            raise AssertionError(f"zero c-column {k}: sign coherence violated")
-        if positive and negative:
-            raise AssertionError(
-                f"mixed-sign c-column {k} = {col}: sign coherence violated"
-            )
-        if positive:
-            greens.append(k)
-    return greens
+
+    def __init__(self):
+        self.ids: dict[IntVector, int] = {}
+        self.vecs: list[IntVector] = []
+        self.green: list[bool] = []
+        self.negated: dict[int, int] = {}  # id of c -> id of -c
+        self.added: dict[tuple[int, int, int], int] = {}  # (c_j, b, c_k) -> c_j + b c_k
+
+    def id(self, col: IntVector) -> int:
+        i = self.ids.get(col)
+        if i is None:
+            positive, negative = max(col) > 0, min(col) < 0
+            if positive == negative:
+                raise AssertionError(f"c-vector {col} violates sign coherence")
+            i = self.ids[col] = len(self.vecs)
+            self.vecs.append(col)
+            self.green.append(positive)
+        return i
+
+    def of(self, m: ExtExchangeMatrix) -> tuple[int, ...]:
+        """The ids of m's c-columns, in column order."""
+        return tuple(map(self.id, zip(*m.c)))
+
+    def green_step(self, ids: tuple[int, ...], row_k: IntVector, k: int) -> tuple[int, ...]:
+        """The ids after a green mutation at k of the seed with ids `ids` and
+        b-row `row_k`: every c_ik >= 0, so column j != k becomes
+        c_j + [b_kj]_+ c_k and column k flips sign."""
+        ck = ids[k]
+        new = list(ids)
+        neg = self.negated.get(ck)
+        if neg is None:
+            neg = self.negated[ck] = self.id(tuple([-x for x in self.vecs[ck]]))
+        new[k] = neg
+        for j, bkj in enumerate(row_k):
+            if bkj > 0:
+                cj = ids[j]
+                i = self.added.get((cj, bkj, ck))
+                if i is None:
+                    vec = tuple([x + bkj * y for x, y in zip(self.vecs[cj], self.vecs[ck])])
+                    i = self.added[cj, bkj, ck] = self.id(vec)
+                new[j] = i
+        return tuple(new)
+
+    def mutated(self, m: ExtExchangeMatrix, k: int, ids: tuple[int, ...]) -> ExtExchangeMatrix:
+        """mutate(m, k), checked to have the c-vector ids `ids`."""
+        child = mutate(m, k)
+        if self.of(child) != ids:
+            raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
+        return child
 
 
 def enumerate_green_sequences(
@@ -162,9 +207,13 @@ def enumerate_green_sequences(
 
     A green sequence is maximal when its final matrix has no green column.
     Branches are explored in increasing mutation index, so the output is in
-    lexicographic order of the index sequences. Sign coherence is asserted at
-    every node visited. The search keeps its own stack, so its depth is
-    bounded by `budget`, not by Python's recursion limit.
+    lexicographic order of the index sequences. The search keeps its own
+    stack, so its depth is bounded by `budget`, not by Python's recursion
+    limit.
+
+    Each labelled seed is memoized on its c-vector ids in column order
+    (B_t = C_t^T B_0 C_t, so from an initial seed they fix the matrix), so
+    `mutate` runs once per labelled seed, not once per path node.
 
     Args:
         seed: the starting extended exchange matrix (normally an initial seed).
@@ -177,13 +226,26 @@ def enumerate_green_sequences(
     Raises:
         SearchBudgetExceeded: if more than `budget` nodes are visited; the
             exception's `partial` attribute carries the sequences found so far.
+        AssertionError: on a sign-incoherent c-vector, or if `mutate`
+            disagrees with the predicted c-vector ids.
     """
+    table = _CVectors()
+    # labelled seed -> (matrix, [(green k, c_k, the child's key)])
+    states: dict[tuple[int, ...], tuple] = {}
     found: list[GreenSequence] = []
     indices: list[int] = []
     cvecs: list[IntVector] = []
     visited = 0
 
-    def enter(m: ExtExchangeMatrix):
+    def state(m: ExtExchangeMatrix, ids: tuple[int, ...]) -> tuple:
+        states[ids] = m, [
+            (k, table.vecs[i], table.green_step(ids, m.b[k], k))
+            for k, i in enumerate(ids)
+            if table.green[i]
+        ]
+        return states[ids]
+
+    def enter(record: tuple):
         nonlocal visited
         visited += 1
         if visited > budget:
@@ -191,26 +253,26 @@ def enumerate_green_sequences(
                 f"green-sequence search exceeded {budget} nodes",
                 partial=list(found),
             )
-        cols = tuple(zip(*m.c))
-        greens = _green_columns(cols)
-        if not greens:
+        m, branches = record
+        if not branches:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        return m, cols, iter(greens)
+        return m, iter(branches)
 
     # one frame per node on the current path: len(stack) == len(indices) + 1
-    stack = [enter(seed)]
+    stack = [enter(state(seed, table.of(seed)))]
     while stack:
-        m, cols, branches = stack[-1]
-        k = next(branches, None)
-        if k is None:
+        m, branches = stack[-1]
+        branch = next(branches, None)
+        if branch is None:
             stack.pop()
             if stack:
                 indices.pop()
                 cvecs.pop()
             continue
+        k, ck, ids = branch
         indices.append(k)
-        cvecs.append(cols[k])
-        stack.append(enter(mutate(m, k)))
+        cvecs.append(ck)
+        stack.append(enter(states.get(ids) or state(table.mutated(m, k, ids), ids)))
     return found
 
 
@@ -238,13 +300,11 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     graph, whose states are seeds up to relabelling and whose edges are green
     mutations. Its count, minimum and maximum are a memo over the states,
     filled by a depth-first search with its own stack that enters each state
-    once. A state's key is the set of its c-vectors (one bit per distinct
-    c-vector, OR-ed into an int): B_t = C_t^T B_0 C_t, so the c-vectors fix
-    the seed up to relabelling, and relabelling changes none of the three
-    numbers. The key at the end of a green edge is computed from the
-    c-vectors alone, so `mutate` runs only to enter a new state, and its
-    result must have that key. Sign coherence is asserted at every state
-    entered.
+    once. A state's key is the set of its c-vector ids, the int OR of
+    1 << id: B_t = C_t^T B_0 C_t, so the c-vectors fix the seed up to
+    relabelling, and relabelling changes none of the three numbers. The key
+    at the end of a green edge comes from the c-vector table, so `mutate`
+    runs only to enter a new state.
 
     Args:
         seed: the starting extended exchange matrix (normally an initial seed).
@@ -253,54 +313,27 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     Raises:
         SearchBudgetExceeded: if more than `budget` states are entered. No
             partial answer is kept (`partial` is None).
-        AssertionError: on a sign-incoherent c-column, if `mutate` disagrees
-            with the predicted key, or if a green mutation leads back to a
-            state whose search is still open.
+        AssertionError: on a sign-incoherent c-vector, if `mutate` disagrees
+            with the predicted c-vector ids, or if a green mutation leads back
+            to a state whose search is still open.
     """
-    bits: dict[IntVector, int] = {}
+    table = _CVectors()
     # key -> (count, min, max); None while the state's search is open
     memo: dict[int, Optional[tuple[int, int, int]]] = {}
 
-    def bit(col: IntVector) -> int:
-        b = bits.get(col)
-        if b is None:
-            b = bits[col] = 1 << len(bits)
-        return b
-
-    def keyed(m: ExtExchangeMatrix) -> tuple[int, tuple[IntVector, ...]]:
-        cols = tuple(zip(*m.c))
-        key = 0
-        for col in cols:
-            key |= bit(col)
-        return key, cols
-
-    def child_key(
-        m: ExtExchangeMatrix, key: int, cols: tuple[IntVector, ...], k: int
-    ) -> int:
-        # The key of mutate(m, k) from m's c-vectors alone. Column k is green,
-        # so every c_ik >= 0: column j != k gains [b_kj]_+ times c_k, and
-        # column k flips sign. A seed's c-vectors are distinct, so each
-        # changed column swaps one bit for another.
-        ck = cols[k]
-        key += bit(tuple([-x for x in ck])) - bit(ck)
-        for j, bkj in enumerate(m.b[k]):
-            if bkj > 0:
-                cj = cols[j]
-                key += bit(tuple([x + bkj * y for x, y in zip(cj, ck)])) - bit(cj)
-        return key
-
-    def enter(m: ExtExchangeMatrix, key: int, cols: tuple[IntVector, ...]):
+    def enter(m: ExtExchangeMatrix, ids: tuple[int, ...], key: int):
         if len(memo) >= budget:
             raise SearchBudgetExceeded(
                 f"exchange-graph search exceeded {budget} states"
             )
         memo[key] = None
-        return key, m, cols, iter(_green_columns(cols)), []
+        return key, m, ids, (k for k, i in enumerate(ids) if table.green[i]), []
 
-    root_key, cols = keyed(seed)
-    stack = [enter(seed, root_key, cols)]
+    root_ids = table.of(seed)
+    root_key = sum(1 << i for i in root_ids)
+    stack = [enter(seed, root_ids, root_key)]
     while stack:
-        key, m, cols, branches, below = stack[-1]
+        key, m, ids, branches, below = stack[-1]
         k = next(branches, None)
         if k is None:
             stack.pop()
@@ -316,15 +349,10 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
             if stack:
                 stack[-1][4].append(summary)  # the parent's `below`
             continue
-        target = child_key(m, key, cols, k)
+        child = table.green_step(ids, m.b[k], k)
+        target = sum(1 << i for i in child)
         if target not in memo:
-            child = mutate(m, k)
-            mutated_key, child_cols = keyed(child)
-            if mutated_key != target:
-                raise AssertionError(
-                    f"c-vectors of mutate(m, {k}) disagree with the green mutation rule"
-                )
-            stack.append(enter(child, target, child_cols))
+            stack.append(enter(table.mutated(m, k, child), child, target))
         elif memo[target] is None:
             raise AssertionError("green mutation returned to an open state")
         else:
@@ -352,20 +380,22 @@ def replay_c_vector_sequence(
 
     At each step the (unique, the c-columns are a basis) green vertex whose
     c-column equals the requested vector is mutated. Sign coherence is
-    asserted at every step.
+    asserted on every c-vector met.
 
     Raises:
         ValueError: if some step has no green vertex with that c-vector.
     """
+    table = _CVectors()
     m = seed
     indices: list[int] = []
     consumed: list[IntVector] = []
     for t, want in enumerate(c_vectors):
         want = tuple(int(x) for x in want)
-        cols = tuple(zip(*m.c))
-        k = next((k for k in _green_columns(cols) if cols[k] == want), None)
-        if k is None:
+        ids = table.of(m)
+        i = table.ids.get(want)
+        if i not in ids or not table.green[i]:
             raise ValueError(f"step {t}: no green vertex carries c-vector {want}")
+        k = ids.index(i)
         indices.append(k)
         consumed.append(want)
         m = mutate(m, k)

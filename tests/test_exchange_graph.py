@@ -95,13 +95,81 @@ def test_mutate_matches_the_entrywise_rule(name):
         m = step
 
 
-@pytest.mark.parametrize("name", ("a3_cyclic", "d4_cyclic"))
+@pytest.mark.parametrize("name", SMALL)
 def test_enumeration_matches_the_recursive_definition(name):
+    for seed in [seed_of(name)] + mutated_seeds(name, 3):
+        got = exchange.enumerate_green_sequences(seed)
+        assert [(s.mutation_indices, s.c_vectors) for s in got] == reference_sequences(
+            seed, maximal_only=True
+        )
+
+
+def counting_mutate(monkeypatch):
+    """Route the searches' `mutate` calls through a wrapper that records them."""
+    calls = []
+    mutate = exchange.mutate
+
+    def counted(m, k):
+        calls.append(k)
+        return mutate(m, k)
+
+    monkeypatch.setattr(exchange, "mutate", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, enumerate_calls", [("a3_cyclic", 22), ("d4_cyclic", 153), ("a5_example", 614)]
+)
+def test_mutate_runs_once_per_seed_entered(monkeypatch, name, enumerate_calls):
+    # enumerate: once per labelled seed other than the first; the summary:
+    # once per exchange-graph state other than the first
+    calls = counting_mutate(monkeypatch)
     seed = seed_of(name)
-    got = exchange.enumerate_green_sequences(seed)
-    assert [(s.mutation_indices, s.c_vectors) for s in got] == reference_sequences(
-        seed, maximal_only=True
-    )
+    exchange.enumerate_green_sequences(seed)
+    assert len(calls) == enumerate_calls
+    del calls[:]
+    exchange.mgs_summary(seed)
+    assert len(calls) == SUMMARIES[name][3] - 1
+
+
+@pytest.mark.parametrize(
+    "search",
+    [exchange.enumerate_green_sequences, exchange.mgs_summary],
+    ids=["enumerate", "summary"],
+)
+def test_mutate_is_checked_against_the_predicted_c_vectors(monkeypatch, search):
+    # the 5th matrix that mutate returns gets one c-entry moved away from zero
+    # in its column's sign, so every column stays sign-coherent
+    calls = []
+    mutate = exchange.mutate
+
+    def corrupted(m, k):
+        out = mutate(m, k)
+        calls.append(k)
+        if len(calls) != 5:
+            return out
+        c = [list(row) for row in out.c]
+        c[0][0] += 1 if max(row[0] for row in c) > 0 else -1
+        return exchange.ExtExchangeMatrix(out.n, out.b, tuple(map(tuple, c)))
+
+    monkeypatch.setattr(exchange, "mutate", corrupted)
+    with pytest.raises(AssertionError, match="green mutation rule"):
+        search(seed_of("d4_cyclic"))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        exchange.enumerate_green_sequences,
+        exchange.mgs_summary,
+        lambda seed: exchange.replay_c_vector_sequence(seed, [(1, 0)]),
+    ],
+    ids=["enumerate", "summary", "replay"],
+)
+def test_sign_coherence_is_asserted(search):
+    seed = exchange.ExtExchangeMatrix(2, ((0, 1), (-1, 0)), ((1, 0), (-1, 1)))
+    with pytest.raises(AssertionError, match="sign coherence"):
+        search(seed)
 
 
 def test_enumeration_budget_counts_nodes():
