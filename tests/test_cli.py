@@ -270,26 +270,6 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             "8352c670d2b2c77450d8fc27cc5517b917df383b94263e62610d195b7abb6c18",
         ),
         (
-            ["mgs", A5, "enumerate", "--format", "json"],
-            0,
-            "cc82e54fa6bf913a833958342b1022dc73064587d3f9be5f63689d33e8bad9f1",
-        ),
-        (
-            ["mgs", A5, "classes"],
-            0,
-            "db4c2ee77a60360f52882d776f3f4eaf4bc4001dbc32418253a6a735b588f937",
-        ),
-        (
-            ["mgs", D4, "enumerate"],
-            0,
-            "b0d1160224eaa398f3c2a021f7a82789f9c2ef5016a1cd005e8d7941f80ed698",
-        ),
-        (
-            ["mgs", str(common.PROBLEMS / "a9_example.json"), "extrema", "--budget", "100000"],
-            0,
-            "1b135c155f124603fb19e22a1f68145f172e52e7c2bf437d0274cbaca3c84a30",
-        ),
-        (
             ["mgs", D4, "--construct-max"],
             0,
             "b602e5d48bba62499e84b447437824cd7423839b32711f6bba20cb73b7703571",
@@ -314,6 +294,26 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             ["mutate", A3, "3", "1", "2", "--format", "json"],
             0,
             "1d60170d62c06a70103e6951eca16720e3cad7c9c35f18f49992149d3dd0e7e6",
+        ),
+        (
+            ["mgs", A5, "enumerate", "--format", "json"],
+            0,
+            "cc82e54fa6bf913a833958342b1022dc73064587d3f9be5f63689d33e8bad9f1",
+        ),
+        (
+            ["mgs", A5, "classes"],
+            0,
+            "db4c2ee77a60360f52882d776f3f4eaf4bc4001dbc32418253a6a735b588f937",
+        ),
+        (
+            ["mgs", D4, "enumerate"],
+            0,
+            "b0d1160224eaa398f3c2a021f7a82789f9c2ef5016a1cd005e8d7941f80ed698",
+        ),
+        (
+            ["mgs", str(common.PROBLEMS / "a9_example.json"), "extrema", "--budget", "100000"],
+            0,
+            "1b135c155f124603fb19e22a1f68145f172e52e7c2bf437d0274cbaca3c84a30",
         ),
     ],
 )
