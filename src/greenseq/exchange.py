@@ -172,17 +172,17 @@ class _CVectors:
         """The ids of m's c-columns, in column order."""
         return tuple(map(self.id, zip(*m.c)))
 
-    def green_step(self, ids: tuple[int, ...], row_k: IntVector, k: int) -> tuple[int, ...]:
-        """The ids after a green mutation at k of the seed with ids `ids` and
-        b-row `row_k`: every c_ik >= 0, so column j != k becomes
-        c_j + [b_kj]_+ c_k and column k flips sign."""
+    def green_step(self, m: ExtExchangeMatrix, ids: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """The ids of mutate(m, k), where m has ids `ids` and column k is
+        green: every c_ik >= 0, so column j != k becomes c_j + [b_kj]_+ c_k
+        and column k flips sign."""
         ck = ids[k]
         new = list(ids)
         neg = self.negated.get(ck)
         if neg is None:
             neg = self.negated[ck] = self.id(tuple([-x for x in self.vecs[ck]]))
         new[k] = neg
-        for j, bkj in enumerate(row_k):
+        for j, bkj in enumerate(m.b[k]):
             if bkj > 0:
                 cj = ids[j]
                 i = self.added.get((cj, bkj, ck))
@@ -239,7 +239,7 @@ def enumerate_green_sequences(
 
     def state(m: ExtExchangeMatrix, ids: tuple[int, ...]) -> tuple:
         states[ids] = m, [
-            (k, table.vecs[i], table.green_step(ids, m.b[k], k))
+            (k, table.vecs[i], table.green_step(m, ids, k))
             for k, i in enumerate(ids)
             if table.green[i]
         ]
@@ -349,7 +349,7 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
             if stack:
                 stack[-1][4].append(summary)  # the parent's `below`
             continue
-        child = table.green_step(ids, m.b[k], k)
+        child = table.green_step(m, ids, k)
         target = sum(1 << i for i in child)
         if target not in memo:
             stack.append(enter(table.mutated(m, k, child), child, target))

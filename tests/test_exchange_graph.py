@@ -104,8 +104,12 @@ def test_enumeration_matches_the_recursive_definition(name):
         )
 
 
-def counting_mutate(monkeypatch):
-    """Route the searches' `mutate` calls through a wrapper that records them."""
+@pytest.mark.parametrize(
+    "name, enumerate_calls", [("a3_cyclic", 22), ("d4_cyclic", 153), ("a5_example", 614)]
+)
+def test_mutate_runs_once_per_seed_entered(monkeypatch, name, enumerate_calls):
+    # enumerate: once per labelled seed other than the first; the summary:
+    # once per exchange-graph state other than the first
     calls = []
     mutate = exchange.mutate
 
@@ -114,16 +118,6 @@ def counting_mutate(monkeypatch):
         return mutate(m, k)
 
     monkeypatch.setattr(exchange, "mutate", counted)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "name, enumerate_calls", [("a3_cyclic", 22), ("d4_cyclic", 153), ("a5_example", 614)]
-)
-def test_mutate_runs_once_per_seed_entered(monkeypatch, name, enumerate_calls):
-    # enumerate: once per labelled seed other than the first; the summary:
-    # once per exchange-graph state other than the first
-    calls = counting_mutate(monkeypatch)
     seed = seed_of(name)
     exchange.enumerate_green_sequences(seed)
     assert len(calls) == enumerate_calls
