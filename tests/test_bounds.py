@@ -1,8 +1,12 @@
 """Length bounds from arrow cuts and disjoint Hom cycles."""
 
+import hashlib
+import json
+
 import pytest
 
 from greenseq.errors import NonStringAlgebraError, UnsupportedPotentialError
+from greenseq import rep
 from greenseq.bounds import (
     Cut,
     assem_tilted,
@@ -12,6 +16,7 @@ from greenseq.bounds import (
     cuts,
     disjoint_hom_cycles,
     is_alternating,
+    maximal_cut_sequences,
     module_diagram,
     report_table,
     triangle_seed_cycles,
@@ -19,7 +24,7 @@ from greenseq.bounds import (
 )
 from greenseq.fho import is_maximal_fho
 from greenseq.qp import jacobian_relations
-from greenseq.rep import projective
+from greenseq.rep import projective, string_catalog
 
 import common
 
@@ -189,3 +194,72 @@ def test_general_length_inequality():
     for name in ("a3_cyclic", "d4_cyclic", "a5_example"):
         js = common.bounds_report(name).to_json()
         assert js["max_len"] + js["min_len"] - js["n"] <= js["indec_count"]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, enumerate_extrema, digest",
+    [
+        ("a3_cyclic", True, "2c3da9c840ee7c97cf0ebaeddc0d7fde91d3a5301b00f2f89a5d4db9f0253d7a"),
+        ("d4_cyclic", True, "ff6ac8db69643ba3b6109242386c241f60db464c916687d5cd739f55e2f7eefb"),
+        ("a5_example", True, "547003a85db4142487549e686cdf4494985cca13ca21af67d851a837a3c0ec81"),
+        ("a9_example", True, "c5b35a15aaa25e0c26f8045607f0a048d80cb624b3d3f020e8eafb2baf61b3fc"),
+        ("a9_example", False, "3ada01d6da33449843a554e338dc9734b06675470f85359450a3148a4a6fc327"),
+    ],
+)
+def test_report_is_pinned(name, enumerate_extrema, digest):
+    # every cut row, cycle, bound and table line goes into the digest
+    report = common.bounds_report(name, enumerate_extrema)
+    text = json.dumps(report.to_json(), sort_keys=True) + "\n" + report_table(report)
+    assert sha256(text) == digest
+
+
+@pytest.mark.parametrize(
+    "name, cut_count, digest",
+    [
+        ("a3_cyclic", 3, "6ca95f400da34f0164aa8a2de0a8efcaefeffe5ce2202f686a020034a6407a1d"),
+        ("d4_cyclic", 4, "0449ff1b6aec141a9925a3d89ad5806b59e16b231f25ba66c75f1c34bb8aa814"),
+        ("a5_example", 9, "325994fc714e4a398dc23df53ff673aba4c32574acdc0757c5e0d3b4850976b7"),
+        ("a9_example", 81, "ca5e02cde17ee9e1f2c0587434a5e2f557d22790a965d1cc7731e2a205ddec9c"),
+    ],
+)
+def test_cut_sequences_are_pinned(name, cut_count, digest):
+    # the order of each cut's sequence follows the tie-break of the ordering
+    catalog = common.catalog(name)
+    rows = []
+    for cut in cuts(common.problem(name).qp):
+        seq = construct_max_sequence(cut, catalog)
+        labels = None if seq is None else [m.label for m in seq.modules]
+        rows.append([sorted(cut.deleted_arrows), labels])
+    assert len(rows) == cut_count
+    assert sha256(json.dumps(rows)) == digest
+
+
+def test_disjoint_cycles_skip_non_schurian_modules(nakayama_catalog):
+    # 16 of the 20 Nakayama modules are Schurian; the other four sit on
+    # Hom cycles that the family must not use
+    cat = nakayama_catalog
+    assert cat.schurian_indices() == tuple(range(16))
+    cycles = disjoint_hom_cycles(cat)
+    assert cycles == [(4, 15), (5, 14), (6, 13), (7, 12), (8, 10), (9, 11)]
+    assert [[cat.modules[i].label for i in c] for c in cycles] == [
+        ["3>4", "3<2<1<4"], ["2>3", "2<1<4<3"], ["1<4", "1>2>3>4"],
+        ["1>2", "1<4<3<2"], ["2>3>4", "2<1<4"], ["1<4<3", "1>2>3"],
+    ]
+
+
+def test_cut_sequences_read_each_hom_pair_once(monkeypatch, a9_qp):
+    calls = []
+    original = rep.hom_dim
+
+    def counting(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    monkeypatch.setattr(rep, "hom_dim", counting)
+    cat = string_catalog(common.algebra("a9_example"))
+    maximal_cut_sequences(a9_qp, cat)
+    assert len(calls) == 45 * 45
