@@ -366,7 +366,7 @@ def realize_sequence(
                 b + Fraction(rng.randint(-3, 3), denom) for b in base
             )
             continue
-        if tuple(r.module.dims for r in records) != tuple(dims_seq):
+        if tuple(r.module.dims for r in records) != tuple(tuple(d) for d in dims_seq):
             return None
         return candidate, records
     return None

@@ -9,7 +9,7 @@ import pytest
 import greenseq
 from greenseq import exchange
 from greenseq.errors import GenericityError
-from greenseq.fho import enumerate_maximal_fho, is_maximal_fho
+from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
 from greenseq.rep import projective, submodule_dimvecs
 from greenseq.walls import (
     catalog_walls,
@@ -108,6 +108,15 @@ def test_realize_the_five_wall_sequence(a3_catalog):
     assert [tuple(r.module.dims) for r in records] == FIVE_DIMS
     again = find_base_for_sequence(a3_catalog, FIVE_DIMS)
     assert again is not None
+
+
+def test_sequences_given_as_lists_are_realized(a3_qp, a3_catalog):
+    # the JSON report lists each sequence's dims as lists, not tuples
+    report = verify_theorem1(a3_qp, a3_catalog)
+    assert len(report["sequences"]) == 9
+    for seq in report["sequences"]:
+        assert isinstance(seq[0], list)
+        assert realize_sequence(a3_catalog, seq, random.Random(0)) is not None
 
 
 def test_reversed_sequence_is_not_realizable(a3_catalog):
