@@ -1,24 +1,25 @@
 """Length bounds for maximal green sequences via cuts and Hom cycles.
 
-A cut deletes one arrow from each potential cycle. The surviving quiver with
-the surviving relations is a smaller algebra; the catalog modules living on it
-form a forward hom-orthogonal sequence once ordered against their Hom digraph,
-which exhibits a lower bound for the maximal length. Vertex-disjoint cycles in
-the Hom digraph obstruct long sequences and give an upper bound.
+A cut deletes one arrow from each potential cycle. The catalog modules that
+vanish on the deleted arrows form a forward hom-orthogonal sequence once
+ordered against their Hom digraph, which exhibits a lower bound for the
+maximal length. Vertex-disjoint cycles in the Hom digraph obstruct long
+sequences and give an upper bound. The Hom digraph is read only through the
+catalog table's row masks (`Catalog.out_mask`), with self-Homs cleared.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .errors import NonStringAlgebraError, SearchBudgetExceeded, UnsupportedPotentialError
 from .exchange import initial_seed, mgs_length_extrema
 from .fho import FhoSequence, is_maximal_fho, make_sequence
 from .linalg import is_zero
-from .qp import Quiver, QuiverWithPotential, RelationSet, jacobian_relations
+from .qp import QuiverWithPotential
 from .rep import Catalog, Representation
 
 
@@ -26,30 +27,17 @@ from .rep import Catalog, Representation
 class Cut:
     """A choice of one deleted arrow per potential cycle.
 
-    `residual_quiver` keeps the surviving arrows; `residual_relations` keeps
-    exactly the cyclic-derivative relations all of whose paths survive.
+    A cut is identified by its `deleted_arrows`; which catalog modules it
+    keeps is read off the modules themselves (`vanishes_on_cut`).
     `cycle_lengths` records the lengths of the potential cycles, which the
     orientation test needs for its precondition.
     """
 
     deleted_arrows: frozenset[str]
-    residual_quiver: Quiver = field(compare=False)
-    residual_relations: RelationSet = field(compare=False)
     cycle_lengths: tuple[int, ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         return "cut{" + ",".join(sorted(self.deleted_arrows)) + "}"
-
-
-def _residual(qp: QuiverWithPotential, deleted: frozenset[str]) -> tuple[Quiver, RelationSet]:
-    quiver = qp.quiver
-    survivors = tuple(a for a in quiver.arrows if a.id not in deleted)
-    residual_quiver = Quiver(vertices=quiver.vertices, arrows=survivors)
-    kept = []
-    for rel in jacobian_relations(qp):
-        if all(aid not in deleted for _, path in rel.terms for aid in path):
-            kept.append(rel)
-    return residual_quiver, RelationSet(tuple(kept))
 
 
 def cuts(qp: QuiverWithPotential) -> list[Cut]:
@@ -58,6 +46,7 @@ def cuts(qp: QuiverWithPotential) -> list[Cut]:
     With an empty potential the only cut deletes nothing.
     """
     choices = [term.cycle for term in qp.potential]
+    lengths = tuple(len(c) for c in choices)
     out = []
     seen = set()
     for pick in itertools.product(*choices) if choices else [()]:
@@ -65,15 +54,7 @@ def cuts(qp: QuiverWithPotential) -> list[Cut]:
         if deleted in seen:
             continue
         seen.add(deleted)
-        residual_quiver, residual_relations = _residual(qp, deleted)
-        out.append(
-            Cut(
-                deleted_arrows=deleted,
-                residual_quiver=residual_quiver,
-                residual_relations=residual_relations,
-                cycle_lengths=tuple(len(c) for c in choices),
-            )
-        )
+        out.append(Cut(deleted_arrows=deleted, cycle_lengths=lengths))
     return out
 
 
@@ -87,16 +68,12 @@ def c_modules(cut: Cut, catalog: Catalog) -> list[int]:
     return [i for i, m in enumerate(catalog.modules) if vanishes_on_cut(m, cut)]
 
 
-def c_module_count(cut: Cut, catalog: Catalog) -> int:
-    return len(c_modules(cut, catalog))
-
-
 def module_diagram(x: Representation, cut: Cut) -> str:
     """Orientation word of the deleted arrows along the module's string walk.
 
     Reading the walk left to right, each deleted-arrow letter contributes '>'
     (direct) or '<' (inverse); letters on surviving arrows collapse away. A
-    module supported inside the residual quiver yields the empty word.
+    module that vanishes on the deleted arrows yields the empty word.
     """
     if not x.walk:
         raise NonStringAlgebraError(
@@ -128,52 +105,54 @@ def assem_tilted(cut: Cut, catalog: Catalog) -> bool:
     )
 
 
-def hom_digraph(catalog: Catalog, indices: Sequence[int]) -> dict[int, set[int]]:
-    """Directed graph on the given catalog indices: i -> j iff Hom(M_i, M_j) != 0."""
-    return {
-        i: {j for j in indices if j != i and catalog.hom(i, j) != 0}
-        for i in indices
-    }
+def _members(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _reverse_topological(graph: dict[int, set[int]]) -> Optional[list[int]]:
-    """Order with every nonzero Hom pointing backward; None if the graph has a cycle.
-
-    Repeatedly emits the smallest vertex with no outgoing edge into the
-    remaining set, so nonzero Homs only reach already-emitted members.
-    """
-    remaining = set(graph)
+def _reverse_topological(catalog: Catalog, indices: Sequence[int]) -> Optional[list[int]]:
+    """Order `indices` so every nonzero Hom points backward; None if their Hom
+    digraph has a cycle. Emits the smallest remaining index whose row mask,
+    self bit cleared, misses the remaining set."""
+    remaining = sum(1 << i for i in indices)
     order: list[int] = []
     while remaining:
-        ready = sorted(v for v in remaining if not (graph[v] & remaining))
-        if not ready:
+        for v in _members(remaining):
+            if not catalog.out_mask(v) & remaining & ~(1 << v):
+                break
+        else:
             return None
-        v = ready[0]
         order.append(v)
-        remaining.remove(v)
+        remaining &= ~(1 << v)
     return order
 
 
 def construct_max_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     """The forward hom-orthogonal sequence carried by a cut, or None.
 
-    Takes the modules supported away from the deleted arrows and orders them
-    right-to-left along their Hom digraph. Returns None when that digraph has
-    a cycle (the cut carries no such sequence).
+    Takes the modules that vanish on the deleted arrows and orders them
+    right-to-left along the Hom digraph read from the table's row masks
+    (`_reverse_topological`). Returns None when that digraph has a cycle
+    (the cut carries no such sequence).
     """
-    idx = c_modules(cut, catalog)
-    graph = hom_digraph(catalog, idx)
-    order = _reverse_topological(graph)
+    order = _reverse_topological(catalog, c_modules(cut, catalog))
     if order is None:
         return None
     return make_sequence([catalog.modules[i] for i in order])
 
 
 def maximal_cut_sequences(
-    qp: QuiverWithPotential, catalog: Catalog
+    qp: QuiverWithPotential, catalog: Catalog, budget: int = 1_000_000
 ) -> list[tuple[Cut, Optional[FhoSequence]]]:
     """Each cut with the sequence it carries, kept only if it passes the full
-    maximality check (`is_maximal_fho`); None otherwise."""
+    maximality check (`is_maximal_fho`); None otherwise.
+
+    The budget bounds the cut choices, the product of the potential's cycle
+    lengths: past it, SearchBudgetExceeded is raised before any cut is built.
+    """
+    choices = prod(len(term.cycle) for term in qp.potential)
+    if choices > budget:
+        raise SearchBudgetExceeded(f"{choices} cut choices exceed the search budget {budget}")
     out = []
     for cut in cuts(qp):
         seq = construct_max_sequence(cut, catalog)
@@ -206,7 +185,7 @@ def triangle_seed_cycles(qp: QuiverWithPotential, catalog: Catalog) -> list[tupl
             continue
         for order in (tri, (tri[0], tri[2], tri[1])):
             if all(
-                catalog.hom(order[t], order[(t + 1) % 3]) != 0 for t in range(3)
+                catalog.out_mask(order[t]) >> order[(t + 1) % 3] & 1 for t in range(3)
             ):
                 out.append(_canonical_cycle(order))
                 break
@@ -218,16 +197,16 @@ def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[k:]) + tuple(cycle[:k])
 
 
-def _short_cycles(graph: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """All directed 2- and 3-cycles, canonically rotated and sorted."""
-    verts = sorted(graph)
+def _short_cycles(catalog: Catalog, mask: int) -> list[tuple[int, ...]]:
+    """All directed 2- and 3-cycles of the Hom digraph on the bits of mask,
+    canonically rotated and sorted."""
     found = set()
-    for i in verts:
-        for j in graph[i]:
-            if j > i and i in graph[j]:
+    for i in _members(mask):
+        for j in _members(catalog.out_mask(i) & mask & ~(1 << i)):
+            if j > i and catalog.out_mask(j) >> i & 1:
                 found.add((i, j))
-            for k in graph[j]:
-                if k != i and k != j and i in graph[k]:
+            for k in _members(catalog.out_mask(j) & mask & ~(1 << i | 1 << j)):
+                if catalog.out_mask(k) >> i & 1:
                     found.add(_canonical_cycle((i, j, k)))
     return sorted(found, key=lambda c: (len(c), c))
 
@@ -242,10 +221,10 @@ def disjoint_hom_cycles(
     is not promised to be maximum. Optional seed cycles (already validated,
     e.g. from `triangle_seed_cycles`) are taken first.
     """
-    graph = hom_digraph(catalog, catalog.schurian_indices())
+    schurian = sum(1 << i for i in catalog.schurian_indices())
     taken: list[tuple[int, ...]] = []
     used: set[int] = set()
-    for cyc in itertools.chain(seed_cycles, _short_cycles(graph)):
+    for cyc in itertools.chain(seed_cycles, _short_cycles(catalog, schurian)):
         if used & set(cyc):
             continue
         taken.append(tuple(cyc))
@@ -265,7 +244,6 @@ class BoundsReport:
     extrema_known: bool
     lower_bound: int
     upper_bound: int
-    achieved_max: int
     cycle_count: int
     conjecture_holds: Optional[bool]
     cut_reports: tuple[dict, ...] = field(default=(), compare=False)
@@ -281,7 +259,7 @@ class BoundsReport:
             "extrema_known": self.extrema_known,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
-            "achieved_max": self.achieved_max,
+            "achieved_max": self.lower_bound,
             "cycle_count": self.cycle_count,
             "conjecture_holds": self.conjecture_holds,
             "cuts": [dict(c) for c in self.cut_reports],
@@ -298,7 +276,7 @@ def report_table(report: BoundsReport) -> str:
         ("max length", report.max_len if report.extrema_known else "unknown"),
         ("lower bound", report.lower_bound),
         ("upper bound", report.upper_bound),
-        ("achieved", report.achieved_max),
+        ("achieved", report.lower_bound),
         ("disjoint hom cycles", report.cycle_count),
         (
             "max equals lower bound",
@@ -324,8 +302,9 @@ def bounds_report(
     of vertex-disjoint Hom cycles found. The exact extrema come from the
     exchange-graph summary (`mgs_length_extrema`, whose budget counts
     exchange-graph states); they are skipped when `enumerate_extrema` is
-    False and marked unknown when the budget runs out. The conjecture flag
-    compares the exact (or certified) maximum with the lower bound.
+    False and marked unknown when the budget runs out. The same budget bounds
+    the cut choices (`maximal_cut_sequences`). The conjecture flag compares
+    the exact (or certified) maximum with the lower bound.
     """
     n = qp.quiver.n
     k = qp.cycle_count
@@ -333,9 +312,9 @@ def bounds_report(
 
     cut_rows: list[dict] = []
     lower = 0
-    for cut, seq in maximal_cut_sequences(qp, catalog):
+    for cut, seq in maximal_cut_sequences(qp, catalog, budget):
         row: dict = {"deleted": sorted(cut.deleted_arrows)}
-        row["c_count"] = c_module_count(cut, catalog)
+        row["c_count"] = len(c_modules(cut, catalog))
         try:
             row["tilted"] = assem_tilted(cut, catalog)
         except UnsupportedPotentialError:
@@ -392,7 +371,6 @@ def bounds_report(
         extrema_known=extrema_known,
         lower_bound=lower,
         upper_bound=upper,
-        achieved_max=lower,
         cycle_count=cycle_count,
         conjecture_holds=conjecture,
         cut_reports=tuple(cut_rows),

@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
         "action",
         nargs="?",
         choices=("enumerate", "extrema", "classes"),
-        default="enumerate",
+        default=None,
         help="enumerate (default) lists every maximal green sequence, one path at "
         "a time (1.6e15 paths on a9_example); classes lists them too and groups "
         "them by c-vector multiset, which is not a function of the end state; "
@@ -163,6 +163,9 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
     quiver = problem.qp.quiver
     seed = exchange.initial_seed(quiver)
     if args.construct_max:
+        if args.action is not None:
+            print(f"error: --construct-max takes no action, got {args.action}", file=sys.stderr)
+            return 2
         return _construct_max(args, problem, seed)
     if args.action == "extrema":
         summary = exchange.mgs_summary(seed, budget=problem.search_budget)
@@ -232,7 +235,7 @@ def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
     quiver = problem.qp.quiver
     catalog = string_catalog(problem.algebra(), budget=problem.search_budget)
     best_cut = best = None
-    for cut, seq in bounds.maximal_cut_sequences(problem.qp, catalog):
+    for cut, seq in bounds.maximal_cut_sequences(problem.qp, catalog, problem.search_budget):
         if seq is not None and (best is None or len(seq) > len(best)):
             best_cut, best = cut, seq
     if best is None:

@@ -5,12 +5,15 @@ import json
 
 import pytest
 
-from greenseq.errors import NonStringAlgebraError, UnsupportedPotentialError
+from greenseq.errors import (
+    NonStringAlgebraError,
+    SearchBudgetExceeded,
+    UnsupportedPotentialError,
+)
 from greenseq import rep
 from greenseq.bounds import (
     Cut,
     assem_tilted,
-    c_module_count,
     c_modules,
     construct_max_sequence,
     cuts,
@@ -23,7 +26,6 @@ from greenseq.bounds import (
     vanishes_on_cut,
 )
 from greenseq.fho import is_maximal_fho
-from greenseq.qp import jacobian_relations
 from greenseq.rep import projective, string_catalog
 
 import common
@@ -61,7 +63,7 @@ def test_cut_str(a3_qp):
 
 def test_a3_cuts(a3_qp, a3_catalog):
     for cut in cuts(a3_qp):
-        assert c_module_count(cut, a3_catalog) == 5
+        assert len(c_modules(cut, a3_catalog)) == 5
         assert assem_tilted(cut, a3_catalog)
         seq = construct_max_sequence(cut, a3_catalog)
         assert seq is not None and len(seq) == 5
@@ -102,7 +104,7 @@ def test_four_cycle_potential_has_no_tilting_test(d4_qp, d4_catalog):
 
 def test_d4_cuts_all_reach_the_maximum(d4_qp, d4_catalog):
     for cut in cuts(d4_qp):
-        assert c_module_count(cut, d4_catalog) == 9
+        assert len(c_modules(cut, d4_catalog)) == 9
         seq = construct_max_sequence(cut, d4_catalog)
         assert seq is not None and len(seq) == 9
         assert is_maximal_fho(list(seq.modules), d4_catalog)
@@ -114,21 +116,16 @@ def test_a5_cut_table(a5_qp, a5_catalog):
         key = tuple(sorted(cut.deleted_arrows))
         seq = construct_max_sequence(cut, a5_catalog)
         rows[key] = (
-            c_module_count(cut, a5_catalog),
+            len(c_modules(cut, a5_catalog)),
             assem_tilted(cut, a5_catalog),
             len(seq) if seq is not None else None,
         )
     assert rows == A5_CUT_TABLE
 
 
-def test_construction_fails_when_the_hom_digraph_is_cyclic(a3_qp, a3_catalog):
-    trivial = Cut(
-        deleted_arrows=frozenset(),
-        residual_quiver=a3_qp.quiver,
-        residual_relations=jacobian_relations(a3_qp),
-        cycle_lengths=(3,),
-    )
-    assert c_module_count(trivial, a3_catalog) == 6
+def test_construction_fails_when_the_hom_digraph_is_cyclic(a3_catalog):
+    trivial = Cut(deleted_arrows=frozenset(), cycle_lengths=(3,))
+    assert len(c_modules(trivial, a3_catalog)) == 6
     assert construct_max_sequence(trivial, a3_catalog) is None
 
 
@@ -263,3 +260,10 @@ def test_cut_sequences_read_each_hom_pair_once(monkeypatch, a9_qp):
     cat = string_catalog(common.algebra("a9_example"))
     maximal_cut_sequences(a9_qp, cat)
     assert len(calls) == 45 * 45
+
+
+def test_budget_bounds_the_cut_choices(a9_qp, a9_catalog):
+    # a9's potential has four triangles: 3**4 = 81 choices
+    assert len(maximal_cut_sequences(a9_qp, a9_catalog, budget=81)) == 81
+    with pytest.raises(SearchBudgetExceeded, match="81 cut choices"):
+        maximal_cut_sequences(a9_qp, a9_catalog, budget=80)

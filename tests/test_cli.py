@@ -110,6 +110,37 @@ def test_mgs_construct_max_json(capsys):
     assert len(payload["c_vectors"]) == 9
 
 
+@pytest.mark.parametrize("action", ["enumerate", "extrema", "classes"])
+def test_mgs_construct_max_takes_no_action(capsys, action):
+    code, out, err = run(capsys, ["mgs", A3, action, "--construct-max", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "--construct-max" in err
+
+
+def test_construct_max_budget_bounds_the_cut_choices(tmp_path, capsys):
+    # 14 disjoint oriented triangles: 3**14 = 4,782,969 cut choices, more
+    # than the default budget, so the search stops before building a cut
+    arrows, potential = [], []
+    for t in range(14):
+        v1, v2, v3 = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        ids = [f"a{t}", f"b{t}", f"g{t}"]
+        arrows += [
+            {"id": ids[0], "src": v2, "tgt": v1},
+            {"id": ids[1], "src": v3, "tgt": v2},
+            {"id": ids[2], "src": v1, "tgt": v3},
+        ]
+        potential.append({"coeff": "1", "cycle": [ids[0], ids[2], ids[1]]})
+    data = {"qp": {"vertices": list(range(1, 43)), "arrows": arrows, "potential": potential}}
+    path = tmp_path / "triangles.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["mgs", str(path), "--construct-max"])
+    assert code == 1
+    assert out == ""
+    assert "search budget exceeded" in err
+    assert "4782969 cut choices" in err
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, ["verify", A3, "--format", "json"])
     assert code == 0
