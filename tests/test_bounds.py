@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from greenseq import rep
 from greenseq.errors import (
     NonStringAlgebraError,
     SearchBudgetExceeded,
     UnsupportedPotentialError,
 )
-from greenseq import rep
 from greenseq.bounds import (
     Cut,
     assem_tilted,
