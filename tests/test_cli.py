@@ -346,12 +346,30 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             0,
             "1b135c155f124603fb19e22a1f68145f172e52e7c2bf437d0274cbaca3c84a30",
         ),
+        (
+            ["verify", A3],
+            0,
+            "d7e294df11a653a61d754eda0b3b3be43bc8aa3dc63e6a7edc21c8c72b55721f",
+        ),
+        (
+            ["verify", A3, "--format", "json"],
+            0,
+            "6fcb47b388eed5bea087718295dffca2be2e6e1190c2a763240642f026b3ba05",
+        ),
+        (
+            # the straight-line wall search leaves d4 sequences unrealized
+            ["verify", D4, "--seed", "1", "--format", "json"],
+            1,
+            "d786c6421d5ccda4f5ddb289897d86e0ed6176aec747717b8bf9027be01e0809",
+        ),
     ],
 )
 def test_mgs_stdout_is_pinned(capsys, argv, code, digest):
-    # any change to the listed sequences, their order, the chosen cut or the
-    # formatting changes these digests
+    # any change to the listed sequences, their order, the chosen cut, the
+    # FHO search and wall bases behind verify, or the formatting changes
+    # these digests
     got, out, err = run(capsys, argv)
     assert got == code
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
