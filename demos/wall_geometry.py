@@ -37,7 +37,7 @@ def main():
     catalog = string_catalog(algebra_from_qp(prob.qp, prob.field_prime))
 
     w = wall_for(catalog.by_label("2<3"))
-    print(f"wall of 2<3: normal {w.normal}, submodule dims {sorted(w.sub_dimvecs)}\n")
+    print(f"wall of 2<3: normal {w.normal}, proper nonzero submodule dims {list(w.faces)}\n")
 
     show_crossings((0, 1, 2), catalog)
     print()

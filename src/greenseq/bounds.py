@@ -16,8 +16,8 @@ from math import comb, prod
 from typing import Optional, Sequence
 
 from .errors import NonStringAlgebraError, SearchBudgetExceeded, UnsupportedPotentialError
-from .exchange import initial_seed, mgs_length_extrema
-from .fho import FhoSequence, is_maximal_fho, make_sequence
+from .exchange import initial_seed, mgs_summary
+from .fho import FhoSequence, is_maximal_fho
 from .linalg import is_zero
 from .qp import QuiverWithPotential
 from .rep import Catalog, Representation
@@ -138,7 +138,7 @@ def construct_max_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     order = _reverse_topological(catalog, c_modules(cut, catalog))
     if order is None:
         return None
-    return make_sequence([catalog.modules[i] for i in order])
+    return FhoSequence(tuple(catalog.modules[i] for i in order))
 
 
 def maximal_cut_sequences(
@@ -300,7 +300,7 @@ def bounds_report(
     potential is made of triangles and the catalog is a full type-A count,
     where no sequence is shorter than n + k) and `indec - c` with c the number
     of vertex-disjoint Hom cycles found. The exact extrema come from the
-    exchange-graph summary (`mgs_length_extrema`, whose budget counts
+    exchange-graph summary (`mgs_summary`, whose budget counts
     exchange-graph states); they are skipped when `enumerate_extrema` is
     False and marked unknown when the budget runs out. The same budget bounds
     the cut choices (`maximal_cut_sequences`). The conjecture flag compares
@@ -342,9 +342,8 @@ def bounds_report(
     extrema_known = False
     if enumerate_extrema:
         try:
-            min_len, max_len = mgs_length_extrema(
-                initial_seed(qp.quiver), budget=budget
-            )
+            summary = mgs_summary(initial_seed(qp.quiver), budget=budget)
+            min_len, max_len = summary.min_len, summary.max_len
             extrema_known = True
         except SearchBudgetExceeded:
             pass

@@ -59,8 +59,10 @@ def _parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=None,
-            help="override the search budget (`mgs extrema` counts exchange-graph "
-            "states, not paths)",
+            help="override the search budget: path nodes for `mgs enumerate|classes`, "
+            "exchange-graph states for `mgs extrema`, cut choices for --construct-max, "
+            "search nodes for `verify`, and, for every command that builds a module "
+            "catalog, strings (the catalog stops past 2 x budget walks)",
         )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")

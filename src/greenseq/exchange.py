@@ -361,18 +361,6 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(memo))
 
 
-def mgs_length_extrema(
-    seed: ExtExchangeMatrix, budget: int = 1_000_000
-) -> tuple[int, int]:
-    """Minimum and maximum length over all maximal green sequences.
-
-    Computed by `mgs_summary` on the exchange graph, so `budget` caps the
-    number of exchange-graph states entered, not the number of paths.
-    """
-    summary = mgs_summary(seed, budget=budget)
-    return summary.min_len, summary.max_len
-
-
 def replay_c_vector_sequence(
     seed: ExtExchangeMatrix, c_vectors: Iterable[IntVector]
 ) -> tuple[GreenSequence, ExtExchangeMatrix]:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from greenseq import exchange
+from greenseq import exchange, walls
 from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.qp import QuiverWithPotential, b_matrix
 from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
@@ -50,15 +50,6 @@ class FhoSequence:
             "labels": [m.label for m in self.modules],
             "length": len(self),
         }
-
-
-def make_sequence(modules: Sequence[Representation]) -> FhoSequence:
-    return FhoSequence(modules=tuple(modules))
-
-
-def dim_multiset(seq: FhoSequence) -> tuple[tuple[int, ...], ...]:
-    """Equivalence-class key: the sorted multiset of dimension vectors."""
-    return tuple(sorted(seq.dim_vectors))
 
 
 @dataclass(frozen=True)
@@ -186,9 +177,10 @@ def insertion_obstructions(
     return out
 
 
-def _maximal(catalog: Catalog, seq: Sequence[int]) -> bool:
-    """Empty torsion-free class and no Schurian module insertable anywhere."""
-    if _torsion_free_mask(catalog, seq):
+def _maximal(catalog: Catalog, seq: Sequence[int], free: int) -> bool:
+    """Empty torsion-free class (free = F(seq) as a mask) and no Schurian
+    module insertable anywhere."""
+    if free:
         return False
     return not any(insertion_window(catalog, seq, c) for c in catalog.schurian_indices())
 
@@ -201,7 +193,9 @@ def is_maximal_fho(modules: Sequence[Representation], catalog: Catalog) -> bool:
         ValueError: if some member is not a catalog member and equals none.
     """
     seq = catalog.indices(modules)
-    return _weakly_fho(catalog, seq) and _maximal(catalog, seq)
+    return _weakly_fho(catalog, seq) and _maximal(
+        catalog, seq, _torsion_free_mask(catalog, seq)
+    )
 
 
 def is_fho_in_torsion_class(
@@ -227,37 +221,40 @@ def is_fho_in_torsion_class(
 def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[FhoSequence]:
     """All maximal forward hom-orthogonal sequences over a complete catalog.
 
-    Depth-first search appending catalog modules in index order, so the
-    result order is deterministic. A branch dies when no module can be
-    appended; the leaf is kept iff it passes the full maximality test
-    (a right-nonextendable sequence can still admit a middle insertion).
+    Depth-first search whose state is F(seq), the torsion-free class of the
+    sequence as a mask over catalog positions: appending c leaves
+    F & ~out_mask(c), and the modules that can be appended are the Schurian
+    ones in F, tried in index order, so the result order is deterministic. A
+    branch dies when F holds no Schurian module; the leaf is kept iff it
+    passes the full maximality test (a right-nonextendable sequence can
+    still admit a middle insertion).
 
     Raises:
-        SearchBudgetExceeded: with `.partial` carrying sequences found so far.
+        SearchBudgetExceeded: when the search visits more than `budget` nodes.
     """
+    bricks = sum(1 << i for i in catalog.schurian_indices())
     found: list[FhoSequence] = []
     visited = 0
 
-    def walk(seq: list[int], candidates: Sequence[int]):
+    def walk(seq: list[int], free: int):
         nonlocal visited
         visited += 1
         if visited > budget:
-            raise SearchBudgetExceeded(
-                f"forward hom-orthogonal search exceeded {budget} nodes",
-                partial=list(found),
-            )
+            raise SearchBudgetExceeded(f"forward hom-orthogonal search exceeded {budget} nodes")
+        candidates = free & bricks
         if not candidates:
-            if _maximal(catalog, seq):
-                found.append(make_sequence([catalog.modules[i] for i in seq]))
+            if _maximal(catalog, seq, free):
+                found.append(FhoSequence(tuple(catalog.modules[i] for i in seq)))
             return
-        for c in candidates:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
             seq.append(c)
-            maps_out = catalog.out_mask(c)
-            narrowed = [d for d in candidates if d != c and not maps_out >> d & 1]
-            walk(seq, narrowed)
+            walk(seq, free & ~catalog.out_mask(c))
             seq.pop()
 
-    walk([], catalog.schurian_indices())
+    walk([], (1 << len(catalog)) - 1)
     return found
 
 
@@ -280,8 +277,6 @@ def verify_theorem1(
     Returns:
         A JSON-friendly report dict; report["equal"] is the overall verdict.
     """
-    from greenseq import walls as walls_mod
-
     seed = exchange.initial_seed(qp.quiver)
     assert seed.b == b_matrix(qp.quiver)
     mgs = exchange.enumerate_green_sequences(seed, budget=budget)
@@ -295,7 +290,7 @@ def verify_theorem1(
     observed: dict[tuple, str] = {}
     for _ in range(samples):
         try:
-            _, records = walls_mod.random_generic_base(catalog, rng)
+            _, records = walls.random_generic_base(catalog, rng)
         except GenericityError as e:  # resampling exhausted
             witnesses.append({"kind": "sampling-error", "detail": str(e)})
             continue
@@ -304,7 +299,7 @@ def verify_theorem1(
     for key in sorted(set_mgs | set_fho):
         if key in observed:
             continue
-        realized = walls_mod.realize_sequence(catalog, key, rng)
+        realized = walls.realize_sequence(catalog, key, rng)
         if realized is None:
             witnesses.append(
                 {"kind": "unrealized", "sequence": [list(d) for d in key]}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from greenseq.linalg import MAX_FIELD_PRIME, is_prime
+from greenseq.linalg import check_field_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
 from greenseq.rep import Algebra, algebra_from_qp
 
@@ -123,10 +123,7 @@ def problem_from_json(data: dict) -> ProblemFile:
         raise ValueError("problem file is missing 'qp'")
     qp = qp_from_json(data["qp"])
     prime = _integer(data.get("field_prime", 2), "field_prime")
-    if prime > MAX_FIELD_PRIME:
-        raise ValueError(f"field_prime {prime} exceeds {MAX_FIELD_PRIME}")
-    if not is_prime(prime):
-        raise ValueError(f"field_prime {prime} is not prime")
+    check_field_prime(prime)
     budget = _integer(data.get("search_budget", 1_000_000), "search_budget")
     if budget <= 0:
         raise ValueError("search_budget must be positive")

@@ -29,6 +29,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_field_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime at most MAX_FIELD_PRIME."""
+    if p > MAX_FIELD_PRIME:
+        raise ValueError(f"field_prime {p} exceeds {MAX_FIELD_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"field_prime {p} is not prime")
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
 
@@ -85,7 +93,7 @@ def rref(a: Matrix, p: int) -> tuple[list[list[int]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], p - 2, p) if p > 2 else m[r][c]
+        inv = pow(m[r][c], -1, p)
         m[r] = [(x * inv) % p for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] % p != 0:
@@ -95,7 +103,7 @@ def rref(a: Matrix, p: int) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == nrows:
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def rank(a: Matrix, p: int) -> int:

@@ -156,10 +156,9 @@ def psi_k(ctx: ReflectionContext, x: Representation) -> Representation:
         raise ReflectionError(f"hom_dim(S_{k}, X) != 0: stacked map from X_{k} not injective")
 
     total_j = sum(x.dim_at(j) for j in j_list)
-    if stacked:
-        q = linalg.cokernel_projection(stacked, p)
-    else:
-        q = linalg.identity(total_j, p) if total_j else ()
+    # stacked has total_j rows, so it is empty only when total_j == 0 and
+    # the cokernel is the zero space
+    q = linalg.cokernel_projection(stacked, p) if stacked else ()
     y_k = len(q)
 
     offsets = {}

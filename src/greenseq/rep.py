@@ -32,10 +32,7 @@ class Algebra:
     p: int = 2
 
     def __post_init__(self):
-        if self.p > linalg.MAX_FIELD_PRIME:
-            raise ValueError(f"{self.p} exceeds {linalg.MAX_FIELD_PRIME}")
-        if not linalg.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        linalg.check_field_prime(self.p)
 
 
 def algebra_from_qp(qp: QuiverWithPotential, p: int = 2) -> Algebra:
@@ -47,9 +44,7 @@ def _coeff_mod(c: Fraction, p: int) -> int:
     c = Fraction(c)
     if c.denominator % p == 0:
         raise ValueError(f"coefficient {c} not defined mod {p}")
-    return (c.numerator * pow(c.denominator, p - 2, p)) % p if p > 2 else (
-        c.numerator * c.denominator
-    ) % p
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -371,9 +366,12 @@ def check_string_algebra(algebra: Algebra) -> None:
 
 @dataclass
 class Catalog:
-    """Complete list of indecomposables of a supported string algebra.
+    """A list of modules over one algebra, with their Hom table.
 
-    The catalog carries the Hom table of its modules, indexed by catalog
+    `string_catalog` builds the complete list of indecomposables of a
+    supported string algebra; `fho.is_weakly_fho` and `fho._local_table`
+    build catalogs over arbitrary module lists, as local Hom tables. The
+    catalog carries the Hom table of its modules, indexed by catalog
     position and filled lazily: `hom(i, j)` calls `hom_dim` the first time a
     pair is asked for and reads the stored value afterwards. `out_mask(i)`
     and `in_mask(j)` are the table's nonzero pattern along a row or a column
@@ -630,8 +628,14 @@ def is_schurian(m: Representation) -> bool:
     return hom_dim(m, m) == 1
 
 
+# Brute-force budget of `stable_subspace_tuples`: the largest total dimension,
+# and the largest number of subspace tuples it may enumerate.
+MAX_TOTAL_DIM = 12
+MAX_SUBSPACE_TUPLES = 2_000_000
+
+
 def stable_subspace_tuples(
-    m: Representation, max_total_dim: int = 12, max_product: int = 2_000_000
+    m: Representation,
 ) -> list[tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]]]:
     """All arrow-stable subspace tuples of M.
 
@@ -645,14 +649,14 @@ def stable_subspace_tuples(
     algebra = m.algebra
     p = algebra.p
     quiver = algebra.quiver
-    if m.total_dim > max_total_dim:
+    if m.total_dim > MAX_TOTAL_DIM:
         raise SearchBudgetExceeded(
-            f"total dimension {m.total_dim} exceeds the brute-force budget {max_total_dim}"
+            f"total dimension {m.total_dim} exceeds the brute-force budget {MAX_TOTAL_DIM}"
         )
     prod_size = 1
     for d in m.dims:
         prod_size *= linalg.subspace_count(d, p)
-    if prod_size > max_product:
+    if prod_size > MAX_SUBSPACE_TUPLES:
         raise SearchBudgetExceeded(
             f"{prod_size} subspace tuples exceed the enumeration budget"
         )
@@ -688,6 +692,6 @@ def stable_subspace_tuples(
     return out
 
 
-def submodule_dimvecs(m: Representation, max_total_dim: int = 12) -> set[tuple[int, ...]]:
+def submodule_dimvecs(m: Representation) -> set[tuple[int, ...]]:
     """The set {dim M' : M' an arrow-stable subspace tuple of M}."""
-    return {dv for dv, _ in stable_subspace_tuples(m, max_total_dim=max_total_dim)}
+    return {dv for dv, _ in stable_subspace_tuples(m)}

@@ -34,12 +34,16 @@ from greenseq.rep import (
 
 Vector = tuple[Fraction, ...]
 
+# perturbations `realize_sequence` tries before giving up on genericity
+REALIZE_ATTEMPTS = 20
+# random bases have coordinates a/b with |a| <= BASE_SCALE and 1 <= b <= 7
+BASE_SCALE = 400
+
 
 @dataclass(frozen=True)
 class Wall:
     module: Representation
     normal: tuple[int, ...]
-    sub_dimvecs: frozenset[tuple[int, ...]]
     # the proper nonzero submodule dimension vectors, sorted (the order fixes
     # the constraint order of the feasibility solves)
     faces: tuple[tuple[int, ...], ...]
@@ -56,12 +60,11 @@ class CrossingRecord:
         return self.module.dims
 
 
-def wall_for(module: Representation, max_total_dim: int = 12) -> Wall:
-    subs = frozenset(submodule_dimvecs(module, max_total_dim=max_total_dim))
+def wall_for(module: Representation) -> Wall:
+    subs = submodule_dimvecs(module)
     return Wall(
         module=module,
         normal=module.dims,
-        sub_dimvecs=subs,
         faces=tuple(sorted(d for d in subs if any(d) and d != module.dims)),
     )
 
@@ -344,7 +347,6 @@ def realize_sequence(
     catalog: Catalog,
     dims_seq: Sequence[tuple[int, ...]],
     rng: random.Random,
-    attempts: int = 20,
 ) -> Optional[tuple[Vector, list[CrossingRecord]]]:
     """A generic base whose crossing sequence is exactly dims_seq, or None.
 
@@ -357,7 +359,7 @@ def realize_sequence(
     if base is None:
         return None
     candidate = base
-    for step in range(attempts):
+    for step in range(REALIZE_ATTEMPTS):
         try:
             records = crossing_sequence(candidate, catalog)
         except GenericityError:
@@ -372,14 +374,14 @@ def realize_sequence(
     return None
 
 
-def random_rational_base(rng: random.Random, n: int, scale: int = 400) -> Vector:
+def random_rational_base(rng: random.Random, n: int) -> Vector:
     return tuple(
-        Fraction(rng.randint(-scale, scale), rng.randint(1, 7)) for _ in range(n)
+        Fraction(rng.randint(-BASE_SCALE, BASE_SCALE), rng.randint(1, 7)) for _ in range(n)
     )
 
 
 def random_generic_base(
-    catalog: Catalog, rng: random.Random, retries: int = 50, scale: int = 400
+    catalog: Catalog, rng: random.Random, retries: int = 50
 ) -> tuple[Vector, list[CrossingRecord]]:
     """Sample bases until one passes the genericity checks.
 
@@ -391,12 +393,12 @@ def random_generic_base(
         raise ValueError(f"retries must be at least 1, got {retries}")
     n = catalog.algebra.quiver.n
     for _ in range(retries - 1):
-        base = random_rational_base(rng, n, scale=scale)
+        base = random_rational_base(rng, n)
         try:
             return base, crossing_sequence(base, catalog)
         except GenericityError:
             pass
-    base = random_rational_base(rng, n, scale=scale)
+    base = random_rational_base(rng, n)
     return base, crossing_sequence(base, catalog)
 
 

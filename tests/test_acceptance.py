@@ -110,7 +110,8 @@ def test_criterion_5_four_cycle():
     seqs = exchange.enumerate_green_sequences(seed)
     classes = exchange.equivalence_classes(seqs)
     longest = [k for k, v in classes.items() if len(v[0].mutation_indices) == 9]
-    assert exchange.mgs_length_extrema(seed) == (6, 9)
+    summary = exchange.mgs_summary(seed)
+    assert (summary.min_len, summary.max_len) == (6, 9)
     assert len(longest) == 4
     all_cuts = cuts(qp)
     assert len(all_cuts) == 4

@@ -68,7 +68,8 @@ def test_a3_census(a3_qp):
     assert len(seqs) == 9
     lengths = sorted(len(s.mutation_indices) for s in seqs)
     assert lengths == [4] * 6 + [5] * 3
-    assert exchange.mgs_length_extrema(seed) == (4, 5)
+    summary = exchange.mgs_summary(seed)
+    assert (summary.min_len, summary.max_len) == (4, 5)
     assert len(exchange.equivalence_classes(seqs)) == 6
 
 
@@ -116,7 +117,8 @@ def test_d4_census(d4_qp):
     seed = exchange.initial_seed(d4_qp.quiver)
     seqs = exchange.enumerate_green_sequences(seed)
     assert len(seqs) == 112
-    assert exchange.mgs_length_extrema(seed) == (6, 9)
+    summary = exchange.mgs_summary(seed)
+    assert (summary.min_len, summary.max_len) == (6, 9)
     classes = exchange.equivalence_classes(seqs)
     assert len(classes) == 42
     longest = [key for key, members in classes.items() if len(members[0].mutation_indices) == 9]
@@ -146,4 +148,5 @@ def test_d4_minimum_against_raw_product_search(d4_qp):
 
 def test_a5_extrema(a5_qp):
     seed = exchange.initial_seed(a5_qp.quiver)
-    assert exchange.mgs_length_extrema(seed) == (7, 13)
+    summary = exchange.mgs_summary(seed)
+    assert (summary.min_len, summary.max_len) == (7, 13)

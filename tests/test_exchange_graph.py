@@ -236,6 +236,7 @@ def test_summary_budget_counts_states():
     with pytest.raises(SearchBudgetExceeded) as info:
         exchange.mgs_summary(seed, budget=131)
     assert info.value.partial is None
-    assert exchange.mgs_length_extrema(seed, budget=132) == (7, 13)
+    summary = exchange.mgs_summary(seed, budget=132)
+    assert (summary.min_len, summary.max_len) == (7, 13)
     with pytest.raises(SearchBudgetExceeded):
         exchange.mgs_summary(kronecker_seed(), budget=2000)

@@ -3,14 +3,12 @@
 from greenseq import exchange
 from greenseq.fho import (
     FhoSequence,
-    dim_multiset,
     enumerate_maximal_fho,
     insertion_obstructions,
     insertion_positions,
     is_fho_in_torsion_class,
     is_maximal_fho,
     is_weakly_fho,
-    make_sequence,
     torsion_pair,
     verify_theorem1,
 )
@@ -39,8 +37,6 @@ def test_dim_vectors_follow_the_modules(a3_catalog):
     dims = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
     assert seq.dim_vectors == tuple(dims)
     assert seq.to_json()["dims"] == [list(d) for d in dims]
-    assert dim_multiset(seq) == tuple(sorted(dims))
-    assert seq == make_sequence(mods)
 
 
 def test_five_step_sequence_is_maximal(a3_catalog):
@@ -88,12 +84,11 @@ def test_torsion_pair_chain(a3_catalog):
 
 
 def test_sequence_json(a3_catalog):
-    seq = make_sequence(by_labels(a3_catalog, FIVE))
+    seq = FhoSequence(tuple(by_labels(a3_catalog, FIVE)))
     js = seq.to_json()
     assert js["length"] == 5
     assert js["labels"] == FIVE
     assert js["dims"] == [[0, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]]
-    assert dim_multiset(seq) == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0))
 
 
 def test_enumeration_matches_green_sequences(a3_qp, a3_catalog):

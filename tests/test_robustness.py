@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from greenseq import linalg, walls
+from greenseq import linalg, rep, walls
 from greenseq.cli import main
 from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import verify_theorem1
@@ -66,14 +66,14 @@ def test_algebra_rejects_primes_above_the_limit(a3_algebra):
 
 
 def test_verify_propagates_budget_errors_from_wall_construction(monkeypatch, a3_qp):
-    wall_for, sample = walls.wall_for, walls.random_generic_base
+    sample = walls.random_generic_base
     samples = []
 
     def counted(*args, **kwargs):
         samples.append(args)
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(walls, "wall_for", lambda m: wall_for(m, max_total_dim=0))
+    monkeypatch.setattr(rep, "MAX_TOTAL_DIM", 0)
     monkeypatch.setattr(walls, "random_generic_base", counted)
     catalog = string_catalog(common.algebra("a3_cyclic"))
     with pytest.raises(SearchBudgetExceeded, match="brute-force budget"):
@@ -88,7 +88,7 @@ def test_subspace_count_matches_the_enumeration(d, p, count):
 
 
 def test_subspace_budget_is_checked_before_any_subspace_is_built(monkeypatch, a3_algebra):
-    # total dimension 10 passes the max_total_dim=12 guard; F_2^10 alone has
+    # total dimension 10 passes the MAX_TOTAL_DIM = 12 guard; F_2^10 alone has
     # 229,755,605 subspaces
     m = make_rep(a3_algebra, [10, 0, 0], {})
 
@@ -157,3 +157,14 @@ def test_mistyped_problem_values_exit_2(tmp_path, capsys, path, value):
     assert "invalid problem file" in err
     assert "Traceback" not in err
     assert path[-1] in err  # the message names the key
+
+
+@pytest.mark.parametrize("overrides", [[], ["--seed", "3", "--field-prime", "3"]])
+def test_top_level_array_exits_2(tmp_path, capsys, overrides):
+    # the overrides write into the parsed object, so the type check comes first
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([json.loads(Path(A3).read_text())]))
+    assert main(["mgs", str(path), "extrema", *overrides]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "problem file must be a JSON object" in err

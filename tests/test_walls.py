@@ -41,7 +41,8 @@ def frac(*xs):
 def test_wall_normals_and_submodule_faces(a3_catalog):
     w = wall_for(a3_catalog.by_label("2<3"))
     assert w.normal == (0, 1, 1)
-    assert sorted(w.sub_dimvecs) == [(0, 0, 0), (0, 1, 0), (0, 1, 1)]
+    # the submodule dims (0,0,0), (0,1,0), (0,1,1) without the zero and full ones
+    assert w.faces == ((0, 1, 0),)
     assert in_D(w, frac(5, -1, 1))
     assert not in_D(w, frac(0, 1, -1))
     assert in_int_D(w, frac(5, -1, 1))
