@@ -46,7 +46,7 @@ def main():
             print(f"    base {shown}: " + " -> ".join(order))
     print(f"    ({len(seen)} distinct orders found in 40 draws)")
 
-    report = verify_theorem1(prob.qp, catalog, samples=100)
+    report = verify_theorem1(prob.qp, catalog)
     print("\nthree-way comparison:")
     keys = (
         "equal",

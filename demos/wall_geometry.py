@@ -1,10 +1,9 @@
-"""Wall geometry of the cyclic triangle: crossings, compartments, filtrations.
+"""Wall geometry of the cyclic triangle: crossings and compartments.
 
 Each catalog module M contributes a wall D(M); a straight line x + t*(1,1,1)
 from a generic base crosses some of them, and the crossing order is a green
 sequence.  Different bases give different sequences (here: a length-5 and a
-length-4 one), the compartment of the base is read off from the signs, and
-the crossings induce a Harder-Narasimhan style filtration on any module.
+length-4 one), and the compartment of the base is read off from the signs.
 """
 
 from fractions import Fraction
@@ -17,7 +16,6 @@ from greenseq.walls import (
     compartment_cvectors,
     compartment_signature,
     crossing_sequence,
-    hn_stratification,
     wall_for,
 )
 
@@ -25,11 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def show_crossings(base, catalog):
-    records = crossing_sequence(base, catalog)
     print(f"base {base}:")
-    for r in records:
+    for r in crossing_sequence(base, catalog):
         print(f"    t = {str(r.time):>5}   {r.module.label:<4} dims {r.dims}")
-    return records
 
 
 def main():
@@ -41,12 +37,7 @@ def main():
 
     show_crossings((0, 1, 2), catalog)
     print()
-    records = show_crossings((-12, -5, -9), catalog)
-
-    print("\nfiltration of 1>3 along the second line:")
-    m = catalog.by_label("1>3")
-    for s in hn_stratification(m, records):
-        print(f"    crossed at t = {s.time}: subquotient dims {s.normal} x {s.multiple}")
+    show_crossings((-12, -5, -9), catalog)
 
     print("\ncompartments (which walls lie in the past of the base):")
     seed = initial_seed(prob.qp.quiver)

@@ -13,7 +13,6 @@ small CLI (`greenseq.cli`).
 """
 
 from greenseq.errors import (
-    FiltrationError,
     GenericityError,
     InvalidQuiverError,
     NonStringAlgebraError,
@@ -23,7 +22,6 @@ from greenseq.errors import (
 )
 
 __all__ = [
-    "FiltrationError",
     "GenericityError",
     "InvalidQuiverError",
     "NonStringAlgebraError",

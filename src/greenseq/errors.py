@@ -47,7 +47,3 @@ class GenericityError(ValueError):
     def __init__(self, message: str, colliding=None):
         super().__init__(message)
         self.colliding = colliding
-
-
-class FiltrationError(RuntimeError):
-    """No stratification consistent with the crossing data was found."""

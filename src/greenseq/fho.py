@@ -30,6 +30,9 @@ from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.qp import QuiverWithPotential, b_matrix
 from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
 
+# random generic green paths `verify_theorem1` samples before the directed search
+WALL_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class FhoSequence:
@@ -52,14 +55,6 @@ class FhoSequence:
         }
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    """G = modules generated by M (torsion class), F = M-perpendicular."""
-
-    G: tuple[Representation, ...]
-    F: tuple[Representation, ...]
-
-
 def _torsion_free_mask(catalog: Catalog, seq: Sequence[int]) -> int:
     """F(M) as a bitmask over catalog positions, M = sum of seq."""
     reached = 0
@@ -71,23 +66,6 @@ def _torsion_free_mask(catalog: Catalog, seq: Sequence[int]) -> int:
 def _torsion_mask(catalog: Catalog, f_mask: int) -> int:
     """G(M) as a bitmask: the positions with no nonzero map into F(M)."""
     return sum(1 << i for i in range(len(catalog)) if not catalog.out_mask(i) & f_mask)
-
-
-def torsion_pair(m_list: Sequence[Representation], catalog: Catalog) -> TorsionPair:
-    """The torsion pair (G(M), F(M)) of M = direct sum of m_list, on a catalog.
-
-    F is every catalog module receiving no nonzero map from any M_i; G is
-    every catalog module with no nonzero map to any member of F.
-
-    Raises:
-        ValueError: if some M_i is not a catalog member and equals none.
-    """
-    f_mask = _torsion_free_mask(catalog, catalog.indices(m_list))
-    g_mask = _torsion_mask(catalog, f_mask)
-    return TorsionPair(
-        G=tuple(x for i, x in enumerate(catalog) if g_mask >> i & 1),
-        F=tuple(y for j, y in enumerate(catalog) if f_mask >> j & 1),
-    )
 
 
 def is_weakly_fho(modules: Sequence[Representation]) -> bool:
@@ -134,25 +112,6 @@ def insertion_window(catalog: Catalog, seq: Sequence[int], c: int) -> range:
     return range(last_out + 1, first_in + 1)
 
 
-def _local_table(
-    modules: Sequence[Representation], candidate: Representation
-) -> tuple[Catalog, range, int]:
-    """A Hom table over just the candidate and the sequence, with their positions.
-
-    Only the Homs between the candidate and the sequence get computed.
-    """
-    table = Catalog(candidate.algebra, (candidate, *modules))
-    return table, range(1, len(modules) + 1), 0
-
-
-def insertion_positions(
-    modules: Sequence[Representation], candidate: Representation
-) -> list[int]:
-    """Positions t where candidate could be inserted after modules[:t],
-    preserving pairwise Hom-vanishing in the extended sequence."""
-    return list(insertion_window(*_local_table(modules, candidate)))
-
-
 def insertion_obstructions(
     modules: Sequence[Representation], candidate: Representation
 ) -> list[tuple[int, Representation, Representation, int]]:
@@ -161,7 +120,9 @@ def insertion_obstructions(
 
     The witness is the first member of modules[:t] mapping to the candidate,
     else the first member of modules[t:] the candidate maps to."""
-    table, seq, c = _local_table(modules, candidate)
+    # a Hom table over just the candidate (position 0) and the sequence
+    table = Catalog(candidate.algebra, (candidate, *modules))
+    seq, c = range(1, len(modules) + 1), 0
     window = insertion_window(table, seq, c)
     if window:
         return []
@@ -263,16 +224,16 @@ def verify_theorem1(
     catalog: Catalog,
     budget: int = 1_000_000,
     rng_seed: int = 0,
-    samples: int = 100,
 ) -> dict:
     """Check the three descriptions of maximal green sequences against each other.
 
     (1) c-vector sequences of all maximal green sequences of the exchange
     matrix, (2) dimension-vector sequences of all maximal forward
     hom-orthogonal sequences over the catalog, (3) wall-crossing sequences of
-    generic green paths: random bases first, then a directed base search for
-    any sequence of (1) or (2) that sampling missed. The report fails if any
-    set disagrees or some sequence cannot be realized by a generic path.
+    generic green paths: `WALL_SAMPLES` random bases first, then a directed
+    base search for any sequence of (1) or (2) that sampling missed. The
+    report fails if any set disagrees or some sequence cannot be realized by
+    a generic path.
 
     Returns:
         A JSON-friendly report dict; report["equal"] is the overall verdict.
@@ -288,7 +249,7 @@ def verify_theorem1(
     rng = random.Random(rng_seed)
     witnesses: list[dict] = []
     observed: dict[tuple, str] = {}
-    for _ in range(samples):
+    for _ in range(WALL_SAMPLES):
         try:
             _, records = walls.random_generic_base(catalog, rng)
         except GenericityError as e:  # resampling exhausted

@@ -72,33 +72,6 @@ def phi_k(x: Sequence[int], quiver: Quiver, k: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def reflection_matrix(quiver: Quiver, k: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix of phi_k acting on column dimension vectors."""
-    n = quiver.n
-    pos = quiver.pos(k)
-    rows = []
-    for r in range(n):
-        if r != pos:
-            rows.append(tuple(1 if c == r else 0 for c in range(n)))
-        else:
-            row = [0] * n
-            row[pos] = -1
-            for a in quiver.arrows_out(k):
-                row[quiver.pos(a.tgt)] += 1
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _int_mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(inner)) for c in range(cols))
-        for r in range(rows)
-    )
-
-
 def _hstack(mats: list[Matrix], rows: int) -> Matrix:
     out = []
     for r in range(rows):
@@ -342,38 +315,6 @@ def psi_k_inverse(ctx: ReflectionContext, y: Representation) -> Representation:
     assert dims[source_quiver.pos(k)] == x_k
     label = f"r{k}'[{y.label}]" if y.label else ""
     return make_rep(ctx.source_algebra, dims, mats, label=label)
-
-
-def iterated_reflection(
-    qp: QuiverWithPotential, ks: Sequence[int], x: Representation
-) -> tuple[Representation, tuple[tuple[int, ...], ...]]:
-    """Apply psi at each vertex of `ks` in order, tracking the composite map.
-
-    Args:
-        qp: the quiver with potential of x's algebra.
-        ks: vertex labels, applied left to right.
-        x: the representation to transport.
-
-    Returns:
-        (final representation, composite integer matrix of the phi maps).
-
-    Raises:
-        ReflectionError: naming the failing step index and vertex.
-    """
-    current_qp = qp
-    current = x
-    n = qp.quiver.n
-    composite = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
-    for idx, k in enumerate(ks):
-        try:
-            ctx = reflection_context(current_qp, k, p=x.algebra.p)
-            step_mat = reflection_matrix(current_qp.quiver, k)
-            current = psi_k(ctx, current)
-        except ReflectionError as e:
-            raise ReflectionError(f"step {idx} (vertex {k}): {e}") from e
-        composite = _int_mat_mul(step_mat, composite)
-        current_qp = ctx.data.target
-    return current, composite
 
 
 def find_isomorphism(m: Representation, n: Representation) -> Optional[dict[int, Matrix]]:

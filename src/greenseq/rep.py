@@ -369,13 +369,14 @@ class Catalog:
     """A list of modules over one algebra, with their Hom table.
 
     `string_catalog` builds the complete list of indecomposables of a
-    supported string algebra; `fho.is_weakly_fho` and `fho._local_table`
-    build catalogs over arbitrary module lists, as local Hom tables. The
-    catalog carries the Hom table of its modules, indexed by catalog
-    position and filled lazily: `hom(i, j)` calls `hom_dim` the first time a
-    pair is asked for and reads the stored value afterwards. `out_mask(i)`
-    and `in_mask(j)` are the table's nonzero pattern along a row or a column
-    as a bitmask over catalog positions, each built on first use.
+    supported string algebra; `fho.is_weakly_fho` and
+    `fho.insertion_obstructions` build catalogs over arbitrary module lists,
+    as local Hom tables. The catalog carries the Hom table of its modules,
+    indexed by catalog position and filled lazily: `hom(i, j)` calls
+    `hom_dim` the first time a pair is asked for and reads the stored value
+    afterwards. `out_mask(i)` and `in_mask(j)` are the table's nonzero
+    pattern along a row or a column as a bitmask over catalog positions,
+    each built on first use.
     """
 
     algebra: Algebra

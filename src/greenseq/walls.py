@@ -21,16 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from greenseq import exchange, linalg
-from greenseq.errors import FiltrationError, GenericityError
-from greenseq.rep import (
-    Catalog,
-    Representation,
-    stable_subspace_tuples,
-    submodule_dimvecs,
-)
+from greenseq import exchange
+from greenseq.errors import GenericityError
+from greenseq.rep import Catalog, Representation, submodule_dimvecs
 
 Vector = tuple[Fraction, ...]
 
@@ -69,10 +64,6 @@ def wall_for(module: Representation) -> Wall:
     )
 
 
-def _as_wall(m: Union[Wall, Representation]) -> Wall:
-    return m if isinstance(m, Wall) else wall_for(m)
-
-
 def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
     """(L*x, L) with L the lcm of the denominators of x: an integer vector
     that is a positive multiple of x."""
@@ -105,29 +96,11 @@ def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
     return interior
 
 
-def in_D(m: Union[Wall, Representation], x: Sequence) -> bool:
-    """Exact membership of x in the wall D(M)."""
-    return _side(_as_wall(m), _scaled(x)[0]) is not None
-
-
-def in_int_D(m: Union[Wall, Representation], x: Sequence) -> bool:
-    """Strict-interior membership: x . d < 0 for proper nonzero submodules."""
-    return _side(_as_wall(m), _scaled(x)[0]) is True
-
-
 def catalog_walls(catalog: Catalog) -> list[Wall]:
     """Walls of the Schurian catalog members, kept in `catalog.walls`."""
     if catalog.walls is None:
         catalog.walls = [wall_for(catalog.modules[i]) for i in catalog.schurian_indices()]
     return catalog.walls
-
-
-def crossing_time(base: Vector, normal: Sequence[int]) -> Fraction:
-    """The unique t with (base + t*1) . normal = 0."""
-    s = sum(normal)
-    if s <= 0:
-        raise ValueError("normal must be a nonzero effective dimension vector")
-    return Fraction(-_dot(base, normal), s)
 
 
 def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
@@ -283,28 +256,16 @@ def rational_feasible(
 
     if any(tableau[i][total] for i in range(ncons) if basis[i] >= width):
         return None
-    values = [Fraction(0)] * total
+    nums = [0] * total
     for i in range(ncons):
-        values[basis[i]] = Fraction(tableau[i][total], denom)
-    x = tuple(values[j] - values[n + j] for j in range(n))
+        nums[basis[i]] = tableau[i][total]
+    # x = X/D with X integer and D > 0, so each row is checked as a.X vs b*D
+    xs = [nums[j] - nums[n + j] for j in range(n)]
     for a, b in eqs:
-        assert _dot(x, a) == b
+        assert _dot(xs, a) == b * denom
     for a, b in ineqs:
-        assert _dot(x, a) <= b
-    return x
-
-
-def d_full_rank(module: Union[Wall, Representation]) -> bool:
-    """True iff int D(M) is nonempty, i.e. D(M) spans the hyperplane H(M).
-
-    Decided exactly: the strict system x . d < 0 over proper nonzero
-    submodule dimension vectors is homogeneous, so it is feasible iff the
-    system with every strict bound replaced by <= -1 is.
-    """
-    wall = _as_wall(module)
-    n = len(wall.normal)
-    ineqs = [(d, -1) for d in wall.faces]
-    return rational_feasible(n, [(wall.normal, 0)], ineqs) is not None
+        assert _dot(xs, a) <= b * denom
+    return tuple(Fraction(v, denom) for v in xs)
 
 
 def find_base_for_sequence(
@@ -454,99 +415,3 @@ def compartment_cvectors(
     if after:
         assert after[0] in columns, f"wall {after[0]} ahead of the base is not a c-vector"
     return columns
-
-
-# --------------------------------------------------------------------------
-# Harder-Narasimhan stratification along a path
-
-@dataclass(frozen=True)
-class Stratum:
-    time: Fraction
-    normal: tuple[int, ...]
-    multiple: int
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.multiple * c for c in self.normal)
-
-
-def _contains(
-    outer: dict[int, tuple], inner: dict[int, tuple], p: int
-) -> bool:
-    for v, rows in inner.items():
-        basis = outer[v]
-        if not rows:
-            continue
-        if not basis:
-            return False
-        red, piv = linalg.rref(basis, p)
-        for u in rows:
-            if any(linalg.reduce_against(u, red, piv, p)):
-                return False
-    return True
-
-
-def hn_stratification(
-    x: Representation, crossings: Sequence[CrossingRecord]
-) -> tuple[Stratum, ...]:
-    """The unique filtration of X along the crossed walls.
-
-    Searches all chains of arrow-stable subspace tuples whose successive
-    quotient dimension vectors are positive integer multiples of crossed wall
-    normals, with strictly increasing crossing times from the bottom of the
-    filtration up. The resulting dimension-vector sequence must exist and be
-    unique.
-
-    Raises:
-        FiltrationError: if no such chain exists, or two chains disagree.
-        SearchBudgetExceeded: if X is too large for subspace enumeration.
-    """
-    p = x.algebra.p
-    tuples = stable_subspace_tuples(x)
-    walls = [(r.time, r.module.dims) for r in sorted(crossings, key=lambda r: r.time)]
-
-    full_dims = x.dims
-    zero = None
-    full = None
-    for idx, (dv, chosen) in enumerate(tuples):
-        if not any(dv):
-            zero = idx
-        if dv == full_dims:
-            full = idx
-    assert zero is not None and full is not None
-
-    def deltas_from(cur_idx: int, last_time) -> list[tuple[tuple, ...]]:
-        cur_dims, cur = tuples[cur_idx]
-        if cur_dims == full_dims:
-            return [()]
-        out = []
-        for idx, (dv, chosen) in enumerate(tuples):
-            if idx == cur_idx:
-                continue
-            delta = tuple(a - b for a, b in zip(dv, cur_dims))
-            if any(c < 0 for c in delta) or not any(delta):
-                continue
-            for t, normal in walls:
-                if last_time is not None and t <= last_time:
-                    continue
-                q, r = divmod(sum(delta), sum(normal))
-                if r or q <= 0 or delta != tuple(q * c for c in normal):
-                    continue
-                if not _contains(chosen, cur, p):
-                    continue
-                for tail in deltas_from(idx, t):
-                    out.append(((t, normal, q),) + tail)
-        return out
-
-    chains = deltas_from(zero, None)
-    if not chains:
-        raise FiltrationError(
-            f"no stratification of dims {full_dims} by the crossed walls"
-        )
-    unique = {c for c in chains}
-    if len(unique) != 1:
-        raise FiltrationError(
-            f"stratification of dims {full_dims} is not unique: {sorted(unique)}"
-        )
-    chain = chains[0]
-    return tuple(Stratum(time=t, normal=normal, multiple=q) for t, normal, q in chain)

@@ -49,7 +49,7 @@ def test_criterion_1_six_step_matrix_chain():
 def test_criterion_2_three_descriptions_agree():
     qp = common.problem("a3_cyclic").qp
     cat = common.catalog("a3_cyclic")
-    report = verify_theorem1(qp, cat, samples=100)
+    report = verify_theorem1(qp, cat)
     assert report["equal"] is True
     assert report["mgs_count"] == report["fho_count"] == 9
     assert report["wall_realized_count"] == 9

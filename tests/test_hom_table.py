@@ -8,13 +8,14 @@ import pytest
 
 from greenseq import rep, walls
 from greenseq.fho import (
+    _torsion_free_mask,
+    _torsion_mask,
     enumerate_maximal_fho,
     insertion_obstructions,
-    insertion_positions,
+    insertion_window,
     is_fho_in_torsion_class,
     is_maximal_fho,
     is_weakly_fho,
-    torsion_pair,
 )
 from greenseq.rep import hom_dim, make_rep, simple, string_catalog
 
@@ -90,6 +91,10 @@ def prefixes(cat):
     return list(seen.values())
 
 
+def members(cat, mask):
+    return [id(x) for i, x in enumerate(cat) if mask >> i & 1]
+
+
 def as_ids(witnesses):
     return [(t, id(src), id(tgt), h) for t, src, tgt, h in witnesses]
 
@@ -111,10 +116,10 @@ def test_table_checks_match_their_definitions(name):
         for seq in [mods] + [mods + [c] for c in cat]:
             assert is_maximal_fho(seq, cat) == brute_maximal(H, cat, seq)
             assert is_fho_in_torsion_class(seq, cat) == brute_in_torsion_class(H, cat, seq)
-        tp = torsion_pair(mods, cat)
+        f_mask = _torsion_free_mask(cat, cat.indices(mods))
         g, f = brute_torsion_pair(H, cat, mods)
-        assert [id(x) for x in tp.G] == [id(x) for x in g]
-        assert [id(y) for y in tp.F] == [id(y) for y in f]
+        assert members(cat, _torsion_mask(cat, f_mask)) == [id(x) for x in g]
+        assert members(cat, f_mask) == [id(y) for y in f]
 
 
 @pytest.mark.parametrize("name", ["a3_cyclic", "d4_cyclic"])
@@ -123,7 +128,8 @@ def test_insertion_matches_its_definition(name):
     H = brute_table(cat)
     for mods in prefixes(cat):
         for cand in cat:
-            assert insertion_positions(mods, cand) == brute_positions(H, mods, cand)
+            window = insertion_window(cat, cat.indices(mods), cat.index(cand))
+            assert list(window) == brute_positions(H, mods, cand)
             assert as_ids(insertion_obstructions(mods, cand)) == as_ids(
                 brute_obstructions(H, mods, cand)
             )
@@ -142,7 +148,7 @@ def test_modules_outside_the_catalog_are_rejected(a3_algebra, a3_catalog):
     # S_1 + S_2: decomposable, so equal to no catalog member
     split = make_rep(a3_algebra, [1, 1, 0], {})
     assert not is_weakly_fho([split])
-    for check in (is_maximal_fho, is_fho_in_torsion_class, torsion_pair):
+    for check in (is_maximal_fho, is_fho_in_torsion_class):
         with pytest.raises(ValueError, match="not in catalog"):
             check([split], a3_catalog)
 

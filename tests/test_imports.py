@@ -1,12 +1,17 @@
-"""Import graph: every module imports first without a cycle, and loading a
-problem file does not load the exchange layer."""
+"""Import graph: every module imports first without a cycle, loading a
+problem file does not load the exchange layer, and every name the benchmark
+tracer wraps is bound."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # run in a fresh interpreter: the test session has already imported everything
 SCRIPT = """
@@ -37,3 +42,17 @@ def test_each_module_imports_first_and_io_skips_exchange():
     assert done.returncode == 0, done.stderr
     names = done.stdout.split()
     assert {"cli", "exchange", "io", "qp", "walls"} <= set(names)
+
+
+def test_traced_names_are_bound(monkeypatch):
+    # load the tracer by path without writing its bytecode next to it; its
+    # dataclasses look their module up in sys.modules while being built
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPECS
+    for traced in tracer.SPECS:
+        module = importlib.import_module(f"greenseq.{traced.module}")
+        assert callable(getattr(module, traced.name, None)), traced.qualname

@@ -6,12 +6,10 @@ from greenseq.errors import ReflectionError
 from greenseq.rep import hom_dim, simple
 from greenseq.reflect import (
     find_isomorphism,
-    iterated_reflection,
     phi_k,
     psi_k,
     psi_k_inverse,
     reflection_context,
-    reflection_matrix,
 )
 
 import common
@@ -29,10 +27,6 @@ PHI3_TABLE = {
 def legal_at(cat, alg, k):
     s = simple(alg, k)
     return [m for m in cat.modules if hom_dim(s, m) == 0]
-
-
-def test_reflection_matrix_golden(a3_qp):
-    assert reflection_matrix(a3_qp.quiver, 3) == ((1, 0, 0), (0, 1, 0), (0, 1, -1))
 
 
 def test_phi_table(a3_qp, a3_catalog):
@@ -80,17 +74,6 @@ def test_psi_preserves_hom_spaces(a3_qp, a3_algebra, a3_catalog):
     for m in legal:
         for n in legal:
             assert hom_dim(m, n) == hom_dim(images[m.label], images[n.label])
-
-
-def test_iterated_reflection_golden(a3_qp, a3_catalog):
-    x, matrix = iterated_reflection(a3_qp, (3, 2), a3_catalog.by_label("2"))
-    assert x.dims == (0, 0, 1)
-    assert matrix == ((1, 0, 0), (0, 0, -1), (0, 1, -1))
-
-
-def test_iterated_reflection_reports_the_failing_step(a3_qp, a3_catalog):
-    with pytest.raises(ReflectionError, match="step 0"):
-        iterated_reflection(a3_qp, (3, 2), a3_catalog.by_label("3"))
 
 
 def test_find_isomorphism_basics(a3_algebra, a3_catalog):

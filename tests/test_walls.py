@@ -1,4 +1,4 @@
-"""Wall geometry: crossing sequences, compartments, and stratifications."""
+"""Wall geometry: crossing sequences, compartments, and base realization."""
 
 import hashlib
 import random
@@ -6,23 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-import greenseq
 from greenseq import exchange
 from greenseq.errors import GenericityError
 from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
-from greenseq.rep import projective, submodule_dimvecs
+from greenseq.rep import submodule_dimvecs
 from greenseq.walls import (
+    _scaled,
+    _side,
     catalog_walls,
     compartment_cvectors,
     compartment_signature,
     crossing_sequence,
-    crossing_time,
     crossings_to_json,
-    d_full_rank,
     find_base_for_sequence,
-    hn_stratification,
-    in_D,
-    in_int_D,
     random_generic_base,
     random_rational_base,
     realize_sequence,
@@ -43,21 +39,10 @@ def test_wall_normals_and_submodule_faces(a3_catalog):
     assert w.normal == (0, 1, 1)
     # the submodule dims (0,0,0), (0,1,0), (0,1,1) without the zero and full ones
     assert w.faces == ((0, 1, 0),)
-    assert in_D(w, frac(5, -1, 1))
-    assert not in_D(w, frac(0, 1, -1))
-    assert in_int_D(w, frac(5, -1, 1))
-    assert not in_int_D(w, frac(5, 0, 0))
-
-
-def test_d_full_rank(a3_catalog, nakayama_algebra):
-    for m in a3_catalog.modules:
-        assert d_full_rank(m)
-    assert not d_full_rank(projective(nakayama_algebra, 1))
-
-
-def test_crossing_time_is_exact():
-    assert crossing_time(frac(0, 1, 2), (0, 1, 1)) == Fraction(-3, 2)
-    assert crossing_time(frac(-12, -5, -9), (1, 1, 0)) == Fraction(17, 2)
+    # None: off the wall; False: on its boundary; True: in its interior
+    assert _side(w, _scaled(frac(5, -1, 1))[0]) is True
+    assert _side(w, _scaled(frac(0, 1, -1))[0]) is None
+    assert _side(w, _scaled(frac(5, 0, 0))[0]) is False
 
 
 def test_five_wall_path(a3_catalog):
@@ -152,39 +137,6 @@ def test_compartment_rejects_points_on_walls(a3_catalog):
         compartment_signature(frac(0, 1, 2), a3_catalog)
 
 
-def test_hn_stratification(a3_catalog):
-    five = crossing_sequence(frac(0, 1, 2), a3_catalog)
-    four = crossing_sequence(frac(-12, -5, -9), a3_catalog)
-    m6 = a3_catalog.by_label("1>3")
-    m23 = a3_catalog.by_label("2<3")
-    assert [(s.time, s.normal, s.multiple) for s in hn_stratification(m6, five)] == [
-        (Fraction(-2), (0, 0, 1), 1),
-        (Fraction(0), (1, 0, 0), 1),
-    ]
-    assert [(s.time, s.normal, s.multiple) for s in hn_stratification(m23, four)] == [
-        (Fraction(5), (0, 1, 0), 1),
-        (Fraction(9), (0, 0, 1), 1),
-    ]
-    assert [(s.time, s.normal, s.multiple) for s in hn_stratification(m6, four)] == [
-        (Fraction(9), (0, 0, 1), 1),
-        (Fraction(12), (1, 0, 0), 1),
-    ]
-    # A module whose own wall is crossed is stable there: a single stratum.
-    m2 = a3_catalog.by_label("2")
-    assert [(s.normal, s.multiple) for s in hn_stratification(m2, four)] == [
-        ((0, 1, 0), 1)
-    ]
-
-
-def test_hn_times_strictly_increase(a3_catalog):
-    records = crossing_sequence(frac(-12, -5, -9), a3_catalog)
-    for m in a3_catalog.modules:
-        strata = hn_stratification(m, records)
-        times = [s.time for s in strata]
-        assert times == sorted(set(times))
-        assert sum(s.multiple * sum(s.normal) for s in strata) == m.total_dim
-
-
 def test_random_generic_base_is_deterministic(a3_catalog):
     b1, r1 = random_generic_base(a3_catalog, random.Random(7))
     b2, r2 = random_generic_base(a3_catalog, random.Random(7))
@@ -250,8 +202,9 @@ def test_sign_pass_matches_the_wall_definition(name):
         ref = _reference_crossings(base, modules, subs)
         for wall, (t, m, pt, on, interior) in zip(walls, ref):
             assert wall.module is m
-            assert in_D(wall, pt) == on
-            assert in_int_D(wall, pt) == interior
+            side = _side(wall, _scaled(pt)[0])
+            assert (side is not None) == on
+            assert (side is True) == interior
             seen.add((on, interior))
         crossed = sorted((r for r in ref if r[3]), key=lambda r: r[0])
         collisions = [(a[1], b[1]) for a, b in zip(crossed, crossed[1:]) if a[0] == b[0]]
@@ -268,12 +221,6 @@ def test_sign_pass_matches_the_wall_definition(name):
                 (t, m, True) for t, m, _, _, _ in crossed
             ]
     assert seen == {(False, False), (True, False), (True, True)}
-
-
-def test_hn_stratification_without_crossings_raises(a3_catalog):
-    assert "FiltrationError" in greenseq.__all__
-    with pytest.raises(greenseq.FiltrationError, match="no stratification"):
-        hn_stratification(a3_catalog.by_label("2<3"), [])
 
 
 def test_compartment_cvectors_rejects_a_seed_that_disagrees(a3_qp, a3_catalog):
