@@ -1,5 +1,7 @@
 """String module catalogs, Hom spaces, and submodule enumeration."""
 
+import hashlib
+
 import pytest
 
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
@@ -125,6 +127,27 @@ def test_projectives_and_injectives_are_pinned(name, projective_digest, injectiv
     vertices = alg.quiver.vertices
     assert common.digest(projective(alg, v) for v in vertices) == projective_digest
     assert common.digest(injective(alg, v) for v in vertices) == injective_digest
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("a3_cyclic", "2e7fb75e65748235f8a66f8bf50e2a794d8f3541563aa9644d7221b72088a115"),
+        ("a5_example", "fbad9cb7cc9d2df54e791184575198d670c305c980262bf44ecf246674db42cb"),
+        ("d4_cyclic", "854e9d04b9a26da2e168cece637aa978d16fbe347332809a1fcd0928bf83e8ec"),
+        ("a9_example", "3a53fbbaeb7a88f2078ae30f3c151e5b8eea7173387943811c39f4313b7902e2"),
+        ("nakayama", "82e4e0295bb1369f1b586d701725b475627127f964a8aeb5dafe242fca8eeccb"),
+    ],
+)
+def test_string_catalogs_are_pinned(name, expected):
+    """Exact matrices, label and walk of every string module, in catalog
+    order: positions index the Hom table, and `bounds.module_diagram` reads
+    the walk."""
+    cat = common.nakayama_catalog() if name == "nakayama" else common.catalog(name)
+    h = hashlib.sha256()
+    for m in cat.modules:
+        h.update(repr((m.dims, m.mats, m.label, m.walk)).encode())
+    assert h.hexdigest() == expected
 
 
 def test_paths_of_an_infinite_dimensional_algebra_hit_the_cap():
