@@ -26,7 +26,7 @@ def describe(tag, qp):
     )
     rels = jacobian_relations(qp)
     print("    relations:")
-    for rel in rels.relations:
+    for rel in rels:
         terms = " + ".join(
             ("" if c == 1 else f"{c} ") + " ".join(p) for c, p in rel.terms
         )

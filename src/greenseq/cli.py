@@ -62,7 +62,8 @@ def _parser() -> argparse.ArgumentParser:
             help="override the search budget: path nodes for `mgs enumerate|classes`, "
             "exchange-graph states for `mgs extrema`, cut choices for --construct-max, "
             "search nodes for `verify`, and, for every command that builds a module "
-            "catalog, strings (the catalog stops past 2 x budget walks)",
+            "catalog, string letters (the catalog stops once its walks pass "
+            "2 x budget letters, a walk of length L counting 1 + L)",
         )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")

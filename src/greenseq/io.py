@@ -62,9 +62,24 @@ def _typed(value: Any, kind: type, what: str):
     return value
 
 
+def _string(value: Any, what: str) -> str:
+    """A JSON string; a number, null or list is an error, not str()-ed."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _object(value: Any, what: str, known: set[str]) -> dict:
+    """`value` itself if it is a JSON object with no key outside `known`."""
+    _typed(value, dict, what)
+    unknown = set(value) - known
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
+
+
 def qp_from_json(data: dict) -> QuiverWithPotential:
-    if not isinstance(data, dict):
-        raise ValueError("qp must be an object")
+    _object(data, "qp", {"vertices", "arrows", "potential"})
     for key in ("vertices", "arrows"):
         if key not in data:
             raise ValueError(f"qp is missing {key!r}")
@@ -74,22 +89,24 @@ def qp_from_json(data: dict) -> QuiverWithPotential:
     )
     arrows = []
     for i, a in enumerate(_typed(data["arrows"], list, "qp.arrows")):
-        _typed(a, dict, f"qp.arrows[{i}]")
+        _object(a, f"qp.arrows[{i}]", {"id", "src", "tgt"})
         arrows.append(
             Arrow(
-                id=str(a["id"]),
+                id=_string(a["id"], f"qp.arrows[{i}].id"),
                 src=_integer(a["src"], f"qp.arrows[{i}].src"),
                 tgt=_integer(a["tgt"], f"qp.arrows[{i}].tgt"),
             )
         )
     potential = []
     for i, t in enumerate(_typed(data.get("potential", []), list, "qp.potential")):
-        _typed(t, dict, f"qp.potential[{i}]")
+        _object(t, f"qp.potential[{i}]", {"coeff", "cycle"})
         cycle = _typed(t["cycle"], list, f"qp.potential[{i}].cycle")
         potential.append(
             PotentialTerm(
                 coeff=fraction_from_str(t.get("coeff", 1)),
-                cycle=tuple(str(x) for x in cycle),
+                cycle=tuple(
+                    _string(x, f"qp.potential[{i}].cycle[{j}]") for j, x in enumerate(cycle)
+                ),
             )
         )
     quiver = Quiver(vertices=vertices, arrows=tuple(arrows))
@@ -116,9 +133,7 @@ def problem_from_json(data: dict) -> ProblemFile:
     """Validate the whole problem object before any computation starts."""
     if not isinstance(data, dict):
         raise ValueError("problem file must be a JSON object")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
+    _object(data, "problem", _KNOWN_KEYS)
     if "qp" not in data:
         raise ValueError("problem file is missing 'qp'")
     qp = qp_from_json(data["qp"])

@@ -157,17 +157,6 @@ class Relation:
         return quiver.arrow(path[0]).src, quiver.arrow(path[-1]).tgt
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    relations: tuple[Relation, ...] = ()
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __len__(self):
-        return len(self.relations)
-
-
 def _combine_paths(parts: Iterable[tuple[Fraction, Path]]) -> tuple[tuple[Fraction, Path], ...]:
     acc: dict[Path, Fraction] = {}
     for coeff, path in parts:
@@ -175,7 +164,7 @@ def _combine_paths(parts: Iterable[tuple[Fraction, Path]]) -> tuple[tuple[Fracti
     return tuple((c, p) for p, c in sorted(acc.items()) if c != 0)
 
 
-def jacobian_relations(qp: QuiverWithPotential) -> RelationSet:
+def jacobian_relations(qp: QuiverWithPotential) -> tuple[Relation, ...]:
     """Cyclic-derivative relations of the potential, one per arrow in it.
 
     For an occurrence of arrow `a` in a cycle, the derivative contributes the
@@ -196,7 +185,7 @@ def jacobian_relations(qp: QuiverWithPotential) -> RelationSet:
     for aid in sorted(per_arrow):
         combined = _combine_paths(per_arrow[aid])
         relations.append(Relation(terms=combined, arrow=aid))
-    return RelationSet(tuple(relations))
+    return tuple(relations)
 
 
 def b_matrix(quiver: Quiver) -> tuple[tuple[int, ...], ...]:

@@ -7,20 +7,21 @@ must evaluate to zero; this is checked at construction time.
 String modules are enumerated as reduced walks avoiding relations, which is
 complete for the supported string algebras (gentle cluster-tilted type A and
 cyclic Nakayama quotients); finite type means there are no bands to worry
-about.
+about. An input with bands has strings of every length, so the enumeration
+stops on a budget of letters, in time and memory linear in that budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Optional, Sequence
 
 from greenseq import linalg
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
 from greenseq.linalg import Matrix
-from greenseq.qp import Quiver, QuiverWithPotential, Relation, RelationSet, jacobian_relations
+from greenseq.qp import Quiver, QuiverWithPotential, Relation, jacobian_relations
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class Algebra:
     """A bound quiver algebra: quiver, relations, ground prime."""
 
     quiver: Quiver
-    relations: RelationSet
+    relations: tuple[Relation, ...]
     p: int = 2
 
     def __post_init__(self):
@@ -275,30 +276,6 @@ def _word_vertices(quiver: Quiver, start: int, word: Sequence[Letter]) -> list[i
     return verts
 
 
-def _runs_avoid_relations(word: Sequence[Letter], rel_paths: list[tuple[str, ...]]) -> bool:
-    run: list[str] = []
-    sign = 0
-    segments: list[tuple[int, list[str]]] = []
-    for aid, s in word:
-        if s == sign:
-            run.append(aid)
-        else:
-            if run:
-                segments.append((sign, run))
-            run, sign = [aid], s
-    if run:
-        segments.append((sign, run))
-    for s, seg in segments:
-        path = tuple(seg) if s > 0 else tuple(reversed(seg))
-        if not _path_is_nonzero(path, rel_paths):
-            return False
-    return True
-
-
-def _inverse_word(word: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple((aid, -s) for aid, s in reversed(word))
-
-
 def string_module(algebra: Algebra, start: int, word: Sequence[Letter], label: str = "") -> Representation:
     """The string module of a reduced walk, with 0/1 matrices."""
     quiver = algebra.quiver
@@ -490,63 +467,64 @@ class Catalog:
 def string_catalog(algebra: Algebra, budget: int = 100_000) -> Catalog:
     """Every string module of a supported string algebra, exactly once.
 
-    Strings are enumerated as reduced walks (no immediate backtracking, no
-    relation inside any unidirectional run, in either reading direction) and
-    deduplicated against their formal inverses.
+    Strings are enumerated as reduced walks: no immediate backtracking and no
+    relation inside any run of equal-sign letters, read in traversal order.
+    A walk grows one letter at a time at its end, so each walk has a single
+    parent, and the new letter can only complete a relation inside the last
+    run. Both readings of every string are walked; the smaller of
+    (start, word) and its inverse reading is kept.
 
     Raises:
         NonStringAlgebraError: if the structural checks fail.
-        SearchBudgetExceeded: if the enumeration grows past `budget` walks,
-            which would indicate an infinite-type input.
+        SearchBudgetExceeded: if the walks' letters pass 2 x `budget`, a walk
+            of length L costing 1 + L; only an infinite-type input has
+            strings without end.
     """
     check_string_algebra(algebra)
     quiver = algebra.quiver
     rel_paths = _monomial_relation_paths(algebra)
+    # letters before a new one that a relation ending in it can span
+    reach = max(map(len, rel_paths), default=1) - 1
+    # one tuple per signed arrow, shared by every walk; steps[v] lists the
+    # letters leaving v with the vertex each one reaches
+    inverse: dict[Letter, Letter] = {}
+    steps: dict[int, list[tuple[Letter, int]]] = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        direct, back = (a.id, 1), (a.id, -1)
+        inverse[direct], inverse[back] = back, direct
+        steps[a.src].append((direct, a.tgt))
+        steps[a.tgt].append((back, a.src))
 
-    words: set[tuple[int, tuple[Letter, ...]]] = set()
-
-    def canon(start: int, word: tuple[Letter, ...]) -> tuple:
-        if not word:
-            return (start,)
-        inv = _inverse_word(word)
-        inv_start = _word_vertices(quiver, start, word)[-1]
-        return min((start,) + tuple(word), (inv_start,) + tuple(inv))
-
-    frontier: list[tuple[int, tuple[Letter, ...]]] = []
-    for v in quiver.vertices:
-        frontier.append((v, ()))
+    letters = 0
+    keys: list[tuple[int, tuple[Letter, ...]]] = []
+    frontier = [(v, (), v) for v in quiver.vertices]
     while frontier:
-        start, word = frontier.pop()
-        # walks are extended only at their end, so both reading directions
-        # stay on the frontier: the inverse walk grows the other end
-        if (start, word) in words:
-            continue
-        words.add((start, word))
-        if len(words) > 2 * budget:
+        start, word, end = frontier.pop()
+        letters += 1 + len(word)
+        if letters > 2 * budget:
             raise SearchBudgetExceeded(
-                f"more than {budget} strings; the algebra is unlikely to be finite type"
+                f"string walks passed {2 * budget} letters (budget {budget}) "
+                f"at a walk of length {len(word)}; the algebra is unlikely to "
+                "be finite type"
             )
-        end = _word_vertices(quiver, start, word)[-1]
-        last = word[-1] if word else None
-        for a in quiver.arrows_out(end):
-            letter: Letter = (a.id, 1)
-            if last == (a.id, -1):
+        if (start, word) <= (end, tuple(inverse[x] for x in reversed(word))):
+            keys.append((start, word))
+        undo = inverse[word[-1]] if word else None
+        for letter, tgt in steps[end]:
+            if letter == undo:
                 continue
-            cand = word + (letter,)
-            if _runs_avoid_relations(cand, rel_paths):
-                frontier.append((start, cand))
-        for a in quiver.arrows_in(end):
-            letter = (a.id, -1)
-            if last == (a.id, 1):
-                continue
-            cand = word + (letter,)
-            if _runs_avoid_relations(cand, rel_paths):
-                frontier.append((start, cand))
+            # the new letter and the last run before it, in reverse word
+            # order and only as far back as a relation through it can reach
+            sign = letter[1]
+            run = [letter[0]]
+            for aid, s in islice(reversed(word), reach):
+                if s != sign:
+                    break
+                run.append(aid)
+            if _path_is_nonzero(run[::-1] if sign > 0 else run, rel_paths):
+                frontier.append((start, word + (letter,), tgt))
 
-    modules = [
-        string_module(algebra, key[0], tuple(key[1:]))
-        for key in {canon(start, word) for start, word in words}
-    ]
+    modules = [string_module(algebra, start, word) for start, word in keys]
     modules.sort(key=lambda m: (m.total_dim, m.dims, m.label))
     return Catalog(algebra=algebra, modules=tuple(modules))
 

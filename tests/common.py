@@ -9,7 +9,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from greenseq import io as gio
-from greenseq.qp import Arrow, Quiver, Relation, RelationSet
+from greenseq.qp import Arrow, Quiver, Relation
 from greenseq.rep import Algebra, algebra_from_qp, string_catalog
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -50,7 +50,7 @@ def nakayama_algebra(p=2):
         for _ in range(4):
             path.append(succ[path[-1]])
         relations.append(Relation(terms=((1, tuple(path)),), arrow=None))
-    return Algebra(quiver=quiver, relations=RelationSet(tuple(relations)), p=p)
+    return Algebra(quiver=quiver, relations=tuple(relations), p=p)
 
 
 @lru_cache(maxsize=None)

@@ -106,7 +106,7 @@ def rotation_suite():
     checked = 0
     for name in ALL_FOUR:
         qp = common.problem(name).qp
-        base = {(r.arrow, r.terms) for r in jacobian_relations(qp).relations}
+        base = {(r.arrow, r.terms) for r in jacobian_relations(qp)}
         offsets = [range(len(t.cycle)) for t in qp.potential]
         for combo in itertools.product(*offsets):
             if not any(combo):
@@ -116,7 +116,7 @@ def rotation_suite():
                 for t, r in zip(qp.potential, combo)
             )
             rotated = QuiverWithPotential(quiver=qp.quiver, potential=terms)
-            rels = {(r.arrow, r.terms) for r in jacobian_relations(rotated).relations}
+            rels = {(r.arrow, r.terms) for r in jacobian_relations(rotated)}
             assert rels == base
             for v in qp.quiver.vertices:
                 ma, mb = mutate_qp(qp, v), mutate_qp(rotated, v)

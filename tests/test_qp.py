@@ -29,7 +29,7 @@ def potential_terms(qp):
 
 
 def test_triangle_relations(a3_qp):
-    rels = {r.arrow: r.terms for r in jacobian_relations(a3_qp).relations}
+    rels = {r.arrow: r.terms for r in jacobian_relations(a3_qp)}
     one = Fraction(1)
     assert rels == {
         "a": ((one, ("g", "b")),),
@@ -39,7 +39,7 @@ def test_triangle_relations(a3_qp):
 
 
 def test_a5_relations(a5_qp):
-    rels = {r.arrow: r.terms for r in jacobian_relations(a5_qp).relations}
+    rels = {r.arrow: r.terms for r in jacobian_relations(a5_qp)}
     one = Fraction(1)
     assert rels == {
         "u": ((one, ("al", "ga")),),
@@ -95,8 +95,8 @@ def test_potential_invariant_under_cycle_rotation(a3_qp):
         quiver=a3_qp.quiver,
         potential=(PotentialTerm(Fraction(1), ("g", "b", "a")),),
     )
-    lhs = {(r.arrow, r.terms) for r in jacobian_relations(a3_qp).relations}
-    rhs = {(r.arrow, r.terms) for r in jacobian_relations(rotated).relations}
+    lhs = {(r.arrow, r.terms) for r in jacobian_relations(a3_qp)}
+    rhs = {(r.arrow, r.terms) for r in jacobian_relations(rotated)}
     assert lhs == rhs
     mu_a, mu_b = mutate_qp(a3_qp, 3), mutate_qp(rotated, 3)
     assert arrow_triples(mu_a) == arrow_triples(mu_b)

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
-from greenseq.qp import Arrow, Quiver, RelationSet
+from greenseq.qp import Arrow, Quiver
 from greenseq.rep import (
     Algebra,
     check_relations,
@@ -156,7 +156,7 @@ def test_paths_of_an_infinite_dimensional_algebra_hit_the_cap():
         vertices=(1, 2, 3),
         arrows=(Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1)),
     )
-    alg = Algebra(quiver=cycle, relations=RelationSet(()), p=2)
+    alg = Algebra(quiver=cycle, relations=(), p=2)
     with pytest.raises(SearchBudgetExceeded):
         projective(alg, 1)
     with pytest.raises(SearchBudgetExceeded):
@@ -282,7 +282,7 @@ def test_check_string_algebra_rejects_wide_vertices():
         vertices=(1, 2, 3, 4),
         arrows=(Arrow("x", 1, 2), Arrow("y", 1, 3), Arrow("z", 1, 4)),
     )
-    alg = Algebra(quiver=star, relations=RelationSet(()), p=2)
+    alg = Algebra(quiver=star, relations=(), p=2)
     with pytest.raises(NonStringAlgebraError, match="more than two"):
         check_string_algebra(alg)
 

@@ -1,6 +1,10 @@
 """Hostile inputs fail fast, and errors that are not genericity failures propagate."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,7 +16,13 @@ from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import verify_theorem1
 from greenseq.io import problem_from_json
 from greenseq.linalg import MAX_FIELD_PRIME, is_prime, subspace_count, subspaces
-from greenseq.rep import Algebra, make_rep, stable_subspace_tuples, string_catalog
+from greenseq.rep import (
+    Algebra,
+    algebra_from_qp,
+    make_rep,
+    stable_subspace_tuples,
+    string_catalog,
+)
 
 import common
 
@@ -126,6 +136,61 @@ def test_infinite_exchange_graph_runs_out_of_budget(tmp_path, capsys, action):
         assert "(partial)" in out
 
 
+def _a3_without_potential():
+    # the oriented 3-cycle with no relations: strings of every length
+    data = json.loads(Path(A3).read_text())
+    data["qp"]["potential"] = []
+    return data
+
+
+INFINITE_TYPE = {"kronecker": KRONECKER, "cycle3": _a3_without_potential()}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_TYPE))
+@pytest.mark.parametrize(
+    "argv",
+    [["walls", "--random", "1"], ["verify"], ["mgs", "--construct-max"]],
+    ids=["walls", "verify", "construct-max"],
+)
+def test_infinite_type_catalog_runs_out_of_budget(tmp_path, name, argv):
+    # a catalog command on an algebra with bands stops on the string budget
+    # at the default search_budget, in bounded time and memory
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INFINITE_TYPE[name]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(common.PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    command, *options = argv
+    done = subprocess.run(
+        [sys.executable, "-m", "greenseq.cli", command, str(path), *options],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "search budget exceeded" in done.stderr
+
+
+def test_string_catalog_budget_counts_letters(a3_algebra):
+    # a3's walks: three trivial ones and both readings of three arrows, so
+    # 3 * 1 + 6 * 2 = 15 letters, within 2 * 8 but not 2 * 7
+    assert len(string_catalog(a3_algebra, budget=8)) == 6
+    with pytest.raises(SearchBudgetExceeded, match="passed 14 letters"):
+        string_catalog(a3_algebra, budget=7)
+    alg = algebra_from_qp(problem_from_json(_a3_without_potential()).qp)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match="passed 200000 letters"):
+        string_catalog(alg, budget=100_000)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def _set_path(data, path, value):
     *keys, last = path
     for key in keys:
@@ -144,10 +209,21 @@ def _set_path(data, path, value):
         (("qp", "vertices"), 3),
         (("qp", "arrows"), ["a"]),
         (("qp", "potential", 0, "cycle"), 5),
+        (("qp", "arrows", 0, "id"), None),
+        (("qp", "arrows", 0, "id"), ["a"]),
+        (("qp", "arrows", 0, "id"), 7),
+        (("qp", "potential", 0, "cycle"), ["a", None, "b"]),
+        (("qp", "potential", 0, "cycle"), ["a", 7, "b"]),
+        # a misspelled key is not ignored: "potentail" would load a
+        # relation-free algebra
+        (("qp", "potentail"), []),
+        (("qp", "arrows", 0, "colour"), "red"),
+        (("qp", "potential", 0, "weight"), 1),
     ],
 )
 def test_mistyped_problem_values_exit_2(tmp_path, capsys, path, value):
-    # a wrong JSON type is invalid input: no traceback, no silent truncation
+    # a wrong JSON type or an unknown key is invalid input: no traceback, no
+    # silent truncation, no str() of a non-string, no ignored key
     data = json.loads(Path(A3).read_text())
     _set_path(data, path, value)
     bad = tmp_path / "bad.json"
