@@ -28,7 +28,7 @@ class Cut:
     """A choice of one deleted arrow per potential cycle.
 
     A cut is identified by its `deleted_arrows`; which catalog modules it
-    keeps is read off the modules themselves (`vanishes_on_cut`).
+    keeps is read off the catalog's per-arrow masks (`c_modules`).
     `cycle_lengths` records the lengths of the potential cycles, which the
     orientation test needs for its precondition.
     """
@@ -64,8 +64,13 @@ def vanishes_on_cut(x: Representation, cut: Cut) -> bool:
 
 
 def c_modules(cut: Cut, catalog: Catalog) -> list[int]:
-    """Catalog indices of the modules supported away from the deleted arrows."""
-    return [i for i, m in enumerate(catalog.modules) if vanishes_on_cut(m, cut)]
+    """Catalog indices of the modules supported away from the deleted arrows:
+    every member less those nonzero on a deleted arrow (`Catalog.arrow_mask`),
+    so each module is tested once per arrow, not once per cut."""
+    hit = 0
+    for aid in cut.deleted_arrows:
+        hit |= catalog.arrow_mask(aid)
+    return _members(((1 << len(catalog)) - 1) & ~hit)
 
 
 def module_diagram(x: Representation, cut: Cut) -> str:

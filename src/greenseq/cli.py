@@ -4,19 +4,25 @@ JSON problem files in, JSON or aligned text out. Exit codes: 0 for success
 (and for a verified report), 1 for a negative or partial verdict, 2 for
 invalid input. Output depends only on (file, seed, budget), so identical runs
 produce identical bytes.
+
+Each command loads only the layers it runs, and builds only the format it
+prints. `mutate` and `mgs` run on `io` and `exchange` alone. `mgs
+--construct-max` also loads `rep` and `bounds` (which loads `fho` and
+`walls`), `verify` loads `rep` and `fho` (which loads `walls`), and `walls`
+loads `rep` and `walls`. Those imports sit inside the commands, so an `mgs`
+run never compiles the module and wall layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Optional, Sequence
 
-from . import bounds, exchange, fho
+from . import exchange
 from . import io as gio
-from . import walls as walls_mod
 from .errors import (
     GenericityError,
     InvalidQuiverError,
@@ -24,7 +30,6 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedPotentialError,
 )
-from .rep import string_catalog
 
 _VALIDATION_ERRORS = (
     InvalidQuiverError,
@@ -120,11 +125,56 @@ def _load(args) -> gio.ProblemFile:
     return gio.problem_from_json(data)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> None:
+    """Print the JSON payload or the text; only the one printed is built."""
+    print(_json_text(payload()) if args.format == "json" else text())
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent` set, `json.dumps` runs the standard library's pure-Python
+    encoder; this writer escapes strings with the C encoder and writes a
+    list of plain ints in one `join`. Dict keys must be str.
+    """
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append the indented JSON of `value`; `newline` starts each of its lines."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            parts.append(lead + encode_basestring_ascii(key) + ": ")
+            _json_parts(value[key], inner, parts)
+            lead = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            parts.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _json_parts(item, inner, parts)
+            lead = "," + inner
+        parts.append(newline + "]")
     else:
-        print(text)
+        parts.append(json.dumps(value))
 
 
 def _matrix_text(rows: Sequence[Sequence[int]]) -> str:
@@ -146,13 +196,20 @@ def cmd_mutate(args, problem: gio.ProblemFile) -> int:
             )
             return 2
     m = exchange.initial_seed(quiver)
-    steps = [{"mutation": None, "matrix": [list(r) for r in m.rows()]}]
-    blocks = ["initial seed\n" + _matrix_text(m.rows())]
-    for pos, v in enumerate(args.sequence, start=1):
+    chain = [(None, m.rows())]
+    for v in args.sequence:
         m = exchange.mutate(m, quiver.pos(v))
-        steps.append({"mutation": v, "matrix": [list(r) for r in m.rows()]})
-        blocks.append(f"step {pos}: mutate at {v}\n" + _matrix_text(m.rows()))
-    _emit(args, {"steps": steps}, "\n\n".join(blocks))
+        chain.append((v, m.rows()))
+    _emit(
+        args,
+        lambda: {
+            "steps": [{"mutation": v, "matrix": [list(r) for r in rows]} for v, rows in chain]
+        },
+        lambda: "\n\n".join(
+            (f"step {pos}: mutate at {v}" if pos else "initial seed") + "\n" + _matrix_text(rows)
+            for pos, (v, rows) in enumerate(chain)
+        ),
+    )
     return 0
 
 
@@ -160,6 +217,51 @@ def _sequence_json(quiver, s: exchange.GreenSequence) -> dict:
     out = s.to_json()
     out["vertices"] = _vertex_labels(quiver, s.mutation_indices)
     return out
+
+
+def _classes_json(rows, partial: bool) -> dict:
+    return {
+        "partial": partial,
+        "class_count": len(rows),
+        "classes": [
+            {
+                "length": length,
+                "size": size,
+                "c_vector_multiset": [list(v) for v in key],
+            }
+            for length, key, size in rows
+        ],
+    }
+
+
+def _classes_text(rows, partial: bool) -> str:
+    lines = [f"equivalence classes: {len(rows)}" + (" (partial)" if partial else "")]
+    for length, key, size in rows:
+        lines.append(
+            f"length {length}  members {size}  c-vectors "
+            + " ".join(str(tuple(v)) for v in key)
+        )
+    return "\n".join(lines)
+
+
+def _sequences_json(quiver, seqs, partial: bool) -> dict:
+    return {
+        "partial": partial,
+        "count": len(seqs),
+        "sequences": [_sequence_json(quiver, s) for s in seqs],
+    }
+
+
+def _sequences_text(quiver, seqs, partial: bool) -> str:
+    lines = [f"maximal green sequences: {len(seqs)}" + (" (partial)" if partial else "")]
+    for s in seqs:
+        lines.append(
+            "("
+            + ",".join(str(v) for v in _vertex_labels(quiver, s.mutation_indices))
+            + ")  c-vectors "
+            + " ".join(str(tuple(v)) for v in s.c_vectors)
+        )
+    return "\n".join(lines)
 
 
 def cmd_mgs(args, problem: gio.ProblemFile) -> int:
@@ -172,17 +274,19 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
         return _construct_max(args, problem, seed)
     if args.action == "extrema":
         summary = exchange.mgs_summary(seed, budget=problem.search_budget)
-        payload = {
-            "partial": False,
-            "min": summary.min_len,
-            "max": summary.max_len,
-            "count": summary.count,
-        }
-        text = (
-            f"maximal green sequences: {summary.count}"
-            f"\nmin length {summary.min_len}\nmax length {summary.max_len}"
+        _emit(
+            args,
+            lambda: {
+                "partial": False,
+                "min": summary.min_len,
+                "max": summary.max_len,
+                "count": summary.count,
+            },
+            lambda: (
+                f"maximal green sequences: {summary.count}"
+                f"\nmin length {summary.min_len}\nmax length {summary.max_len}"
+            ),
         )
-        _emit(args, payload, text)
         return 0
     try:
         seqs = exchange.enumerate_green_sequences(seed, budget=problem.search_budget)
@@ -196,45 +300,20 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
             (len(members[0]), key, len(members))
             for key, members in classes.items()
         )
-        payload = {
-            "partial": partial,
-            "class_count": len(rows),
-            "classes": [
-                {
-                    "length": length,
-                    "size": size,
-                    "c_vector_multiset": [list(v) for v in key],
-                }
-                for length, key, size in rows
-            ],
-        }
-        lines = [f"equivalence classes: {len(rows)}" + (" (partial)" if partial else "")]
-        for length, key, size in rows:
-            lines.append(
-                f"length {length}  members {size}  c-vectors "
-                + " ".join(str(tuple(v)) for v in key)
-            )
-        text = "\n".join(lines)
+        _emit(args, lambda: _classes_json(rows, partial), lambda: _classes_text(rows, partial))
     else:
-        payload = {
-            "partial": partial,
-            "count": len(seqs),
-            "sequences": [_sequence_json(quiver, s) for s in seqs],
-        }
-        lines = [f"maximal green sequences: {len(seqs)}" + (" (partial)" if partial else "")]
-        for s in seqs:
-            lines.append(
-                "("
-                + ",".join(str(v) for v in _vertex_labels(quiver, s.mutation_indices))
-                + ")  c-vectors "
-                + " ".join(str(tuple(v)) for v in s.c_vectors)
-            )
-        text = "\n".join(lines)
-    _emit(args, payload, text)
+        _emit(
+            args,
+            lambda: _sequences_json(quiver, seqs, partial),
+            lambda: _sequences_text(quiver, seqs, partial),
+        )
     return 1 if partial else 0
 
 
 def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
+    from . import bounds
+    from .rep import string_catalog
+
     quiver = problem.qp.quiver
     catalog = string_catalog(problem.algebra(), budget=problem.search_budget)
     best_cut = best = None
@@ -248,27 +327,33 @@ def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
         seed, [m.dims for m in best.modules]
     )
     maximal = not any(exchange.is_green(final, k) for k in range(final.n))
-    payload = {
-        "from_cut": sorted(best_cut.deleted_arrows),
-        "length": len(gs),
-        "maximal": maximal,
-        "vertices": _vertex_labels(quiver, gs.mutation_indices),
-        "c_vectors": [list(v) for v in gs.c_vectors],
-        "labels": [m.label for m in best.modules],
-    }
-    text = (
-        f"cut deleting {{{', '.join(sorted(best_cut.deleted_arrows))}}} "
-        f"carries a length-{len(gs)} sequence\n"
-        + "mutations: "
-        + ",".join(str(v) for v in payload["vertices"])
-        + "\nmaximal: "
-        + str(maximal).lower()
+    vertices = _vertex_labels(quiver, gs.mutation_indices)
+    _emit(
+        args,
+        lambda: {
+            "from_cut": sorted(best_cut.deleted_arrows),
+            "length": len(gs),
+            "maximal": maximal,
+            "vertices": vertices,
+            "c_vectors": [list(v) for v in gs.c_vectors],
+            "labels": [m.label for m in best.modules],
+        },
+        lambda: (
+            f"cut deleting {{{', '.join(sorted(best_cut.deleted_arrows))}}} "
+            f"carries a length-{len(gs)} sequence\n"
+            + "mutations: "
+            + ",".join(str(v) for v in vertices)
+            + "\nmaximal: "
+            + str(maximal).lower()
+        ),
     )
-    _emit(args, payload, text)
     return 0 if maximal else 1
 
 
 def cmd_verify(args, problem: gio.ProblemFile) -> int:
+    from . import fho
+    from .rep import string_catalog
+
     catalog = string_catalog(problem.algebra(), budget=problem.search_budget)
     report = fho.verify_theorem1(
         problem.qp,
@@ -286,23 +371,36 @@ def cmd_verify(args, problem: gio.ProblemFile) -> int:
     ]
     for w in report["witnesses"]:
         lines.append("witness: " + json.dumps(w, sort_keys=True))
-    _emit(args, report, "\n".join(lines))
+    _emit(args, lambda: report, lambda: "\n".join(lines))
     return 0 if report["equal"] else 1
 
 
-def _walls_block(base, records) -> tuple[dict, str]:
-    """JSON payload and text block for the crossings of one base."""
-    coords = [gio.fraction_to_str(c) for c in base]
-    payload = {"base": coords, "crossings": walls_mod.crossings_to_json(records)}
-    lines = ["base " + ",".join(coords)]
+def _walls_json(base, records) -> dict:
+    """JSON payload for the crossings of one base."""
+    from . import walls as walls_mod
+
+    return {
+        "base": [gio.fraction_to_str(c) for c in base],
+        "crossings": walls_mod.crossings_to_json(records),
+    }
+
+
+def _walls_text(base, records) -> str:
+    """Text block for the crossings of one base."""
+    lines = ["base " + ",".join(gio.fraction_to_str(c) for c in base)]
     for r in records:
         lines.append(
             f"t={r.time}  {r.module.label or r.module.dims}  dims {tuple(r.dims)}"
         )
-    return payload, "\n".join(lines)
+    return "\n".join(lines)
 
 
 def cmd_walls(args, problem: gio.ProblemFile) -> int:
+    import random
+
+    from . import walls as walls_mod
+    from .rep import string_catalog
+
     if (args.base is None) == (args.random is None):
         print("error: give exactly one of --base or --random N", file=sys.stderr)
         return 2
@@ -320,21 +418,21 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: degenerate base: {e}", file=sys.stderr)
             return 2
-        _emit(args, *_walls_block(coords, records))
+        _emit(args, lambda: _walls_json(coords, records), lambda: _walls_text(coords, records))
         return 0
     rng = random.Random(problem.rng_seed)
-    blocks = []
+    found = []
     for _ in range(args.random):
         try:
-            base, records = walls_mod.random_generic_base(
-                catalog, rng, retries=args.retries
-            )
+            found.append(walls_mod.random_generic_base(catalog, rng, retries=args.retries))
         except GenericityError as e:
             print(f"error: retry cap exceeded: {e}", file=sys.stderr)
             return 1
-        blocks.append(_walls_block(base, records))
-    payload = {"bases": [payload for payload, _ in blocks]}
-    _emit(args, payload, "\n\n".join(text for _, text in blocks))
+    _emit(
+        args,
+        lambda: {"bases": [_walls_json(base, records) for base, records in found]},
+        lambda: "\n\n".join(_walls_text(base, records) for base, records in found),
+    )
     return 0
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from greenseq.linalg import check_field_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
-from greenseq.rep import Algebra, algebra_from_qp
+
+if TYPE_CHECKING:
+    from greenseq.rep import Algebra
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -123,6 +125,9 @@ class ProblemFile:
     rng_seed: int = 0
 
     def algebra(self) -> Algebra:
+        # imported here so that loading a problem does not load the module layer
+        from greenseq.rep import algebra_from_qp
+
         return algebra_from_qp(self.qp, p=self.field_prime)
 
 

@@ -353,7 +353,8 @@ class Catalog:
     `hom_dim` the first time a pair is asked for and reads the stored value
     afterwards. `out_mask(i)` and `in_mask(j)` are the table's nonzero
     pattern along a row or a column as a bitmask over catalog positions,
-    each built on first use.
+    each built on first use; `arrow_mask(a)` is likewise the members that
+    are nonzero on arrow a.
     """
 
     algebra: Algebra
@@ -363,6 +364,8 @@ class Catalog:
     # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
     out_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
     in_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
+    # bit i of arrow_masks[a]: modules[i] is nonzero on arrow a, set by `arrow_mask`
+    arrow_masks: dict[str, int] = field(init=False, repr=False, compare=False)
     # positions i with hom(i, i) == 1, set by `schurian_indices` on first call
     schurian_positions: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
@@ -379,6 +382,7 @@ class Catalog:
         self.homs = [[None] * n for _ in range(n)]
         self.out_masks = [None] * n
         self.in_masks = [None] * n
+        self.arrow_masks = {}
         self._by_dims = {}
         self._index = {}
         for i, m in enumerate(self.modules):
@@ -450,6 +454,19 @@ class Catalog:
         if mask is None:
             mask = sum(1 << i for i in range(len(self.modules)) if self.hom(i, j))
             self.in_masks[j] = mask
+        return mask
+
+    def arrow_mask(self, arrow_id: str) -> int:
+        """The members whose matrix on the arrow is nonzero, as a bitmask over
+        catalog positions, built on first use."""
+        mask = self.arrow_masks.get(arrow_id)
+        if mask is None:
+            mask = sum(
+                1 << i
+                for i, m in enumerate(self.modules)
+                if not linalg.is_zero(m.mat(arrow_id))
+            )
+            self.arrow_masks[arrow_id] = mask
         return mask
 
     def schurian(self, i: int) -> bool:

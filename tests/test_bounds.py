@@ -123,6 +123,15 @@ def test_a5_cut_table(a5_qp, a5_catalog):
     assert rows == A5_CUT_TABLE
 
 
+@pytest.mark.parametrize("name", common.PROBLEM_NAMES)
+def test_c_modules_match_the_per_module_test(name):
+    catalog = common.catalog(name)
+    for cut in cuts(common.problem(name).qp):
+        assert c_modules(cut, catalog) == [
+            i for i, m in enumerate(catalog.modules) if vanishes_on_cut(m, cut)
+        ]
+
+
 def test_construction_fails_when_the_hom_digraph_is_cyclic(a3_catalog):
     trivial = Cut(deleted_arrows=frozenset(), cycle_lengths=(3,))
     assert len(c_modules(trivial, a3_catalog)) == 6

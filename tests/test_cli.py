@@ -4,8 +4,9 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from greenseq.cli import main
+from greenseq.cli import _json_text, main
 
 import common
 
@@ -373,3 +374,37 @@ def test_mgs_stdout_is_pinned(capsys, argv, code, digest):
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+# strings with the characters JSON must escape, and some that it must not
+JSON_STRINGS = st.text(
+    st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-(2**63))
+    | st.floats()
+    | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    # plain ints take the writer's one-join path; bools must not
+    | st.lists(st.integers() | st.booleans(), max_size=4)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, {"a": [{"b": 1, 2: 3}]}])
+def test_json_writer_rejects_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

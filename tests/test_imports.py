@@ -1,6 +1,7 @@
 """Import graph: every module imports first without a cycle, loading a
-problem file does not load the exchange layer, and every name the benchmark
-tracer wraps is bound."""
+problem file loads neither the exchange nor the module layer, each command
+loads only the layers it runs, and every name the benchmark tracer wraps is
+bound."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -28,7 +31,18 @@ print(" ".join(names))
 for loaded in [m for m in sys.modules if m.split(".")[0] == "greenseq"]:
     del sys.modules[loaded]
 import greenseq.io
-assert "greenseq.exchange" not in sys.modules, "greenseq.io loads greenseq.exchange"
+for layer in ("greenseq.exchange", "greenseq.rep"):
+    assert layer not in sys.modules, "greenseq.io loads " + layer
+"""
+
+# run one command in a fresh interpreter, then list the greenseq modules it
+# loaded on the last line of stdout
+COMMAND = """
+import sys
+from greenseq import cli
+
+cli.main(sys.argv[1:])
+print(" ".join(m for m in sys.modules if m.startswith("greenseq.")))
 """
 
 
@@ -42,6 +56,29 @@ def test_each_module_imports_first_and_io_skips_exchange():
     assert done.returncode == 0, done.stderr
     names = done.stdout.split()
     assert {"cli", "exchange", "io", "qp", "walls"} <= set(names)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["mgs", "problems/a3_cyclic.json", "extrema"], {"rep", "fho", "walls", "bounds"}),
+        (["mutate", "problems/a3_cyclic.json", "1", "2"], {"rep", "fho", "walls", "bounds"}),
+        (["walls", "problems/a3_cyclic.json", "--random", "1"], {"fho", "bounds"}),
+    ],
+    ids=["mgs", "mutate", "walls"],
+)
+def test_command_loads_only_its_layers(argv, absent):
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND, *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {m.split(".", 1)[1] for m in done.stdout.splitlines()[-1].split()}
+    assert "exchange" in loaded
+    assert not loaded & absent
 
 
 def test_traced_names_are_bound(monkeypatch):
