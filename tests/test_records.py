@@ -1,0 +1,259 @@
+"""The package's record classes, pinned by behaviour: positional and keyword
+construction, defaults, which fields `==` and `hash` read, which records
+reject assignment, and the checks their constructors run."""
+
+from fractions import Fraction
+
+import pytest
+
+from greenseq import bounds, exchange, io, qp, reflect, rep, walls
+from greenseq.errors import InvalidQuiverError
+from greenseq.fho import FhoSequence
+
+import common
+
+MUTATION_FIELDS = (
+    "source", "target", "k", "i_set", "j_set", "p_pairs", "p_prime", "alpha",
+    "beta", "gamma", "alpha_star", "beta_star", "gamma_star", "f_paths",
+    "g_paths", "triangle_coeff",
+)
+REPORT_FIELDS = (
+    "n", "k", "indec_count", "min_len", "max_len", "extrema_known",
+    "lower_bound", "upper_bound", "cycle_count", "conjecture_holds",
+    "cut_reports", "cycles",
+)
+REPORT_VALUES = (3, 1, 6, 4, 5, True, 5, 5, 1, True, ({"cut": "x"},), (("M", "N"),))
+
+# the records that may be assigned to; every other one is frozen
+MUTABLE = {"Catalog", "ProblemFile"}
+# the records whose hash raises: mutable ones, and ones holding dicts
+UNHASHABLE = {"Catalog", "ProblemFile", "MutationData", "ReflectionContext"}
+
+# the optional trailing arguments of each record and their defaults
+DEFAULTS = {
+    "QuiverWithPotential": {"potential": ()},
+    "Relation": {"arrow": ""},
+    "ProblemFile": {"field_prime": 2, "search_budget": 1_000_000, "rng_seed": 0},
+    "Algebra": {"p": 2},
+    "Representation": {"label": "", "walk": ()},
+    "Cut": {"cycle_lengths": ()},
+    "BoundsReport": {"cut_reports": (), "cycles": ()},
+}
+
+
+def _cases():
+    """Class name -> (class, field names in positional order, one value each)."""
+    catalog = common.catalog("a3_cyclic")
+    algebra = catalog.algebra
+    quiver = algebra.quiver
+    problem = common.problem("a3_cyclic")
+    m0, m1 = catalog.modules[:2]
+    data = qp.mutate_qp_data(problem.qp, quiver.vertices[0])
+    seed = exchange.initial_seed(quiver)
+    wall = walls.wall_for(m0)
+    context = reflect.reflection_context(problem.qp, quiver.vertices[0])
+    rows = [
+        (qp.Arrow, ("id", "src", "tgt"), ("x", 1, 2)),
+        (qp.Quiver, ("vertices", "arrows"), (quiver.vertices, quiver.arrows)),
+        (qp.PotentialTerm, ("coeff", "cycle"), (Fraction(2), ("a", "b", "c"))),
+        (qp.QuiverWithPotential, ("quiver", "potential"), (quiver, problem.qp.potential)),
+        (qp.Relation, ("terms", "arrow"), (algebra.relations[0].terms, "a")),
+        (qp.MutationData, MUTATION_FIELDS, tuple(getattr(data, f) for f in MUTATION_FIELDS)),
+        (
+            io.ProblemFile,
+            ("qp", "field_prime", "search_budget", "rng_seed"),
+            (problem.qp, 3, 50, 7),
+        ),
+        (exchange.ExtExchangeMatrix, ("n", "b", "c"), (seed.n, seed.b, seed.c)),
+        (exchange.GreenSequence, ("mutation_indices", "c_vectors"), ((0, 1), ((1, 0, 0), (0, 1, 0)))),
+        (rep.Algebra, ("quiver", "relations", "p"), (quiver, algebra.relations, 3)),
+        (
+            rep.Representation,
+            ("algebra", "dims", "mats", "label", "walk"),
+            (m0.algebra, m0.dims, m0.mats, "M", m0.walk),
+        ),
+        (rep.Catalog, ("algebra", "modules"), (algebra, catalog.modules)),
+        (bounds.Cut, ("deleted_arrows", "cycle_lengths"), (frozenset({"a"}), (3,))),
+        (bounds.BoundsReport, REPORT_FIELDS, REPORT_VALUES),
+        (FhoSequence, ("modules",), ((m0, m1),)),
+        (walls.Wall, ("module", "normal", "faces"), (wall.module, wall.normal, wall.faces)),
+        (walls.CrossingRecord, ("time", "module", "interior"), (Fraction(1, 2), m0, True)),
+        (
+            reflect.ReflectionContext,
+            ("data", "source_algebra", "target_algebra"),
+            (context.data, context.source_algebra, context.target_algebra),
+        ),
+    ]
+    return {cls.__name__: (cls, names, values) for cls, names, values in rows}
+
+
+NAMES = sorted(_cases())
+
+
+def test_every_record_is_listed():
+    assert len(NAMES) == 18
+    assert set(DEFAULTS) | MUTABLE | UNHASHABLE <= set(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_positional_and_keyword_construction_agree(name):
+    cls, names, values = _cases()[name]
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    for field, value in zip(names, values):
+        assert getattr(by_position, field) == value
+        assert getattr(by_keyword, field) == value
+    assert by_position == by_keyword
+    assert not by_position != by_keyword
+    if name not in UNHASHABLE:
+        assert hash(by_position) == hash(by_keyword)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_too_many_or_unknown_arguments_are_rejected(name):
+    cls, names, values = _cases()[name]
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=None)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_defaults(name):
+    cls, names, values = _cases()[name]
+    optional = DEFAULTS[name]
+    required = names[: len(names) - len(optional)]
+    assert tuple(optional) == names[len(required):]
+    record = cls(*values[: len(required)])
+    for field, default in optional.items():
+        assert getattr(record, field) == default
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n not in MUTABLE])
+def test_frozen_records_reject_assignment(name):
+    cls, names, values = _cases()[name]
+    record = cls(*values)
+    for field, value in zip(names, values):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        assert getattr(record, field) == value
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_unhashable_records(name):
+    cls, names, values = _cases()[name]
+    with pytest.raises(TypeError):
+        hash(cls(*values))
+
+
+def test_problem_file_is_mutable():
+    cls, names, values = _cases()["ProblemFile"]
+    problem = cls(*values)
+    problem.rng_seed = 11
+    assert problem.rng_seed == 11
+    assert problem != cls(*values)
+
+
+def test_catalog_walls_are_assignable_and_not_compared():
+    cls, names, values = _cases()["Catalog"]
+    catalog = cls(*values)
+    assert catalog.walls is None
+    assert catalog.schurian_positions is None
+    catalog.walls = walls.catalog_walls(catalog)
+    assert catalog.walls is not None
+    assert catalog == cls(*values)
+    assert catalog != cls(values[0], values[1][:-1])
+
+
+def test_representation_compares_without_label_walk_or_matrix_table():
+    cls, names, values = _cases()["Representation"]
+    first = cls(*values)
+    second = cls(values[0], values[1], values[2], label="other", walk=())
+    object.__setattr__(second, "_mat", {})
+    assert first == second
+    assert hash(first) == hash(second)
+    other = common.catalog("a3_cyclic").modules[1]
+    assert first != other
+
+
+def test_quiver_compares_without_its_lookup_tables():
+    cls, names, values = _cases()["Quiver"]
+    first = cls(*values)
+    second = cls(*values)
+    object.__setattr__(second, "_pos", {})
+    object.__setattr__(second, "_arrow", {})
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != cls(values[0], values[1][:-1])
+
+
+def test_cut_compares_its_deleted_arrows_only():
+    first = bounds.Cut(frozenset({"a", "b"}), (3, 3))
+    second = bounds.Cut(frozenset({"b", "a"}), (4,))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != bounds.Cut(frozenset({"a"}), (3, 3))
+    assert str(first) == "cut{a,b}"
+
+
+def test_bounds_report_compares_without_cut_reports_or_cycles():
+    cls = bounds.BoundsReport
+    first = cls(*REPORT_VALUES)
+    second = cls(*REPORT_VALUES[:10], cut_reports=(), cycles=(("P",),))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != cls(4, *REPORT_VALUES[1:])
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("Arrow", "tgt", 3),
+        ("PotentialTerm", "coeff", Fraction(3)),
+        ("Relation", "arrow", "b"),
+        ("ProblemFile", "field_prime", 5),
+        ("GreenSequence", "mutation_indices", (1, 0)),
+        ("Algebra", "p", 2),
+        ("CrossingRecord", "interior", False),
+        ("Wall", "normal", (9, 9, 9)),
+    ],
+)
+def test_records_differ_on_a_compared_field(name, field, value):
+    cls, names, values = _cases()[name]
+    changed = dict(zip(names, values), **{field: value})
+    assert cls(*values) != cls(**changed)
+
+
+def test_sequence_lengths():
+    cases = _cases()
+    for name in ("GreenSequence", "FhoSequence"):
+        cls, names, values = cases[name]
+        assert len(cls(*values)) == 2
+
+
+def test_constructors_still_validate():
+    cases = _cases()
+    cls, names, (n, b, c) = cases["ExtExchangeMatrix"]
+    with pytest.raises(ValueError):
+        cls(n, b, c[:-1])
+    cls, names, (vertices, arrows) = cases["Quiver"]
+    with pytest.raises(InvalidQuiverError):
+        cls(vertices + vertices[:1], arrows)
+    cls, names, (quiver, relations, p) = cases["Algebra"]
+    with pytest.raises(ValueError):
+        cls(quiver, relations, 4)
+    cls, names, (algebra, dims, mats, label, walk) = cases["Representation"]
+    with pytest.raises(ValueError):
+        cls(algebra, dims[:-1], mats)
+
+
+def test_quiver_with_potential_combines_its_terms():
+    qpot = common.problem("a3_cyclic").qp
+    (term,) = qpot.potential
+    rotated = term.cycle[1:] + term.cycle[:1]
+    combined = qp.QuiverWithPotential(
+        qpot.quiver, (qp.PotentialTerm(Fraction(1), term.cycle), qp.PotentialTerm(2, rotated))
+    )
+    assert combined.potential == (qp.PotentialTerm(Fraction(3), term.cycle),)
