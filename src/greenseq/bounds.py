@@ -11,7 +11,6 @@ catalog table's row masks (`Catalog.out_mask`), with self-Homs cleared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Optional, Sequence
 
@@ -20,21 +19,34 @@ from .exchange import initial_seed, mgs_summary
 from .fho import FhoSequence, is_maximal_fho
 from .linalg import is_zero
 from .qp import QuiverWithPotential
+from .records import FrozenRecord
 from .rep import Catalog, Representation
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(FrozenRecord):
     """A choice of one deleted arrow per potential cycle.
 
-    A cut is identified by its `deleted_arrows`; which catalog modules it
-    keeps is read off the catalog's per-arrow masks (`c_modules`).
-    `cycle_lengths` records the lengths of the potential cycles, which the
-    orientation test needs for its precondition.
+    A cut is identified by its `deleted_arrows`, the only field `==` and
+    `hash` read; which catalog modules it keeps is read off the catalog's
+    per-arrow masks (`c_modules`). `cycle_lengths` records the lengths of
+    the potential cycles, which the orientation test needs for its
+    precondition.
     """
 
-    deleted_arrows: frozenset[str]
-    cycle_lengths: tuple[int, ...] = field(default=(), compare=False)
+    __slots__ = ("deleted_arrows", "cycle_lengths")
+    _repr_fields = __slots__
+
+    def __init__(self, deleted_arrows: frozenset[str], cycle_lengths: tuple[int, ...] = ()):
+        object.__setattr__(self, "deleted_arrows", deleted_arrows)
+        object.__setattr__(self, "cycle_lengths", cycle_lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.deleted_arrows == other.deleted_arrows
+
+    def __hash__(self):
+        return hash((self.deleted_arrows,))
 
     def __str__(self) -> str:
         return "cut{" + ",".join(sorted(self.deleted_arrows)) + "}"
@@ -237,22 +249,70 @@ def disjoint_hom_cycles(
     return taken
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Length bounds for the maximal green sequences of one quiver with potential."""
+class BoundsReport(FrozenRecord):
+    """Length bounds for the maximal green sequences of one quiver with potential.
 
-    n: int
-    k: int
-    indec_count: int
-    min_len: Optional[int]
-    max_len: Optional[int]
-    extrema_known: bool
-    lower_bound: int
-    upper_bound: int
-    cycle_count: int
-    conjecture_holds: Optional[bool]
-    cut_reports: tuple[dict, ...] = field(default=(), compare=False)
-    cycles: tuple[tuple[str, ...], ...] = field(default=(), compare=False)
+    `==` and `hash` read every field but `cut_reports` and `cycles`.
+    """
+
+    __slots__ = (
+        "n",
+        "k",
+        "indec_count",
+        "min_len",
+        "max_len",
+        "extrema_known",
+        "lower_bound",
+        "upper_bound",
+        "cycle_count",
+        "conjecture_holds",
+        "cut_reports",
+        "cycles",
+    )
+    _repr_fields = __slots__
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        indec_count: int,
+        min_len: Optional[int],
+        max_len: Optional[int],
+        extrema_known: bool,
+        lower_bound: int,
+        upper_bound: int,
+        cycle_count: int,
+        conjecture_holds: Optional[bool],
+        cut_reports: tuple[dict, ...] = (),
+        cycles: tuple[tuple[str, ...], ...] = (),
+    ):
+        for name, value in zip(self.__slots__, (
+            n, k, indec_count, min_len, max_len, extrema_known, lower_bound,
+            upper_bound, cycle_count, conjecture_holds, cut_reports, cycles,
+        )):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (
+            self.n,
+            self.k,
+            self.indec_count,
+            self.min_len,
+            self.max_len,
+            self.extrema_known,
+            self.lower_bound,
+            self.upper_bound,
+            self.cycle_count,
+            self.conjecture_holds,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {

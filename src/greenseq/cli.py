@@ -10,13 +10,19 @@ prints. `mutate` and `mgs` run on `io` and `exchange` alone. `mgs
 --construct-max` also loads `rep` and `bounds` (which loads `fho` and
 `walls`), `verify` loads `rep` and `fho` (which loads `walls`), and `walls`
 loads `rep` and `walls`. Those imports sit inside the commands, so an `mgs`
-run never compiles the module and wall layers.
+run never compiles the module and wall layers. No command loads
+`dataclasses`, and with it `inspect`, `ast` and `dis`: the records are
+`typing.NamedTuple`s or slotted classes (`greenseq.records`).
+
+A reader that closes stdout early (`| head -1`) cuts the output short: the
+command then exits 1 without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
@@ -453,7 +459,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "walls": cmd_walls,
     }[args.command]
     try:
-        return handler(args, problem)
+        code = handler(args, problem)
+        # flushed here, so that a reader that stopped early is caught below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the output was cut short; stdout goes to os.devnull so that the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _VALIDATION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,18 +15,17 @@ per labelled seed, `mgs_summary` once per exchange-graph state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
 from greenseq.qp import Quiver, b_matrix
+from greenseq.records import FrozenRecord
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtExchangeMatrix:
+class ExtExchangeMatrix(FrozenRecord):
     """A 2n x n extended exchange matrix, stored as the two n x n halves.
 
     Attributes:
@@ -35,31 +34,54 @@ class ExtExchangeMatrix:
         c: bottom part; column k is the k-th c-vector.
     """
 
-    n: int
-    b: IntMatrix
-    c: IntMatrix
+    __slots__ = ("n", "b", "c")
+    _repr_fields = __slots__
 
-    def __post_init__(self):
-        n = self.n
-        for half in (self.b, self.c):
+    def __init__(self, n: int, b: IntMatrix, c: IntMatrix):
+        for half in (b, c):
             if len(half) != n or any(map(n.__ne__, map(len, half))):
                 raise ValueError("matrix halves must be n x n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.b == other.b and self.c == other.c
+
+    def __hash__(self):
+        return hash((self.n, self.b, self.c))
 
     def rows(self) -> IntMatrix:
         """The full 2n x n stack (B over C)."""
         return self.b + self.c
 
 
-@dataclass(frozen=True)
-class GreenSequence:
+class GreenSequence(FrozenRecord):
     """A green mutation sequence together with the c-vectors it consumed.
 
     c_vectors[i] is the k_i-th c-column immediately before the i-th mutation;
     along a green sequence each one is entrywise nonnegative.
     """
 
-    mutation_indices: IntVector
-    c_vectors: tuple[IntVector, ...]
+    __slots__ = ("mutation_indices", "c_vectors")
+    _repr_fields = __slots__
+
+    def __init__(self, mutation_indices: IntVector, c_vectors: tuple[IntVector, ...]):
+        object.__setattr__(self, "mutation_indices", mutation_indices)
+        object.__setattr__(self, "c_vectors", c_vectors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.mutation_indices == other.mutation_indices
+            and self.c_vectors == other.c_vectors
+        )
+
+    def __hash__(self):
+        return hash((self.mutation_indices, self.c_vectors))
 
     def __len__(self) -> int:
         return len(self.mutation_indices)

@@ -22,23 +22,34 @@ last_out < first_in.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from greenseq import exchange, walls
 from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.qp import QuiverWithPotential, b_matrix
+from greenseq.records import FrozenRecord
 from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
 
 # random generic green paths `verify_theorem1` samples before the directed search
 WALL_SAMPLES = 100
 
 
-@dataclass(frozen=True)
-class FhoSequence:
+class FhoSequence(FrozenRecord):
     """An ordered, weakly forward hom-orthogonal sequence of catalog modules."""
 
-    modules: tuple[Representation, ...]
+    __slots__ = ("modules",)
+    _repr_fields = __slots__
+
+    def __init__(self, modules: tuple[Representation, ...]):
+        object.__setattr__(self, "modules", modules)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modules == other.modules
+
+    def __hash__(self):
+        return hash((self.modules,))
 
     @property
     def dim_vectors(self) -> tuple[tuple[int, ...], ...]:

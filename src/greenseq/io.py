@@ -10,12 +10,12 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from greenseq.linalg import check_field_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
+from greenseq.records import Record
 
 if TYPE_CHECKING:
     from greenseq.rep import Algebra
@@ -26,11 +26,18 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: Any) -> Fraction:
+    """An int, or a string "p/q" or decimal, as an exact rational.
+
+    Exponent notation is rejected: `Fraction("1e400000000")` would build
+    10**400000000.
+    """
     if isinstance(s, bool):
         raise ValueError(f"not a rational: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        if "e" in s or "E" in s:
+            raise ValueError(f"not a rational: {s!r}")
         try:
             return Fraction(s)
         except ZeroDivisionError:
@@ -115,14 +122,35 @@ def qp_from_json(data: dict) -> QuiverWithPotential:
     return QuiverWithPotential(quiver=quiver, potential=tuple(potential))
 
 
-@dataclass
-class ProblemFile:
-    """A fully validated problem description."""
+class ProblemFile(Record):
+    """A fully validated problem description; mutable, so unhashable."""
 
-    qp: QuiverWithPotential
-    field_prime: int = 2
-    search_budget: int = 1_000_000
-    rng_seed: int = 0
+    __slots__ = ("qp", "field_prime", "search_budget", "rng_seed")
+    _repr_fields = __slots__
+
+    def __init__(
+        self,
+        qp: QuiverWithPotential,
+        field_prime: int = 2,
+        search_budget: int = 1_000_000,
+        rng_seed: int = 0,
+    ):
+        self.qp = qp
+        self.field_prime = field_prime
+        self.search_budget = search_budget
+        self.rng_seed = rng_seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.qp, self.field_prime, self.search_budget, self.rng_seed) == (
+            other.qp,
+            other.field_prime,
+            other.search_budget,
+            other.rng_seed,
+        )
+
+    __hash__ = None
 
     def algebra(self) -> Algebra:
         # imported here so that loading a problem does not load the module layer

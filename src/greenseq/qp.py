@@ -15,47 +15,46 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from greenseq.errors import InvalidQuiverError, UnsupportedPotentialError
+from greenseq.records import FrozenRecord
 
 Path = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     src: int
     tgt: int
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(FrozenRecord):
     """A finite quiver without loops or 2-cycles.
 
     The order of `vertices` fixes the coordinate order of every dimension
-    vector and exchange-matrix row in the package.
+    vector and exchange-matrix row in the package. `==` and `hash` read
+    `vertices` and `arrows` only.
     """
 
-    vertices: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-    # lookup tables built from the two fields above
-    _pos: dict[int, int] = field(init=False, repr=False, compare=False)
-    _arrow: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    # `_pos` and `_arrow` are lookup tables built from the two fields
+    __slots__ = ("vertices", "arrows", "_pos", "_arrow")
+    _repr_fields = ("vertices", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_arrow", {a.id: a for a in self.arrows})
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(vertices)})
+        object.__setattr__(self, "_arrow", {a.id: a for a in arrows})
+        if len(set(vertices)) != len(vertices):
             raise InvalidQuiverError("duplicate vertex labels")
-        ids = [a.id for a in self.arrows]
+        ids = [a.id for a in arrows]
         if len(set(ids)) != len(ids):
             raise InvalidQuiverError("duplicate arrow ids")
-        vset = set(self.vertices)
+        vset = set(vertices)
         pairs = set()
-        for a in self.arrows:
+        for a in arrows:
             if a.src not in vset or a.tgt not in vset:
                 raise InvalidQuiverError(f"arrow {a.id} touches unknown vertex")
             if a.src == a.tgt:
@@ -64,6 +63,14 @@ class Quiver:
         for (s, t) in pairs:
             if (t, s) in pairs:
                 raise InvalidQuiverError(f"2-cycle between vertices {s} and {t}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arrows == other.arrows
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
 
     @property
     def n(self) -> int:
@@ -89,8 +96,7 @@ class Quiver:
         return [a for a in self.arrows if a.tgt == v]
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
+class PotentialTerm(NamedTuple):
     coeff: Fraction
     cycle: Path  # arrow ids in traversal order; closed and composable
 
@@ -114,15 +120,25 @@ def combine_terms(terms: Iterable[PotentialTerm]) -> tuple[PotentialTerm, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class QuiverWithPotential:
-    quiver: Quiver
-    potential: tuple[PotentialTerm, ...] = field(default_factory=tuple)
+class QuiverWithPotential(FrozenRecord):
+    """A quiver and its potential, with terms equal up to rotation combined."""
 
-    def __post_init__(self):
-        for t in self.potential:
+    __slots__ = ("quiver", "potential")
+    _repr_fields = __slots__
+
+    def __init__(self, quiver: Quiver, potential: tuple[PotentialTerm, ...] = ()):
+        object.__setattr__(self, "quiver", quiver)
+        for t in potential:
             self._check_cycle(t)
-        object.__setattr__(self, "potential", combine_terms(self.potential))
+        object.__setattr__(self, "potential", combine_terms(potential))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.quiver == other.quiver and self.potential == other.potential
+
+    def __hash__(self):
+        return hash((self.quiver, self.potential))
 
     def _check_cycle(self, term: PotentialTerm) -> None:
         cyc = term.cycle
@@ -141,8 +157,7 @@ class QuiverWithPotential:
         return len(self.potential)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A linear combination of parallel paths, stored in traversal order.
 
     `arrow` records which cyclic derivative produced the relation (empty for
@@ -209,8 +224,7 @@ def _rotate_to_start(cycle: Path, idx: int) -> Path:
     return cycle[idx:] + cycle[:idx]
 
 
-@dataclass(frozen=True)
-class MutationData:
+class MutationData(NamedTuple):
     """Everything the mutation at k produced, for consumers beyond the QP.
 
     The reflection functors need the pair partition and the correction paths,

@@ -10,8 +10,7 @@ psi_k_inverse runs the kernel construction the other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from greenseq import linalg
 from greenseq.errors import ReflectionError
@@ -28,8 +27,7 @@ from greenseq.rep import (
 )
 
 
-@dataclass(frozen=True)
-class ReflectionContext:
+class ReflectionContext(NamedTuple):
     """One mutation's bookkeeping with its source and target algebras."""
 
     data: MutationData

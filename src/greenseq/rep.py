@@ -13,7 +13,6 @@ stops on a budget of letters, in time and memory linear in that budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 from typing import Iterable, Optional, Sequence
@@ -22,18 +21,28 @@ from greenseq import linalg
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
 from greenseq.linalg import Matrix
 from greenseq.qp import Quiver, QuiverWithPotential, Relation, jacobian_relations
+from greenseq.records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(FrozenRecord):
     """A bound quiver algebra: quiver, relations, ground prime."""
 
-    quiver: Quiver
-    relations: tuple[Relation, ...]
-    p: int = 2
+    __slots__ = ("quiver", "relations", "p")
+    _repr_fields = __slots__
 
-    def __post_init__(self):
-        linalg.check_field_prime(self.p)
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...], p: int = 2):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "p", p)
+        linalg.check_field_prime(p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quiver, self.relations, self.p) == (other.quiver, other.relations, other.p)
+
+    def __hash__(self):
+        return hash((self.quiver, self.relations, self.p))
 
 
 def algebra_from_qp(qp: QuiverWithPotential, p: int = 2) -> Algebra:
@@ -48,22 +57,35 @@ def _coeff_mod(c: Fraction, p: int) -> int:
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-@dataclass(frozen=True)
-class Representation:
-    algebra: Algebra
-    dims: tuple[int, ...]
-    mats: tuple[tuple[str, Matrix], ...]
-    label: str = field(default="", compare=False)
-    # (start vertex, word of (arrow id, +-1)) when built from a string walk
-    walk: tuple = field(default=(), compare=False, repr=False)
-    # `mats` as a dict, for `mat`
-    _mat: dict[str, Matrix] = field(init=False, repr=False, compare=False)
+class Representation(FrozenRecord):
+    """A representation of `algebra`, checked against its relations.
 
-    def __post_init__(self):
-        quiver = self.algebra.quiver
-        if len(self.dims) != quiver.n:
+    `==` and `hash` read `algebra`, `dims` and `mats` only: `label`, `walk`
+    and the table `_mat` are left out.
+    """
+
+    # `walk` is (start vertex, word of (arrow id, +-1)) when built from a
+    # string walk; `_mat` is `mats` as a dict, for `mat`
+    __slots__ = ("algebra", "dims", "mats", "label", "walk", "_mat")
+    _repr_fields = ("algebra", "dims", "mats", "label")
+
+    def __init__(
+        self,
+        algebra: Algebra,
+        dims: tuple[int, ...],
+        mats: tuple[tuple[str, Matrix], ...],
+        label: str = "",
+        walk: tuple = (),
+    ):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "walk", walk)
+        quiver = algebra.quiver
+        if len(dims) != quiver.n:
             raise ValueError("dims length does not match vertex count")
-        mat_map = dict(self.mats)
+        mat_map = dict(mats)
         object.__setattr__(self, "_mat", mat_map)
         if set(mat_map) != {a.id for a in quiver.arrows}:
             raise ValueError("mats must cover exactly the arrows of the quiver")
@@ -71,8 +93,8 @@ class Representation:
             m = mat_map[a.id]
             r = len(m)
             c = len(m[0]) if m else 0
-            dr = self.dims[quiver.pos(a.tgt)]
-            dc = self.dims[quiver.pos(a.src)]
+            dr = dims[quiver.pos(a.tgt)]
+            dc = dims[quiver.pos(a.src)]
             if r != dr or (r > 0 and c != dc) or (r == 0 and dc and m):
                 raise ValueError(
                     f"arrow {a.id}: matrix shape {(r, c)} != {(dr, dc)}"
@@ -80,6 +102,14 @@ class Representation:
         bad = check_relations(self)
         if bad is not None:
             raise ValueError(f"relation from arrow {bad.arrow!r} violated")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.dims, self.mats) == (other.algebra, other.dims, other.mats)
+
+    def __hash__(self):
+        return hash((self.algebra, self.dims, self.mats))
 
     def mat(self, arrow_id: str) -> Matrix:
         return self._mat[arrow_id]
@@ -341,8 +371,7 @@ def check_string_algebra(algebra: Algebra) -> None:
             )
 
 
-@dataclass
-class Catalog:
+class Catalog(Record):
     """A list of modules over one algebra, with their Hom table.
 
     `string_catalog` builds the complete list of indecomposables of a
@@ -355,39 +384,52 @@ class Catalog:
     pattern along a row or a column as a bitmask over catalog positions,
     each built on first use; `arrow_mask(a)` is likewise the members that
     are nonzero on arrow a.
+
+    A catalog is mutable, so unhashable; `==` reads `algebra` and `modules`
+    only.
     """
 
-    algebra: Algebra
-    modules: tuple[Representation, ...]
-    # homs[i][j] = dim Hom(modules[i], modules[j]), None until first asked
-    homs: list[list[Optional[int]]] = field(init=False, repr=False, compare=False)
-    # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
-    out_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
-    in_masks: list[Optional[int]] = field(init=False, repr=False, compare=False)
-    # bit i of arrow_masks[a]: modules[i] is nonzero on arrow a, set by `arrow_mask`
-    arrow_masks: dict[str, int] = field(init=False, repr=False, compare=False)
-    # positions i with hom(i, i) == 1, set by `schurian_indices` on first call
-    schurian_positions: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "algebra",
+        "modules",
+        "homs",
+        "out_masks",
+        "in_masks",
+        "arrow_masks",
+        "schurian_positions",
+        "walls",
+        "_by_dims",
+        "_index",
     )
-    # walls of the Schurian members, set by `walls.catalog_walls`
-    walls: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    _by_dims: dict[tuple[int, ...], list[Representation]] = field(
-        init=False, repr=False, compare=False
-    )
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _repr_fields = ("algebra", "modules")
 
-    def __post_init__(self):
-        n = len(self.modules)
-        self.homs = [[None] * n for _ in range(n)]
-        self.out_masks = [None] * n
-        self.in_masks = [None] * n
-        self.arrow_masks = {}
-        self._by_dims = {}
-        self._index = {}
-        for i, m in enumerate(self.modules):
+    def __init__(self, algebra: Algebra, modules: tuple[Representation, ...]):
+        self.algebra = algebra
+        self.modules = modules
+        n = len(modules)
+        # homs[i][j] = dim Hom(modules[i], modules[j]), None until first asked
+        self.homs: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
+        self.out_masks: list[Optional[int]] = [None] * n
+        self.in_masks: list[Optional[int]] = [None] * n
+        # bit i of arrow_masks[a]: modules[i] is nonzero on arrow a, set by `arrow_mask`
+        self.arrow_masks: dict[str, int] = {}
+        # positions i with hom(i, i) == 1, set by `schurian_indices` on first call
+        self.schurian_positions: Optional[tuple[int, ...]] = None
+        # walls of the Schurian members, set by `walls.catalog_walls`
+        self.walls: Optional[list] = None
+        self._by_dims: dict[tuple[int, ...], list[Representation]] = {}
+        self._index: dict[int, int] = {}
+        for i, m in enumerate(modules):
             self._by_dims.setdefault(m.dims, []).append(m)
             self._index.setdefault(id(m), i)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.modules) == (other.algebra, other.modules)
+
+    __hash__ = None
 
     def __iter__(self):
         return iter(self.modules)

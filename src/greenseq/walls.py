@@ -17,11 +17,10 @@ edges: the crossing times and the points that are returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from greenseq import exchange
 from greenseq.errors import GenericityError
@@ -35,8 +34,7 @@ REALIZE_ATTEMPTS = 20
 BASE_SCALE = 400
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     module: Representation
     normal: tuple[int, ...]
     # the proper nonzero submodule dimension vectors, sorted (the order fixes
@@ -44,8 +42,7 @@ class Wall:
     faces: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
     time: Fraction
     module: Representation
     interior: bool

@@ -1,7 +1,8 @@
 """Import graph: every module imports first without a cycle, loading a
 problem file loads neither the exchange nor the module layer, each command
-loads only the layers it runs, and every name the benchmark tracer wraps is
-bound."""
+loads only the layers it runs, no command loads `dataclasses` or the
+standard-library modules it pulls in, and every name the benchmark tracer
+wraps is bound."""
 
 import importlib
 import importlib.util
@@ -15,6 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+# `dataclasses` and the modules it imports, which cost start-up time
+HEAVY = {"dataclasses", "inspect", "ast", "dis"}
 
 # run in a fresh interpreter: the test session has already imported everything
 SCRIPT = """
@@ -35,15 +39,36 @@ for layer in ("greenseq.exchange", "greenseq.rep"):
     assert layer not in sys.modules, "greenseq.io loads " + layer
 """
 
-# run one command in a fresh interpreter, then list the greenseq modules it
-# loaded on the last line of stdout
+# run one command in a fresh interpreter, then list the modules it loaded on
+# the last line of stdout
 COMMAND = """
 import sys
 from greenseq import cli
 
 cli.main(sys.argv[1:])
-print(" ".join(m for m in sys.modules if m.startswith("greenseq.")))
+print(" ".join(sys.modules))
 """
+
+# the benchmark's set-up probe, which imports the problem and module layers
+SETUP = """
+import sys
+from greenseq import io, rep
+
+print(" ".join(sys.modules))
+"""
+
+
+def _loaded_modules(*argv):
+    """The modules a fresh interpreter holds after running `argv`."""
+    done = subprocess.run(
+        [sys.executable, "-c", *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def test_each_module_imports_first_and_io_skips_exchange():
@@ -64,21 +89,23 @@ def test_each_module_imports_first_and_io_skips_exchange():
         (["mgs", "problems/a3_cyclic.json", "extrema"], {"rep", "fho", "walls", "bounds"}),
         (["mutate", "problems/a3_cyclic.json", "1", "2"], {"rep", "fho", "walls", "bounds"}),
         (["walls", "problems/a3_cyclic.json", "--random", "1"], {"fho", "bounds"}),
+        (["verify", "problems/a3_cyclic.json"], {"bounds", "reflect"}),
+        (["mgs", "problems/d4_cyclic.json", "--construct-max"], {"reflect"}),
     ],
-    ids=["mgs", "mutate", "walls"],
+    ids=["mgs", "mutate", "walls", "verify", "construct-max"],
 )
 def test_command_loads_only_its_layers(argv, absent):
-    done = subprocess.run(
-        [sys.executable, "-c", COMMAND, *argv],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert done.returncode == 0, done.stderr
-    loaded = {m.split(".", 1)[1] for m in done.stdout.splitlines()[-1].split()}
+    modules = _loaded_modules(COMMAND, *argv)
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("greenseq.")}
     assert "exchange" in loaded
     assert not loaded & absent
+    assert not modules & HEAVY
+
+
+def test_setup_probe_skips_dataclasses():
+    modules = _loaded_modules(SETUP)
+    assert {"greenseq.io", "greenseq.rep"} <= modules
+    assert not modules & HEAVY
 
 
 def test_traced_names_are_bound(monkeypatch):

@@ -24,7 +24,7 @@ def test_fraction_strings():
     assert fraction_from_str("1.5") == Fraction(3, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", True, None, 1.5])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", True, None, 1.5, "1e400000000", "2E-3", "1/1e9"])
 def test_fraction_rejects_garbage(bad):
     with pytest.raises(ValueError):
         fraction_from_str(bad)

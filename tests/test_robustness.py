@@ -150,6 +150,15 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _cli_env(**overrides):
+    """The environment of a `python -m greenseq.cli` subprocess."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(common.PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.mark.parametrize("name", sorted(INFINITE_TYPE))
 @pytest.mark.parametrize(
     "argv",
@@ -161,14 +170,10 @@ def test_infinite_type_catalog_runs_out_of_budget(tmp_path, name, argv):
     # at the default search_budget, in bounded time and memory
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(INFINITE_TYPE[name]))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(common.PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p
-    )
     command, *options = argv
     done = subprocess.run(
         [sys.executable, "-m", "greenseq.cli", command, str(path), *options],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=10,
@@ -244,3 +249,46 @@ def test_top_level_array_exits_2(tmp_path, capsys, overrides):
     out, err = capsys.readouterr()
     assert out == ""
     assert "problem file must be a JSON object" in err
+
+
+@pytest.mark.parametrize("where", ["base", "coefficient"])
+def test_exponent_notation_exits_2_at_once(tmp_path, where):
+    # Fraction("1e400000000") would build 10**400000000: rejected up front
+    if where == "base":
+        argv = ["walls", A3, "--base", "1e400000000,2,3"]
+    else:
+        data = json.loads(Path(A3).read_text())
+        data["qp"]["potential"][0]["coeff"] = "1e400000000"
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(data))
+        argv = ["walls", str(path), "--random", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "greenseq.cli", *argv],
+        env=_cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "not a rational: '1e400000000'" in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the JSON is larger than a pipe holds, so the write is still going on
+    # when the reader stops after one line
+    child = subprocess.Popen(
+        [sys.executable, "-m", "greenseq.cli", "walls", A3, "--random", "200", "--format", "json"],
+        env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert child.stdout.readline() == "{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=30) == 1
+    assert "Traceback" not in err
+    assert err == ""
