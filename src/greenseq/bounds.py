@@ -270,6 +270,7 @@ class BoundsReport(FrozenRecord):
         "cycles",
     )
     _repr_fields = __slots__
+    _compared = __slots__[:-2]
 
     def __init__(
         self,
@@ -286,25 +287,15 @@ class BoundsReport(FrozenRecord):
         cut_reports: tuple[dict, ...] = (),
         cycles: tuple[tuple[str, ...], ...] = (),
     ):
-        for name, value in zip(self.__slots__, (
+        values = (
             n, k, indec_count, min_len, max_len, extrema_known, lower_bound,
             upper_bound, cycle_count, conjecture_holds, cut_reports, cycles,
-        )):
+        )
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return (
-            self.n,
-            self.k,
-            self.indec_count,
-            self.min_len,
-            self.max_len,
-            self.extrema_known,
-            self.lower_bound,
-            self.upper_bound,
-            self.cycle_count,
-            self.conjecture_holds,
-        )
+        return tuple(getattr(self, name) for name in self._compared)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

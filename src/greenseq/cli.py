@@ -10,9 +10,10 @@ prints. `mutate` and `mgs` run on `io` and `exchange` alone. `mgs
 --construct-max` also loads `rep` and `bounds` (which loads `fho` and
 `walls`), `verify` loads `rep` and `fho` (which loads `walls`), and `walls`
 loads `rep` and `walls`. Those imports sit inside the commands, so an `mgs`
-run never compiles the module and wall layers. No command loads
-`dataclasses`, and with it `inspect`, `ast` and `dis`: the records are
-`typing.NamedTuple`s or slotted classes (`greenseq.records`).
+run never compiles the module and wall layers. No command loads the
+module behind `@dataclass`, nor the `inspect`, `ast` and `dis` it imports:
+the records are `typing.NamedTuple`s or slotted classes
+(`greenseq.records`).
 
 A reader that closes stdout early (`| head -1`) cuts the output short: the
 command then exits 1 without a traceback.

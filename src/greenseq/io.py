@@ -144,10 +144,7 @@ class ProblemFile(Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.qp, self.field_prime, self.search_budget, self.rng_seed) == (
-            other.qp,
-            other.field_prime,
-            other.search_budget,
-            other.rng_seed,
+            other.qp, other.field_prime, other.search_budget, other.rng_seed
         )
 
     __hash__ = None
