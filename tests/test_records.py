@@ -29,6 +29,22 @@ MUTABLE = {"Catalog", "ProblemFile"}
 # the records whose hash raises: mutable ones, and ones holding dicts
 UNHASHABLE = {"Catalog", "ProblemFile", "MutationData", "ReflectionContext"}
 
+# each slotted record and the fields its `==` and `hash` read; its other slots
+# are left out of both
+COMPARED = {
+    "Quiver": ("vertices", "arrows"),
+    "QuiverWithPotential": ("quiver", "potential"),
+    "ProblemFile": ("qp", "field_prime", "search_budget", "rng_seed"),
+    "ExtExchangeMatrix": ("n", "b", "c"),
+    "GreenSequence": ("mutation_indices", "c_vectors"),
+    "Algebra": ("quiver", "relations", "p"),
+    "Representation": ("algebra", "dims", "mats"),
+    "Catalog": ("algebra", "modules"),
+    "Cut": ("deleted_arrows",),
+    "BoundsReport": REPORT_FIELDS[:10],
+    "FhoSequence": ("modules",),
+}
+
 # the optional trailing arguments of each record and their defaults
 DEFAULTS = {
     "QuiverWithPotential": {"potential": ()},
@@ -93,6 +109,8 @@ NAMES = sorted(_cases())
 def test_every_record_is_listed():
     assert len(NAMES) == 18
     assert set(DEFAULTS) | MUTABLE | UNHASHABLE <= set(NAMES)
+    cases = _cases()
+    assert set(COMPARED) == {n for n in NAMES if not issubclass(cases[n][0], tuple)}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -224,6 +242,28 @@ def test_records_differ_on_a_compared_field(name, field, value):
     cls, names, values = _cases()[name]
     changed = dict(zip(names, values), **{field: value})
     assert cls(*values) != cls(**changed)
+
+
+@pytest.mark.parametrize("name", sorted(COMPARED))
+def test_eq_and_hash_read_exactly_the_compared_fields(name):
+    # each slot in turn is set to a fresh object past the constructor's checks
+    cls, names, values = _cases()[name]
+    compared = COMPARED[name]
+    assert set(compared) <= set(cls.__slots__)
+    record = cls(*values)
+    hashable = name not in UNHASHABLE
+    if hashable:
+        assert hash(record) == hash(tuple(getattr(record, f) for f in compared))
+    for field in cls.__slots__:
+        changed = cls(*values)
+        object.__setattr__(changed, field, object())
+        if field in compared:
+            assert record != changed, field
+            assert not record == changed, field
+        else:
+            assert record == changed, field
+            if hashable:
+                assert hash(record) == hash(changed), field
 
 
 def test_sequence_lengths():
