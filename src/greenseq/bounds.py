@@ -33,20 +33,11 @@ class Cut(FrozenRecord):
     precondition.
     """
 
-    __slots__ = ("deleted_arrows", "cycle_lengths")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("deleted_arrows", "cycle_lengths")
+    _compared = ("deleted_arrows",)
 
     def __init__(self, deleted_arrows: frozenset[str], cycle_lengths: tuple[int, ...] = ()):
-        object.__setattr__(self, "deleted_arrows", deleted_arrows)
-        object.__setattr__(self, "cycle_lengths", cycle_lengths)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.deleted_arrows == other.deleted_arrows
-
-    def __hash__(self):
-        return hash((self.deleted_arrows,))
+        self._init(deleted_arrows, cycle_lengths)
 
     def __str__(self) -> str:
         return "cut{" + ",".join(sorted(self.deleted_arrows)) + "}"
@@ -255,7 +246,7 @@ class BoundsReport(FrozenRecord):
     `==` and `hash` read every field but `cut_reports` and `cycles`.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "n",
         "k",
         "indec_count",
@@ -269,8 +260,7 @@ class BoundsReport(FrozenRecord):
         "cut_reports",
         "cycles",
     )
-    _repr_fields = __slots__
-    _compared = __slots__[:-2]
+    _compared = _fields[:-2]
 
     def __init__(
         self,
@@ -287,23 +277,10 @@ class BoundsReport(FrozenRecord):
         cut_reports: tuple[dict, ...] = (),
         cycles: tuple[tuple[str, ...], ...] = (),
     ):
-        values = (
+        self._init(
             n, k, indec_count, min_len, max_len, extrema_known, lower_bound,
             upper_bound, cycle_count, conjecture_holds, cut_reports, cycles,
         )
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,8 @@ prints. `mutate` and `mgs` run on `io` and `exchange` alone. `mgs
 loads `rep` and `walls`. Those imports sit inside the commands, so an `mgs`
 run never compiles the module and wall layers. No command loads the
 module behind `@dataclass`, nor the `inspect`, `ast` and `dis` it imports:
-the records are `typing.NamedTuple`s or slotted classes
+the records are `typing.NamedTuple`s or slotted classes that list their
+field names and take `==`, `hash` and the repr from their base
 (`greenseq.records`).
 
 A reader that closes stdout early (`| head -1`) cuts the output short: the
@@ -447,7 +448,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         problem = _load(args)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: JSON nested past the decoder's recursion limit
         print(f"error: cannot read problem file: {e}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as e:

@@ -34,24 +34,13 @@ class ExtExchangeMatrix(FrozenRecord):
         c: bottom part; column k is the k-th c-vector.
     """
 
-    __slots__ = ("n", "b", "c")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("n", "b", "c")
 
     def __init__(self, n: int, b: IntMatrix, c: IntMatrix):
         for half in (b, c):
             if len(half) != n or any(map(n.__ne__, map(len, half))):
                 raise ValueError("matrix halves must be n x n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.b == other.b and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.n, self.b, self.c))
+        self._init(n, b, c)
 
     def rows(self) -> IntMatrix:
         """The full 2n x n stack (B over C)."""
@@ -65,23 +54,10 @@ class GreenSequence(FrozenRecord):
     along a green sequence each one is entrywise nonnegative.
     """
 
-    __slots__ = ("mutation_indices", "c_vectors")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("mutation_indices", "c_vectors")
 
     def __init__(self, mutation_indices: IntVector, c_vectors: tuple[IntVector, ...]):
-        object.__setattr__(self, "mutation_indices", mutation_indices)
-        object.__setattr__(self, "c_vectors", c_vectors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.mutation_indices == other.mutation_indices
-            and self.c_vectors == other.c_vectors
-        )
-
-    def __hash__(self):
-        return hash((self.mutation_indices, self.c_vectors))
+        self._init(mutation_indices, c_vectors)
 
     def __len__(self) -> int:
         return len(self.mutation_indices)

@@ -125,8 +125,7 @@ def qp_from_json(data: dict) -> QuiverWithPotential:
 class ProblemFile(Record):
     """A fully validated problem description; mutable, so unhashable."""
 
-    __slots__ = ("qp", "field_prime", "search_budget", "rng_seed")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("qp", "field_prime", "search_budget", "rng_seed")
 
     def __init__(
         self,
@@ -139,13 +138,6 @@ class ProblemFile(Record):
         self.field_prime = field_prime
         self.search_budget = search_budget
         self.rng_seed = rng_seed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.qp, self.field_prime, self.search_budget, self.rng_seed) == (
-            other.qp, other.field_prime, other.search_budget, other.rng_seed
-        )
 
     __hash__ = None
 

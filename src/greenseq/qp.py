@@ -38,15 +38,14 @@ class Quiver(FrozenRecord):
     `vertices` and `arrows` only.
     """
 
+    _fields = ("vertices", "arrows")
     # `_pos` and `_arrow` are lookup tables built from the two fields
-    __slots__ = ("vertices", "arrows", "_pos", "_arrow")
-    _repr_fields = ("vertices", "arrows")
+    __slots__ = _fields + ("_pos", "_arrow")
 
     def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(vertices)})
-        object.__setattr__(self, "_arrow", {a.id: a for a in arrows})
+        self._init(
+            vertices, arrows, {v: i for i, v in enumerate(vertices)}, {a.id: a for a in arrows}
+        )
         if len(set(vertices)) != len(vertices):
             raise InvalidQuiverError("duplicate vertex labels")
         ids = [a.id for a in arrows]
@@ -63,14 +62,6 @@ class Quiver(FrozenRecord):
         for (s, t) in pairs:
             if (t, s) in pairs:
                 raise InvalidQuiverError(f"2-cycle between vertices {s} and {t}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.arrows == other.arrows
-
-    def __hash__(self):
-        return hash((self.vertices, self.arrows))
 
     @property
     def n(self) -> int:
@@ -120,36 +111,24 @@ def combine_terms(terms: Iterable[PotentialTerm]) -> tuple[PotentialTerm, ...]:
     return tuple(out)
 
 
+def _check_cycle(quiver: Quiver, cyc: Path) -> None:
+    if not cyc:
+        raise InvalidQuiverError("empty potential cycle")
+    arrows = [quiver.arrow(aid) for aid in cyc]
+    for a, b in zip(arrows, arrows[1:] + arrows[:1]):
+        if a.tgt != b.src:
+            raise InvalidQuiverError(f"potential cycle {cyc} is not a composable closed path")
+
+
 class QuiverWithPotential(FrozenRecord):
     """A quiver and its potential, with terms equal up to rotation combined."""
 
-    __slots__ = ("quiver", "potential")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("quiver", "potential")
 
     def __init__(self, quiver: Quiver, potential: tuple[PotentialTerm, ...] = ()):
-        object.__setattr__(self, "quiver", quiver)
         for t in potential:
-            self._check_cycle(t)
-        object.__setattr__(self, "potential", combine_terms(potential))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.quiver == other.quiver and self.potential == other.potential
-
-    def __hash__(self):
-        return hash((self.quiver, self.potential))
-
-    def _check_cycle(self, term: PotentialTerm) -> None:
-        cyc = term.cycle
-        if not cyc:
-            raise InvalidQuiverError("empty potential cycle")
-        arrows = [self.quiver.arrow(aid) for aid in cyc]
-        for a, b in zip(arrows, arrows[1:] + arrows[:1]):
-            if a.tgt != b.src:
-                raise InvalidQuiverError(
-                    f"potential cycle {cyc} is not a composable closed path"
-                )
+            _check_cycle(quiver, t.cycle)
+        self._init(quiver, combine_terms(potential))
 
     @property
     def cycle_count(self) -> int:

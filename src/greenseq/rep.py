@@ -27,22 +27,11 @@ from greenseq.records import FrozenRecord, Record
 class Algebra(FrozenRecord):
     """A bound quiver algebra: quiver, relations, ground prime."""
 
-    __slots__ = ("quiver", "relations", "p")
-    _repr_fields = __slots__
+    __slots__ = _fields = ("quiver", "relations", "p")
 
     def __init__(self, quiver: Quiver, relations: tuple[Relation, ...], p: int = 2):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "p", p)
+        self._init(quiver, relations, p)
         linalg.check_field_prime(p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.quiver, self.relations, self.p) == (other.quiver, other.relations, other.p)
-
-    def __hash__(self):
-        return hash((self.quiver, self.relations, self.p))
 
 
 def algebra_from_qp(qp: QuiverWithPotential, p: int = 2) -> Algebra:
@@ -65,9 +54,11 @@ class Representation(FrozenRecord):
     """
 
     # `walk` is (start vertex, word of (arrow id, +-1)) when built from a
-    # string walk; `_mat` is `mats` as a dict, for `mat`
-    __slots__ = ("algebra", "dims", "mats", "label", "walk", "_mat")
-    _repr_fields = ("algebra", "dims", "mats", "label")
+    # string walk
+    _fields = ("algebra", "dims", "mats", "label", "walk")
+    _compared = _fields[:3]
+    # `_mat` is `mats` as a dict, for `mat`
+    __slots__ = _fields + ("_mat",)
 
     def __init__(
         self,
@@ -77,16 +68,11 @@ class Representation(FrozenRecord):
         label: str = "",
         walk: tuple = (),
     ):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "walk", walk)
         quiver = algebra.quiver
         if len(dims) != quiver.n:
             raise ValueError("dims length does not match vertex count")
         mat_map = dict(mats)
-        object.__setattr__(self, "_mat", mat_map)
+        self._init(algebra, dims, mats, label, walk, mat_map)
         if set(mat_map) != {a.id for a in quiver.arrows}:
             raise ValueError("mats must cover exactly the arrows of the quiver")
         for a in quiver.arrows:
@@ -102,14 +88,6 @@ class Representation(FrozenRecord):
         bad = check_relations(self)
         if bad is not None:
             raise ValueError(f"relation from arrow {bad.arrow!r} violated")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.dims, self.mats) == (other.algebra, other.dims, other.mats)
-
-    def __hash__(self):
-        return hash((self.algebra, self.dims, self.mats))
 
     def mat(self, arrow_id: str) -> Matrix:
         return self._mat[arrow_id]
@@ -389,9 +367,8 @@ class Catalog(Record):
     only.
     """
 
-    __slots__ = (
-        "algebra",
-        "modules",
+    _fields = ("algebra", "modules")
+    __slots__ = _fields + (
         "homs",
         "out_masks",
         "in_masks",
@@ -401,7 +378,6 @@ class Catalog(Record):
         "_by_dims",
         "_index",
     )
-    _repr_fields = ("algebra", "modules")
 
     def __init__(self, algebra: Algebra, modules: tuple[Representation, ...]):
         self.algebra = algebra
@@ -423,11 +399,6 @@ class Catalog(Record):
         for i, m in enumerate(modules):
             self._by_dims.setdefault(m.dims, []).append(m)
             self._index.setdefault(id(m), i)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.modules) == (other.algebra, other.modules)
 
     __hash__ = None
 

@@ -1,5 +1,7 @@
 """Forward hom-orthogonal sequences and torsion pairs."""
 
+import pytest
+
 from greenseq import exchange
 from greenseq.fho import (
     FhoSequence,
@@ -14,6 +16,8 @@ from greenseq.fho import (
     verify_theorem1,
 )
 from greenseq.rep import projective, simple
+
+import common
 
 FIVE = ["3", "2<3", "2", "1<2", "1"]
 FOUR = ["2", "1<2", "3", "1"]
@@ -147,3 +151,12 @@ def test_verify_report(a3_qp, a3_catalog):
     assert report["witnesses"] == []
     assert sum(report["realized_via"].values()) == 9
     assert [[0, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]] in report["sequences"]
+
+
+@pytest.mark.parametrize("name", ["a3_cyclic", "d4_cyclic", "a5_example"])
+def test_maximal_sequences_are_maximal_in_their_torsion_class(name):
+    # verify_theorem1 counts these as fho_count without running the predicate
+    catalog = common.catalog(name)
+    seqs = enumerate_maximal_fho(catalog)
+    assert seqs
+    assert all(is_fho_in_torsion_class(s.modules, catalog) for s in seqs)

@@ -2,6 +2,7 @@
 construction, defaults, which fields `==` and `hash` read, which records
 reject assignment, and the checks their constructors run."""
 
+import ast
 from fractions import Fraction
 
 import pytest
@@ -297,3 +298,37 @@ def test_quiver_with_potential_combines_its_terms():
         qpot.quiver, (qp.PotentialTerm(Fraction(1), term.cycle), qp.PotentialTerm(2, rotated))
     )
     assert combined.potential == (qp.PotentialTerm(Fraction(3), term.cycle),)
+
+
+def _record_rule_breaches(path):
+    """`__eq__`/`__hash__` defined in a class body, or `object.__setattr__` called."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign) and not (
+                    isinstance(item.value, ast.Constant) and item.value.value is None
+                ):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [f"{node.name}.{n}" for n in names if n in ("__eq__", "__hash__")]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            found.append(f"object.__setattr__ at line {node.lineno}")
+    return found
+
+
+def test_only_records_defines_equality_hashing_and_field_setting():
+    # the rule for which fields `==` reads lives in one place; `__hash__ = None`
+    # marks a mutable record as unhashable
+    package = common.PROBLEMS.parent / "src" / "greenseq"
+    paths = sorted(package.glob("*.py"))
+    assert package / "records.py" in paths
+    breaches = {
+        path.name: found
+        for path in paths
+        if path.name != "records.py" and (found := _record_rule_breaches(path))
+    }
+    assert breaches == {}

@@ -251,6 +251,20 @@ def test_top_level_array_exits_2(tmp_path, capsys, overrides):
     assert "problem file must be a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["mgs", "extrema"], ["walls", "--random", "1"], ["verify"]], ids=["mgs", "walls", "verify"]
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # the JSON decoder recurses once per level and stops at the recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text('{"qp": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    command, *options = argv
+    assert main([command, str(path), *options]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read problem file: ")
+
+
 @pytest.mark.parametrize("where", ["base", "coefficient"])
 def test_exponent_notation_exits_2_at_once(tmp_path, where):
     # Fraction("1e400000000") would build 10**400000000: rejected up front
