@@ -5,16 +5,16 @@ immutable and hashable. Mutation returns fresh matrices; nothing is modified
 in place. Python integers are arbitrary precision, so entries cannot silently
 wrap.
 
-Both green-sequence searches number the distinct c-vectors they meet with int
-ids (`_CVectors`). Sign coherence is asserted once per distinct c-vector, when
-its id is made; the ids after a green mutation come from memoized negations
-and sums c_j + b c_k; and every seed the search enters is checked to have the
-c-columns `mutate` gives it. `enumerate_green_sequences` calls `mutate` once
-per labelled seed, `mgs_summary` once per exchange-graph state.
+Both green-sequence searches walk one `_ExchangeGraph`, the oriented
+exchange graph of an initial seed. A green step is read from c-vector ids
+alone (B_t = C_t^T B_0 C_t); `mutate` runs once per state, when the state is
+first entered, and is checked against the ids the step predicted.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
@@ -23,6 +23,7 @@ from greenseq.records import FrozenRecord
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
+Ids = tuple[int, ...]  # c-vector ids of a seed's columns, or of a state
 
 
 class ExtExchangeMatrix(FrozenRecord):
@@ -74,10 +75,10 @@ def initial_seed_from_matrix(b: Iterable[Iterable[int]]) -> ExtExchangeMatrix:
     """Build the initial seed (B over the identity) from a raw B-matrix."""
     bt = tuple(tuple(int(x) for x in row) for row in b)
     n = len(bt)
-    for i in range(n):
-        for j in range(n):
-            if bt[i][j] != -bt[j][i]:
-                raise InvalidQuiverError("B-matrix must be skew-symmetric")
+    if any(len(row) != n for row in bt):
+        raise InvalidQuiverError("B-matrix must be square")
+    if any(x != -y for row, col in zip(bt, zip(*bt)) for x, y in zip(row, col)):
+        raise InvalidQuiverError("B-matrix must be skew-symmetric")
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return ExtExchangeMatrix(n=n, b=bt, c=ident)
 
@@ -140,20 +141,27 @@ def is_green(m: ExtExchangeMatrix, k: int) -> bool:
     return any(col) and all(x >= 0 for x in col)
 
 
-class _CVectors:
-    """The distinct c-vectors met by one search, each with an int id.
+class _ExchangeGraph:
+    """The oriented exchange graph of an initial seed, built as it is walked.
 
-    `vecs[i]` is the c-vector with id i and `green[i]` its colour, computed
-    when the id is made, so sign coherence is asserted once per distinct
-    c-vector. A seed's c-columns are a tuple of ids in column order.
+    A c-vector gets an int id when first met, and its sign coherence is
+    asserted then. A labelled seed is its ids in column order, a state their
+    set (`key`: the sorted tuple, whose size grows with n, not with the ids),
+    an edge a green step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
+    c_j + [b_kj]_+ c_k with b_kj = c_k^T B_0 c_j, memoized in one row per
+    green c_k. `enter` is the one place a search builds a matrix, once per
+    state, checked against the ids `step` predicted; the graph also keeps
+    the entered states and their budget.
     """
 
     def __init__(self):
         self.ids: dict[IntVector, int] = {}
         self.vecs: list[IntVector] = []
         self.green: list[bool] = []
-        self.negated: dict[int, int] = {}  # id of c -> id of -c
-        self.added: dict[tuple[int, int, int], int] = {}  # (c_j, b, c_k) -> c_j + b c_k
+        self.rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self.states: set[Ids] = set()
+        self.b0_cols: IntMatrix = ()
+        self.budget = float("inf")
 
     def id(self, col: IntVector) -> int:
         i = self.ids.get(col)
@@ -166,36 +174,51 @@ class _CVectors:
             self.green.append(positive)
         return i
 
-    def of(self, m: ExtExchangeMatrix) -> tuple[int, ...]:
+    def of(self, m: ExtExchangeMatrix) -> Ids:
         """The ids of m's c-columns, in column order."""
         return tuple(map(self.id, zip(*m.c)))
 
-    def green_step(self, m: ExtExchangeMatrix, ids: tuple[int, ...], k: int) -> tuple[int, ...]:
-        """The ids of mutate(m, k), where m has ids `ids` and column k is
-        green: every c_ik >= 0, so column j != k becomes c_j + [b_kj]_+ c_k
-        and column k flips sign."""
-        ck = ids[k]
-        new = list(ids)
-        neg = self.negated.get(ck)
-        if neg is None:
-            neg = self.negated[ck] = self.id(tuple([-x for x in self.vecs[ck]]))
-        new[k] = neg
-        for j, bkj in enumerate(m.b[k]):
-            if bkj > 0:
-                cj = ids[j]
-                i = self.added.get((cj, bkj, ck))
-                if i is None:
-                    vec = tuple([x + bkj * y for x, y in zip(self.vecs[cj], self.vecs[ck])])
-                    i = self.added[cj, bkj, ck] = self.id(vec)
-                new[j] = i
-        return tuple(new)
+    @staticmethod
+    def key(ids: Ids) -> Ids:
+        """The state of a labelled seed."""
+        return tuple(sorted(ids))
 
-    def mutated(self, m: ExtExchangeMatrix, k: int, ids: tuple[int, ...]) -> ExtExchangeMatrix:
-        """mutate(m, k), checked to have the c-vector ids `ids`."""
-        child = mutate(m, k)
-        if self.of(child) != ids:
-            raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
-        return child
+    def step(self, ids: Ids, k: int) -> Ids:
+        """The ids after the green step at column k."""
+        ck = ids[k]
+        row = self.rows[ck]
+        try:
+            return tuple(map(row.__getitem__, ids))
+        except KeyError:  # some c_j met beside c_k for the first time
+            vk = self.vecs[ck]
+            form = [sum(map(mul, vk, col)) for col in self.b0_cols]  # c_k^T B_0
+            row[ck] = self.id(tuple([-x for x in vk]))
+            for cj in set(ids).difference(row):
+                b = max(sum(map(mul, form, self.vecs[cj])), 0)  # [b_kj]_+
+                row[cj] = self.id(tuple([x + b * y for x, y in zip(self.vecs[cj], vk)]))
+            return tuple(map(row.__getitem__, ids))
+
+    def start(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> Ids:
+        """Enter an initial seed's state, of at most `budget`; its ids."""
+        ids = self.of(seed)
+        if seed != initial_seed_from_matrix(seed.b):
+            raise ValueError("a green-sequence search starts from an initial seed (C = I)")
+        self.b0_cols = tuple(zip(*seed.b))
+        self.budget = budget
+        self.enter(seed, None, ids)
+        return ids
+
+    def enter(self, m: ExtExchangeMatrix, k: Optional[int], ids: Ids) -> ExtExchangeMatrix:
+        """Enter the new state `ids`, the seed's (k is None) or that of
+        step(of(m), k), and return its matrix."""
+        if k is not None:
+            m = mutate(m, k)
+            if tuple(zip(*m.c)) != tuple(map(self.vecs.__getitem__, ids)):
+                raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
+        if len(self.states) >= self.budget:
+            raise SearchBudgetExceeded(f"exchange-graph search exceeded {self.budget} states")
+        self.states.add(self.key(ids))
+        return m
 
 
 def enumerate_green_sequences(
@@ -209,12 +232,14 @@ def enumerate_green_sequences(
     stack, so its depth is bounded by `budget`, not by Python's recursion
     limit.
 
-    Each labelled seed is memoized on its c-vector ids in column order
-    (B_t = C_t^T B_0 C_t, so from an initial seed they fix the matrix), so
-    `mutate` runs once per labelled seed, not once per path node.
+    Each node on the path carries its labelled seed, the c-vector ids in
+    column order, and reaches its children by `_ExchangeGraph.step`:
+    c_k -> -c_k and c_j -> c_j + [c_k^T B_0 c_j]_+ c_k. A node keeps a matrix
+    only on the first visit of its state (keyed by the sorted ids), which
+    enters every state below it, so `mutate` runs once per state but the seed's.
 
     Args:
-        seed: the starting extended exchange matrix (normally an initial seed).
+        seed: an initial seed (B over the identity).
         budget: node budget for the search; every green sequence, maximal or
             not, is one node, and so is the empty one at the seed.
 
@@ -226,51 +251,43 @@ def enumerate_green_sequences(
             exception's `partial` attribute carries the sequences found so far.
         AssertionError: on a sign-incoherent c-vector, or if `mutate`
             disagrees with the predicted c-vector ids.
+        ValueError: if the seed's C is not the identity.
     """
-    table = _CVectors()
-    # labelled seed -> (matrix, [(green k, c_k, the child's key)])
-    states: dict[tuple[int, ...], tuple] = {}
+    graph = _ExchangeGraph()
+    green = graph.green
     found: list[GreenSequence] = []
     indices: list[int] = []
     cvecs: list[IntVector] = []
     visited = 0
 
-    def state(m: ExtExchangeMatrix, ids: tuple[int, ...]) -> tuple:
-        states[ids] = m, [
-            (k, table.vecs[i], table.green_step(m, ids, k))
-            for k, i in enumerate(ids)
-            if table.green[i]
-        ]
-        return states[ids]
-
-    def enter(record: tuple):
+    def visit(ids: Ids, m: Optional[ExtExchangeMatrix]):
         nonlocal visited
         visited += 1
         if visited > budget:
-            raise SearchBudgetExceeded(
-                f"green-sequence search exceeded {budget} nodes",
-                partial=list(found),
-            )
-        m, branches = record
+            message = f"green-sequence search exceeded {budget} nodes"
+            raise SearchBudgetExceeded(message, partial=list(found))
+        branches = [k for k, i in enumerate(ids) if green[i]]
         if not branches:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        return m, iter(branches)
+        return ids, m, iter(branches)
 
-    # one frame per node on the current path: len(stack) == len(indices) + 1
-    stack = [enter(state(seed, table.of(seed)))]
+    # one frame per node on the current path: len(stack) == len(indices) + 1;
+    # its matrix is None unless the node is its state's first visit
+    stack = [visit(graph.start(seed), seed)]  # `budget` bounds the states too
     while stack:
-        m, branches = stack[-1]
-        branch = next(branches, None)
-        if branch is None:
+        ids, m, branches = stack[-1]
+        k = next(branches, None)
+        if k is None:
             stack.pop()
             if stack:
                 indices.pop()
                 cvecs.pop()
             continue
-        k, ck, ids = branch
+        child = graph.step(ids, k)
         indices.append(k)
-        cvecs.append(ck)
-        stack.append(enter(states.get(ids) or state(table.mutated(m, k, ids), ids)))
+        cvecs.append(graph.vecs[ids[k]])
+        new = m is not None and graph.key(child) not in graph.states
+        stack.append(visit(child, graph.enter(m, k, child) if new else None))
     return found
 
 
@@ -295,17 +312,15 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     listing them.
 
     Maximal green sequences are the maximal paths of the oriented exchange
-    graph, whose states are seeds up to relabelling and whose edges are green
-    mutations. Its count, minimum and maximum are a memo over the states,
-    filled by a depth-first search with its own stack that enters each state
-    once. A state's key is the set of its c-vector ids, the int OR of
-    1 << id: B_t = C_t^T B_0 C_t, so the c-vectors fix the seed up to
-    relabelling, and relabelling changes none of the three numbers. The key
-    at the end of a green edge comes from the c-vector table, so `mutate`
-    runs only to enter a new state.
+    graph. Their count, minimum and maximum are a memo over its states,
+    keyed by the sorted c-vector ids (the c-vectors fix the seed up to
+    relabelling, which changes none of the three numbers) and filled by a
+    depth-first search with its own stack over an `_ExchangeGraph`. Edges
+    come from `step`, c_j -> c_j + [c_k^T B_0 c_j]_+ c_k, so `mutate` runs
+    once per state, when it is entered, and not for the seed.
 
     Args:
-        seed: the starting extended exchange matrix (normally an initial seed).
+        seed: an initial seed (B over the identity).
         budget: maximum number of states entered.
 
     Raises:
@@ -314,49 +329,40 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
         AssertionError: on a sign-incoherent c-vector, if `mutate` disagrees
             with the predicted c-vector ids, or if a green mutation leads back
             to a state whose search is still open.
+        ValueError: if the seed's C is not the identity.
     """
-    table = _CVectors()
-    # key -> (count, min, max); None while the state's search is open
-    memo: dict[int, Optional[tuple[int, int, int]]] = {}
+    graph = _ExchangeGraph()
+    green = graph.green
+    memo: dict[Ids, tuple[int, int, int]] = {}  # closed states only
 
-    def enter(m: ExtExchangeMatrix, ids: tuple[int, ...], key: int):
-        if len(memo) >= budget:
-            raise SearchBudgetExceeded(
-                f"exchange-graph search exceeded {budget} states"
-            )
-        memo[key] = None
-        return key, m, ids, (k for k, i in enumerate(ids) if table.green[i]), []
+    def frame(key: Ids, ids: Ids, m: ExtExchangeMatrix):
+        return key, ids, m, (k for k, i in enumerate(ids) if green[i]), []
 
-    root_ids = table.of(seed)
-    root_key = sum(1 << i for i in root_ids)
-    stack = [enter(seed, root_ids, root_key)]
+    ids = graph.start(seed, budget)
+    stack = [frame(graph.key(ids), ids, seed)]
     while stack:
-        key, m, ids, branches, below = stack[-1]
+        key, ids, m, branches, below = stack[-1]
         k = next(branches, None)
         if k is None:
             stack.pop()
             if below:
-                summary = (
-                    sum(c for c, _, _ in below),
-                    1 + min(lo for _, lo, _ in below),
-                    1 + max(hi for _, _, hi in below),
-                )
+                counts, los, his = zip(*below)
+                memo[key] = summary = (sum(counts), 1 + min(los), 1 + max(his))
             else:
-                summary = (1, 0, 0)
-            memo[key] = summary
+                memo[key] = summary = (1, 0, 0)
             if stack:
                 stack[-1][4].append(summary)  # the parent's `below`
             continue
-        child = table.green_step(m, ids, k)
-        target = sum(1 << i for i in child)
-        if target not in memo:
-            stack.append(enter(table.mutated(m, k, child), child, target))
-        elif memo[target] is None:
+        child = graph.step(ids, k)
+        target = graph.key(child)
+        if target in memo:
+            below.append(memo[target])
+        elif target in graph.states:
             raise AssertionError("green mutation returned to an open state")
         else:
-            below.append(memo[target])
-    count, lo, hi = memo[root_key]
-    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(memo))
+            stack.append(frame(target, child, graph.enter(m, k, child)))
+    count, lo, hi = summary  # the seed's, closed last
+    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(graph.states))
 
 
 def replay_c_vector_sequence(
@@ -366,20 +372,20 @@ def replay_c_vector_sequence(
 
     At each step the (unique, the c-columns are a basis) green vertex whose
     c-column equals the requested vector is mutated. Sign coherence is
-    asserted on every c-vector met.
+    asserted on every c-vector met, by an `_ExchangeGraph`'s id table.
 
     Raises:
         ValueError: if some step has no green vertex with that c-vector.
     """
-    table = _CVectors()
+    graph = _ExchangeGraph()
     m = seed
     indices: list[int] = []
     consumed: list[IntVector] = []
     for t, want in enumerate(c_vectors):
         want = tuple(int(x) for x in want)
-        ids = table.of(m)
-        i = table.ids.get(want)
-        if i not in ids or not table.green[i]:
+        ids = graph.of(m)
+        i = graph.ids.get(want)
+        if i not in ids or not graph.green[i]:
             raise ValueError(f"step {t}: no green vertex carries c-vector {want}")
         k = ids.index(i)
         indices.append(k)
@@ -388,20 +394,13 @@ def replay_c_vector_sequence(
     return GreenSequence(tuple(indices), tuple(consumed)), m
 
 
-def cvector_multiset(seq: GreenSequence) -> tuple[IntVector, ...]:
-    """Canonical key for the equivalence class of a green sequence.
-
-    Two maximal green sequences are treated as equivalent iff their c-vector
-    multisets coincide; the key is the sorted tuple of c-vectors.
-    """
-    return tuple(sorted(seq.c_vectors))
-
-
 def equivalence_classes(
     seqs: Iterable[GreenSequence],
 ) -> dict[tuple[IntVector, ...], list[GreenSequence]]:
-    """Group green sequences by c-vector multiset."""
+    """Group green sequences by c-vector multiset, keyed by the sorted tuple
+    of their c-vectors: two maximal green sequences are treated as equivalent
+    iff their multisets coincide."""
     classes: dict[tuple[IntVector, ...], list[GreenSequence]] = {}
     for s in seqs:
-        classes.setdefault(cvector_multiset(s), []).append(s)
+        classes.setdefault(tuple(sorted(s.c_vectors)), []).append(s)
     return classes

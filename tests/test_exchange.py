@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from greenseq import exchange
-from greenseq.errors import SearchBudgetExceeded
+from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
 
 # The worked six-step chain on the cyclic triangle: mutate at 3, 2, 3, 1, 3.
 # Each entry is rows() of the 6x3 extended matrix, B stacked over C.
@@ -60,6 +60,21 @@ def test_initial_seed_from_matrix_matches_quiver_seed(a3_qp):
 
     direct = exchange.initial_seed_from_matrix(b_matrix(a3_qp.quiver))
     assert direct == exchange.initial_seed(a3_qp.quiver)
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        ([[0, 1], [-1]], "square"),
+        ([[0, 1]], "square"),
+        ([[0], [0, 0]], "square"),
+        ([[0, 1], [1, 0]], "skew-symmetric"),
+    ],
+    ids=["short-row", "wide", "long-row", "symmetric"],
+)
+def test_initial_seed_from_matrix_rejects_bad_matrices(b, message):
+    with pytest.raises(InvalidQuiverError, match=message):
+        exchange.initial_seed_from_matrix(b)
 
 
 def test_a3_census(a3_qp):

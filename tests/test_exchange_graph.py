@@ -1,6 +1,8 @@
 """Mutation rule, iterative enumeration and the exchange-graph summary."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -104,12 +106,9 @@ def test_enumeration_matches_the_recursive_definition(name):
         )
 
 
-@pytest.mark.parametrize(
-    "name, enumerate_calls", [("a3_cyclic", 22), ("d4_cyclic", 153), ("a5_example", 614)]
-)
-def test_mutate_runs_once_per_seed_entered(monkeypatch, name, enumerate_calls):
-    # enumerate: once per labelled seed other than the first; the summary:
-    # once per exchange-graph state other than the first
+@pytest.mark.parametrize("name", SMALL)
+def test_mutate_runs_once_per_seed_entered(monkeypatch, name):
+    # both searches: once per exchange-graph state other than the first
     calls = []
     mutate = exchange.mutate
 
@@ -119,11 +118,82 @@ def test_mutate_runs_once_per_seed_entered(monkeypatch, name, enumerate_calls):
 
     monkeypatch.setattr(exchange, "mutate", counted)
     seed = seed_of(name)
-    exchange.enumerate_green_sequences(seed)
-    assert len(calls) == enumerate_calls
-    del calls[:]
-    exchange.mgs_summary(seed)
-    assert len(calls) == SUMMARIES[name][3] - 1
+    for search in (exchange.enumerate_green_sequences, exchange.mgs_summary):
+        del calls[:]
+        search(seed)
+        assert len(calls) == SUMMARIES[name][3] - 1
+
+
+def test_mutate_is_called_only_where_a_state_is_entered():
+    # every reference to `mutate` in exchange.py, named by its enclosing
+    # class and function; the searches reach it only through the graph
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = where + (child.name,)
+            elif isinstance(child, ast.Name) and child.id == "mutate":
+                found.append(".".join(where))
+            walk(child, inner)
+
+    walk(ast.parse(Path(exchange.__file__).read_text()), ())
+    assert sorted(found) == ["_ExchangeGraph.enter", "replay_c_vector_sequence"]
+
+
+@pytest.mark.parametrize(
+    "name, seeds, edges",
+    [("a3_cyclic", 23, 27), ("d4_cyclic", 154, 224), ("a5_example", 615, 1088)],
+)
+def test_step_predicts_mutate_on_every_labelled_seed(name, seeds, edges):
+    # the searches check `mutate` once per state, so a step from any other
+    # labelling of that state is checked here, on every green edge
+    seed = seed_of(name)
+    graph = exchange._ExchangeGraph()
+    root = graph.start(seed)
+    matrices = {root: seed}
+    todo = [root]
+    count = 0
+    while todo:
+        ids = todo.pop()
+        m = matrices[ids]
+        for k in range(m.n):
+            if exchange.is_green(m, k):
+                child = exchange.mutate(m, k)
+                step = graph.step(ids, k)
+                assert step == graph.of(child)
+                count += 1
+                if step not in matrices:
+                    matrices[step] = child
+                    todo.append(step)
+    assert (len(matrices), count) == (seeds, edges)
+
+
+def test_step_predicts_mutate_on_a_green_walk_through_a9():
+    rng = random.Random("a9-green-walk")
+    seed = seed_of("a9_example")
+    graph = exchange._ExchangeGraph()
+    root = graph.start(seed)
+    ids, m = root, seed
+    steps = 0
+    while steps < 2000:
+        greens = [k for k in range(m.n) if exchange.is_green(m, k)]
+        if not greens:  # a maximal green sequence ended: walk again
+            ids, m = root, seed
+            continue
+        k = rng.choice(greens)
+        m = exchange.mutate(m, k)
+        ids = graph.step(ids, k)
+        assert ids == graph.of(m)
+        steps += 1
+
+
+def test_searches_start_from_an_initial_seed():
+    seed = exchange.mutate(seed_of("a3_cyclic"), 0)
+    for search in (exchange.enumerate_green_sequences, exchange.mgs_summary):
+        with pytest.raises(ValueError, match="initial seed"):
+            search(seed)
 
 
 @pytest.mark.parametrize(

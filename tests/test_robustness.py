@@ -146,8 +146,8 @@ def _a3_without_potential():
 INFINITE_TYPE = {"kronecker": KRONECKER, "cycle3": _a3_without_potential()}
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cap_address_space(size=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
 def _cli_env(**overrides):
@@ -157,6 +157,24 @@ def _cli_env(**overrides):
         p for p in (str(common.PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def test_infinite_exchange_graph_stops_on_its_state_budget(tmp_path):
+    # the Kronecker quiver's green graph is one long path: 60,000 states fit
+    # in 512 MiB only if a state's key does not grow with the c-vector ids
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps(KRONECKER))
+    done = subprocess.run(
+        [sys.executable, "-m", "greenseq.cli", "mgs", str(path), "extrema", "--budget", "60000"],
+        env=_cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: _cap_address_space(1 << 29),
+    )
+    assert done.returncode == 1, done.stderr
+    assert "search budget exceeded" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE_TYPE))
