@@ -273,7 +273,7 @@ def enumerate_green_sequences(
 
     # one frame per node on the current path: len(stack) == len(indices) + 1;
     # its matrix is None unless the node is its state's first visit
-    stack = [visit(graph.start(seed), seed)]  # `budget` bounds the states too
+    stack = [visit(graph.start(seed), seed)]  # the node budget bounds the states
     while stack:
         ids, m, branches = stack[-1]
         k = next(branches, None)
