@@ -72,8 +72,9 @@ def _parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=None,
-            help="override the search budget: path nodes for `mgs enumerate|classes`, "
-            "exchange-graph states for `mgs extrema`, cut choices for --construct-max, "
+            help="override the search budget: exchange-graph states for `mgs extrema`, "
+            "path nodes for `mgs enumerate|classes` (which build that graph under the same "
+            "budget first), cut choices for --construct-max, "
             "search nodes for `verify`, and, for every command that builds a module "
             "catalog, string letters (the catalog stops once its walks pass "
             "2 x budget letters, a walk of length L counting 1 + L)",

@@ -5,15 +5,17 @@ immutable and hashable. Mutation returns fresh matrices; nothing is modified
 in place. Python integers are arbitrary precision, so entries cannot silently
 wrap.
 
-Both green-sequence searches walk one `_ExchangeGraph`, the oriented
-exchange graph of an initial seed. A green step is read from c-vector ids
-alone (B_t = C_t^T B_0 C_t); `mutate` runs once per state, when the state is
-first entered, and is checked against the ids the step predicted.
+Both green-sequence searches build one `_ExchangeGraph`, the oriented
+exchange graph of an initial seed, by one depth-first search over its states.
+`mgs_summary` folds it in post-order; `enumerate_green_sequences` walks its
+labelled paths. A green step is read from c-vector ids alone
+(B_t = C_t^T B_0 C_t); `mutate` runs once per state, when the build enters it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import suppress
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -142,16 +144,17 @@ def is_green(m: ExtExchangeMatrix, k: int) -> bool:
 
 
 class _ExchangeGraph:
-    """The oriented exchange graph of an initial seed, built as it is walked.
+    """The oriented exchange graph of an initial seed, built once and kept.
 
     A c-vector gets an int id when first met, and its sign coherence is
     asserted then. A labelled seed is its ids in column order, a state their
-    set (`key`: the sorted tuple, whose size grows with n, not with the ids),
-    an edge a green step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
+    sorted tuple (whose size grows with n, not with the ids), an edge a green
+    step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
     c_j + [b_kj]_+ c_k with b_kj = c_k^T B_0 c_j, memoized in one row per
-    green c_k. `enter` is the one place a search builds a matrix, once per
-    state, checked against the ids `step` predicted; the graph also keeps
-    the entered states and their budget.
+    green c_k. `build` enters each state once, through `enter`, the one place
+    a matrix is built, checked against the ids `step` predicted. It numbers
+    the states in post-order, a topological order with the seed last, and
+    `children[s]` holds the numbers of the states one green step below s.
     """
 
     def __init__(self):
@@ -159,7 +162,8 @@ class _ExchangeGraph:
         self.vecs: list[IntVector] = []
         self.green: list[bool] = []
         self.rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        self.states: set[Ids] = set()
+        self.number: dict[Ids, Optional[int]] = {}  # state -> post-order number
+        self.children: list[tuple[int, ...]] = []
         self.b0_cols: IntMatrix = ()
         self.budget = float("inf")
 
@@ -178,11 +182,6 @@ class _ExchangeGraph:
         """The ids of m's c-columns, in column order."""
         return tuple(map(self.id, zip(*m.c)))
 
-    @staticmethod
-    def key(ids: Ids) -> Ids:
-        """The state of a labelled seed."""
-        return tuple(sorted(ids))
-
     def step(self, ids: Ids, k: int) -> Ids:
         """The ids after the green step at column k."""
         ck = ids[k]
@@ -198,26 +197,46 @@ class _ExchangeGraph:
                 row[cj] = self.id(tuple([x + b * y for x, y in zip(self.vecs[cj], vk)]))
             return tuple(map(row.__getitem__, ids))
 
-    def start(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> Ids:
-        """Enter an initial seed's state, of at most `budget`; its ids."""
+    def build(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> None:
+        """Enter every state below an initial seed, of at most `budget`, depth
+        first with its own stack, and number each state when it closes."""
         ids = self.of(seed)
         if seed != initial_seed_from_matrix(seed.b):
             raise ValueError("a green-sequence search starts from an initial seed (C = I)")
         self.b0_cols = tuple(zip(*seed.b))
         self.budget = budget
-        self.enter(seed, None, ids)
-        return ids
+        green, number, children = self.green, self.number, self.children
+
+        def frame(key: Ids, ids: Ids, m: ExtExchangeMatrix):
+            number[key] = None  # open until it is numbered
+            return key, ids, m, (k for k, i in enumerate(ids) if green[i]), []
+
+        stack = [frame(tuple(sorted(ids)), ids, self.enter(seed, None, ids))]
+        while stack:
+            key, ids, m, branches, below = stack[-1]  # below: child states
+            k = next(branches, None)
+            if k is None:  # every child is numbered, so this state is next
+                stack.pop()
+                number[key] = len(children)
+                children.append(tuple(map(number.__getitem__, below)))
+                continue
+            child = self.step(ids, k)
+            target = tuple(sorted(child))
+            if target not in number:
+                stack.append(frame(target, child, self.enter(m, k, child)))
+            elif number[target] is None:
+                raise AssertionError("green mutation returned to an open state")
+            below.append(target)
 
     def enter(self, m: ExtExchangeMatrix, k: Optional[int], ids: Ids) -> ExtExchangeMatrix:
-        """Enter the new state `ids`, the seed's (k is None) or that of
-        step(of(m), k), and return its matrix."""
+        """The matrix of the new state `ids`, the seed's (k is None) or that
+        of step(of(m), k), if the state budget has room for it."""
         if k is not None:
             m = mutate(m, k)
             if tuple(zip(*m.c)) != tuple(map(self.vecs.__getitem__, ids)):
                 raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
-        if len(self.states) >= self.budget:
+        if len(self.number) >= self.budget:
             raise SearchBudgetExceeded(f"exchange-graph search exceeded {self.budget} states")
-        self.states.add(self.key(ids))
         return m
 
 
@@ -232,11 +251,10 @@ def enumerate_green_sequences(
     stack, so its depth is bounded by `budget`, not by Python's recursion
     limit.
 
-    Each node on the path carries its labelled seed, the c-vector ids in
-    column order, and reaches its children by `_ExchangeGraph.step`:
-    c_k -> -c_k and c_j -> c_j + [c_k^T B_0 c_j]_+ c_k. A node keeps a matrix
-    only on the first visit of its state (keyed by the sorted ids), which
-    enters every state below it, so `mutate` runs once per state but the seed's.
+    The exchange graph is built first, with `budget` as its state budget, so
+    `mutate` runs once per state but the seed's. The listing then walks its
+    labelled paths: a node is its seed's c-vector ids in column order, and
+    `_ExchangeGraph.step` gives its children.
 
     Args:
         seed: an initial seed (B over the identity).
@@ -254,13 +272,19 @@ def enumerate_green_sequences(
         ValueError: if the seed's C is not the identity.
     """
     graph = _ExchangeGraph()
+    # The build's pre-order is the walk's first-visit order, so every state
+    # the walk reaches within its budget was entered and checked by the
+    # build. Each state is at least one path node, so a graph past the
+    # budget runs the walk below out too, with its partial list.
+    with suppress(SearchBudgetExceeded):
+        graph.build(seed, budget)
     green = graph.green
     found: list[GreenSequence] = []
     indices: list[int] = []
     cvecs: list[IntVector] = []
     visited = 0
 
-    def visit(ids: Ids, m: Optional[ExtExchangeMatrix]):
+    def visit(ids: Ids):
         nonlocal visited
         visited += 1
         if visited > budget:
@@ -269,25 +293,19 @@ def enumerate_green_sequences(
         branches = [k for k, i in enumerate(ids) if green[i]]
         if not branches:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        return ids, m, iter(branches)
+        return ids, iter(branches)
 
-    # one frame per node on the current path: len(stack) == len(indices) + 1;
-    # its matrix is None unless the node is its state's first visit
-    stack = [visit(graph.start(seed), seed)]  # the node budget bounds the states
+    stack = [visit(graph.of(seed))]  # one frame per node on the current path
     while stack:
-        ids, m, branches = stack[-1]
+        ids, branches = stack[-1]
         k = next(branches, None)
         if k is None:
             stack.pop()
-            if stack:
-                indices.pop()
-                cvecs.pop()
-            continue
-        child = graph.step(ids, k)
-        indices.append(k)
-        cvecs.append(graph.vecs[ids[k]])
-        new = m is not None and graph.key(child) not in graph.states
-        stack.append(visit(child, graph.enter(m, k, child) if new else None))
+            del indices[-1:], cvecs[-1:]  # nothing to drop at the seed
+        else:
+            indices.append(k)
+            cvecs.append(graph.vecs[ids[k]])
+            stack.append(visit(graph.step(ids, k)))
     return found
 
 
@@ -312,12 +330,12 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     listing them.
 
     Maximal green sequences are the maximal paths of the oriented exchange
-    graph. Their count, minimum and maximum are a memo over its states,
-    keyed by the sorted c-vector ids (the c-vectors fix the seed up to
-    relabelling, which changes none of the three numbers) and filled by a
-    depth-first search with its own stack over an `_ExchangeGraph`. Edges
-    come from `step`, c_j -> c_j + [c_k^T B_0 c_j]_+ c_k, so `mutate` runs
-    once per state, when it is entered, and not for the seed.
+    graph. Its states are the sorted c-vector ids (the c-vectors fix the seed
+    up to relabelling, which changes none of the three numbers), and
+    `_ExchangeGraph.build` numbers them in post-order, so count, minimum and
+    maximum are one fold over that order: a state's three come from its
+    children's, which are numbered before it. `mutate` runs once per state,
+    when the build enters it, and not for the seed.
 
     Args:
         seed: an initial seed (B over the identity).
@@ -332,37 +350,16 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
         ValueError: if the seed's C is not the identity.
     """
     graph = _ExchangeGraph()
-    green = graph.green
-    memo: dict[Ids, tuple[int, int, int]] = {}  # closed states only
-
-    def frame(key: Ids, ids: Ids, m: ExtExchangeMatrix):
-        return key, ids, m, (k for k, i in enumerate(ids) if green[i]), []
-
-    ids = graph.start(seed, budget)
-    stack = [frame(graph.key(ids), ids, seed)]
-    while stack:
-        key, ids, m, branches, below = stack[-1]
-        k = next(branches, None)
-        if k is None:
-            stack.pop()
-            if below:
-                counts, los, his = zip(*below)
-                memo[key] = summary = (sum(counts), 1 + min(los), 1 + max(his))
-            else:
-                memo[key] = summary = (1, 0, 0)
-            if stack:
-                stack[-1][4].append(summary)  # the parent's `below`
-            continue
-        child = graph.step(ids, k)
-        target = graph.key(child)
-        if target in memo:
-            below.append(memo[target])
-        elif target in graph.states:
-            raise AssertionError("green mutation returned to an open state")
+    graph.build(seed, budget)
+    folds: list[tuple[int, int, int]] = []  # (count, min, max) per state number
+    for below in graph.children:
+        if below:
+            counts, los, his = zip(*map(folds.__getitem__, below))
+            folds.append((sum(counts), 1 + min(los), 1 + max(his)))
         else:
-            stack.append(frame(target, child, graph.enter(m, k, child)))
-    count, lo, hi = summary  # the seed's, closed last
-    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(graph.states))
+            folds.append((1, 0, 0))
+    count, lo, hi = folds[-1]  # the seed's, numbered last
+    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(folds))
 
 
 def replay_c_vector_sequence(

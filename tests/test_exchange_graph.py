@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,21 @@ SUMMARIES = {
     "d4_cyclic": (112, 6, 9, 50),
     "a5_example": (2242, 7, 13, 132),
     "a9_example": (1_555_927_224_943_624, 13, 37, 16_796),
+}
+
+# the kept exchange graph: (states, green edges)
+GRAPHS = {
+    "a3_cyclic": (14, 21),
+    "d4_cyclic": (50, 100),
+    "a5_example": (132, 330),
+    "a9_example": (16_796, 75_582),
+}
+
+# maximal green sequences by length
+SPECTRA = {
+    "a3_cyclic": {4: 6, 5: 3},
+    "d4_cyclic": {6: 32, 7: 44, 8: 20, 9: 16},
+    "a5_example": {7: 126, 8: 424, 9: 544, 10: 508, 11: 264, 12: 208, 13: 168},
 }
 
 
@@ -151,7 +167,8 @@ def test_step_predicts_mutate_on_every_labelled_seed(name, seeds, edges):
     # labelling of that state is checked here, on every green edge
     seed = seed_of(name)
     graph = exchange._ExchangeGraph()
-    root = graph.start(seed)
+    graph.build(seed)
+    root = graph.of(seed)
     matrices = {root: seed}
     todo = [root]
     count = 0
@@ -174,7 +191,8 @@ def test_step_predicts_mutate_on_a_green_walk_through_a9():
     rng = random.Random("a9-green-walk")
     seed = seed_of("a9_example")
     graph = exchange._ExchangeGraph()
-    root = graph.start(seed)
+    graph.build(seed)
+    root = graph.of(seed)
     ids, m = root, seed
     steps = 0
     while steps < 2000:
@@ -310,3 +328,64 @@ def test_summary_budget_counts_states():
     assert (summary.min_len, summary.max_len) == (7, 13)
     with pytest.raises(SearchBudgetExceeded):
         exchange.mgs_summary(kronecker_seed(), budget=2000)
+
+
+def built_graph(name):
+    graph = exchange._ExchangeGraph()
+    graph.build(seed_of(name))
+    return graph
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_kept_graph_is_numbered_in_post_order(monkeypatch, name):
+    # one build enters every state once; a child is numbered before its
+    # parent, so the numbers are a topological order with the seed last
+    calls = []
+    mutate = exchange.mutate
+
+    def counted(m, k):
+        calls.append(k)
+        return mutate(m, k)
+
+    monkeypatch.setattr(exchange, "mutate", counted)
+    graph = built_graph(name)
+    children = graph.children
+    states = len(children)
+    assert (states, sum(map(len, children))) == GRAPHS[name]
+    assert all(child < parent for parent, below in enumerate(children) for child in below)
+    assert sorted(graph.number.values()) == list(range(states))
+    assert graph.number[tuple(sorted(graph.of(seed_of(name))))] == states - 1
+    assert len(calls) == states - 1
+
+
+@pytest.mark.parametrize(
+    "name, budget, count",
+    [("a5_example", 100, 26), ("a5_example", 131, 33), ("a9_example", 1000, 248)],
+)
+def test_listing_is_partial_where_the_graph_passes_the_budget(name, budget, count):
+    # the graph has more states than the node budget, so its build stops
+    # early; the listing still returns every sequence met within the budget
+    assert GRAPHS[name][0] > budget
+    seed = seed_of(name)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exchange.enumerate_green_sequences(seed, budget=budget)
+    partial = info.value.partial
+    assert len(partial) == count
+    if name == "a5_example":
+        assert partial == exchange.enumerate_green_sequences(seed)[:count]
+    if budget == 100:
+        assert partial[-1].mutation_indices == (0, 1, 0, 3, 4, 3, 2, 3, 0, 2)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_length_spectrum_is_one_fold_over_the_kept_graph(name):
+    spectra = []  # length -> count of the maximal paths from each state
+    for below in built_graph(name).children:
+        spectrum = Counter() if below else Counter({0: 1})
+        for child in below:
+            spectrum.update({length + 1: n for length, n in spectra[child].items()})
+        spectra.append(spectrum)
+    spectrum = spectra[-1]
+    assert spectrum == SPECTRA[name]
+    summary = exchange.mgs_summary(seed_of(name))
+    assert (sum(spectrum.values()), min(spectrum), max(spectrum)) == summary[:3]
