@@ -363,6 +363,40 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             1,
             "d786c6421d5ccda4f5ddb289897d86e0ed6176aec747717b8bf9027be01e0809",
         ),
+        (
+            # a partial JSON listing: 143,294 bytes
+            ["mgs", A5, "enumerate", "--format", "json", "--budget", "500"],
+            1,
+            "940aa0da2bc963ebdfe318dc741ea3506a1a27ed49779fe60c0c7a9f57fd1c26",
+        ),
+        (
+            # an empty partial listing: "sequences": []
+            ["mgs", A3, "enumerate", "--format", "json", "--budget", "1"],
+            1,
+            "f0a46bdea079a9001d571a5bd9d995cb394c6189d2540874c665201b04e6e5cf",
+        ),
+        (
+            ["mgs", A3, "classes", "--budget", "1"],
+            1,
+            "0390ea019f9c59dbd9a7c9d467a72e4fde4d7c40e01e5cfab99b75b7a6f47ced",
+        ),
+        (
+            # 422,188 bytes of text: many more lines than one write holds
+            ["mgs", A5, "enumerate"],
+            0,
+            "6789bba3e46833bff8e0d136415ef0e8dbac1c5b2ce5940f75461aef6ee0c17f",
+        ),
+        (
+            # text blocks separated by blank lines
+            ["mutate", A3, "3", "1", "2"],
+            0,
+            "cfccd264795c19657c72dbc869f4a32f74101a04831fb4175a799ebed62fe585",
+        ),
+        (
+            ["walls", A5, "--random", "3", "--seed", "1"],
+            0,
+            "80c9d0a8ab6a3b712be42de5d1c7a75ca11f439b72f13a8bf2eb12a25071023c",
+        ),
     ],
 )
 def test_mgs_stdout_is_pinned(capsys, argv, code, digest):
