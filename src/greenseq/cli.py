@@ -6,15 +6,15 @@ invalid input. Output depends only on (file, seed, budget), so identical runs
 produce identical bytes.
 
 Each command loads only the layers it runs, and builds only the format it
-prints. `mutate` and `mgs` run on `io` and `exchange` alone. `mgs
---construct-max` also loads `rep` and `bounds` (which loads `fho` and
-`walls`), `verify` loads `rep` and `fho` (which loads `walls`), and `walls`
-loads `rep` and `walls`. Those imports sit inside the commands, so an `mgs`
-run never compiles the module and wall layers. No command loads the
-module behind `@dataclass`, nor the `inspect`, `ast` and `dis` it imports:
-the records are `typing.NamedTuple`s or slotted classes that list their
-field names and take `==`, `hash` and the repr from their base
-(`greenseq.records`).
+prints, which `_emit` writes as it is made rather than assembling it.
+`mutate` and `mgs` run on `io` and `exchange` alone. `mgs --construct-max`
+also loads `rep` and `bounds` (which loads `fho` and `walls`), `verify`
+loads `rep` and `fho` (which loads `walls`), and `walls` loads `rep` and
+`walls`. Those imports sit inside the commands, so an `mgs` run never
+compiles the module and wall layers. No command loads the module behind
+`@dataclass`, nor the `inspect`, `ast` and `dis` it imports: the records
+are `typing.NamedTuple`s or slotted classes that list their field names and
+take `==`, `hash` and the repr from their base (`greenseq.records`).
 
 A reader that closes stdout early (`| head -1`) cuts the output short: the
 command then exits 1 without a traceback.
@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import exchange
 from . import io as gio
@@ -134,56 +134,68 @@ def _load(args) -> gio.ProblemFile:
     return gio.problem_from_json(data)
 
 
-def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> None:
-    """Print the JSON payload or the text; only the one printed is built."""
-    print(_json_text(payload()) if args.format == "json" else text())
+def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]) -> None:
+    """Write the JSON payload or the text lines; only the one written is built.
 
-
-def _json_text(value) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
-
-    With `indent` set, `json.dumps` runs the standard library's pure-Python
-    encoder; this writer escapes strings with the C encoder and writes a
-    list of plain ints in one `join`. Dict keys must be str.
+    Parts reach stdout 4,096 at a time, so no output is held whole and an
+    unbuffered stdout (`PYTHONUNBUFFERED`) is not written once per part.
     """
-    parts: list[str] = []
-    _json_parts(value, "\n", parts)
-    return "".join(parts)
+    chunk: list[str] = []
+
+    def write(part: str) -> None:
+        chunk.append(part)
+        if len(chunk) == 4096:
+            sys.stdout.write("".join(chunk))
+            chunk.clear()
+
+    if args.format == "json":
+        _json_parts(payload(), "\n", write)
+        write("\n")
+    else:
+        for line in text():
+            write(line + "\n")
+    sys.stdout.write("".join(chunk))
 
 
-def _json_parts(value, newline: str, parts: list[str]) -> None:
-    """Append the indented JSON of `value`; `newline` starts each of its lines."""
+def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
+    """Write `json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    `newline` starts each line of the value. With `indent` set, `json.dumps`
+    runs the standard library's pure-Python encoder; this writer escapes
+    strings with the C encoder and writes a list of plain ints in one part.
+    Dict keys must be str.
+    """
     if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
-            parts.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         lead = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            parts.append(lead + encode_basestring_ascii(key) + ": ")
-            _json_parts(value[key], inner, parts)
+            write(lead + encode_basestring_ascii(key) + ": ")
+            _json_parts(value[key], inner, write)
             lead = "," + inner
-        parts.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         if all(type(x) is int for x in value):
-            parts.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            write("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
             return
         lead = "[" + inner
         for item in value:
-            parts.append(lead)
-            _json_parts(item, inner, parts)
+            write(lead)
+            _json_parts(item, inner, write)
             lead = "," + inner
-        parts.append(newline + "]")
+        write(newline + "]")
     else:
-        parts.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def _matrix_text(rows: Sequence[Sequence[int]]) -> str:
@@ -214,18 +226,22 @@ def cmd_mutate(args, problem: gio.ProblemFile) -> int:
         lambda: {
             "steps": [{"mutation": v, "matrix": [list(r) for r in rows]} for v, rows in chain]
         },
-        lambda: "\n\n".join(
-            (f"step {pos}: mutate at {v}" if pos else "initial seed") + "\n" + _matrix_text(rows)
+        lambda: [
+            (f"\nstep {pos}: mutate at {v}" if pos else "initial seed") + "\n" + _matrix_text(rows)
             for pos, (v, rows) in enumerate(chain)
-        ),
+        ],
     )
     return 0
 
 
 def _sequence_json(quiver, s: exchange.GreenSequence) -> dict:
-    out = s.to_json()
-    out["vertices"] = _vertex_labels(quiver, s.mutation_indices)
-    return out
+    """The JSON record of one listed sequence, over the sequence's own tuples."""
+    return {
+        "indices": s.mutation_indices,
+        "c_vectors": s.c_vectors,
+        "length": len(s),
+        "vertices": _vertex_labels(quiver, s.mutation_indices),
+    }
 
 
 def _classes_json(rows, partial: bool) -> dict:
@@ -243,14 +259,12 @@ def _classes_json(rows, partial: bool) -> dict:
     }
 
 
-def _classes_text(rows, partial: bool) -> str:
-    lines = [f"equivalence classes: {len(rows)}" + (" (partial)" if partial else "")]
+def _classes_text(rows, partial: bool) -> Iterator[str]:
+    yield f"equivalence classes: {len(rows)}" + (" (partial)" if partial else "")
     for length, key, size in rows:
-        lines.append(
-            f"length {length}  members {size}  c-vectors "
-            + " ".join(str(tuple(v)) for v in key)
+        yield f"length {length}  members {size}  c-vectors " + " ".join(
+            str(tuple(v)) for v in key
         )
-    return "\n".join(lines)
 
 
 def _sequences_json(quiver, seqs, partial: bool) -> dict:
@@ -261,16 +275,15 @@ def _sequences_json(quiver, seqs, partial: bool) -> dict:
     }
 
 
-def _sequences_text(quiver, seqs, partial: bool) -> str:
-    lines = [f"maximal green sequences: {len(seqs)}" + (" (partial)" if partial else "")]
+def _sequences_text(quiver, seqs, partial: bool) -> Iterator[str]:
+    yield f"maximal green sequences: {len(seqs)}" + (" (partial)" if partial else "")
     for s in seqs:
-        lines.append(
+        yield (
             "("
             + ",".join(str(v) for v in _vertex_labels(quiver, s.mutation_indices))
             + ")  c-vectors "
             + " ".join(str(tuple(v)) for v in s.c_vectors)
         )
-    return "\n".join(lines)
 
 
 def cmd_mgs(args, problem: gio.ProblemFile) -> int:
@@ -291,10 +304,11 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
                 "max": summary.max_len,
                 "count": summary.count,
             },
-            lambda: (
-                f"maximal green sequences: {summary.count}"
-                f"\nmin length {summary.min_len}\nmax length {summary.max_len}"
-            ),
+            lambda: [
+                f"maximal green sequences: {summary.count}",
+                f"min length {summary.min_len}",
+                f"max length {summary.max_len}",
+            ],
         )
         return 0
     try:
@@ -347,14 +361,12 @@ def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
             "c_vectors": [list(v) for v in gs.c_vectors],
             "labels": [m.label for m in best.modules],
         },
-        lambda: (
+        lambda: [
             f"cut deleting {{{', '.join(sorted(best_cut.deleted_arrows))}}} "
-            f"carries a length-{len(gs)} sequence\n"
-            + "mutations: "
-            + ",".join(str(v) for v in vertices)
-            + "\nmaximal: "
-            + str(maximal).lower()
-        ),
+            f"carries a length-{len(gs)} sequence",
+            "mutations: " + ",".join(str(v) for v in vertices),
+            "maximal: " + str(maximal).lower(),
+        ],
     )
     return 0 if maximal else 1
 
@@ -380,7 +392,7 @@ def cmd_verify(args, problem: gio.ProblemFile) -> int:
     ]
     for w in report["witnesses"]:
         lines.append("witness: " + json.dumps(w, sort_keys=True))
-    _emit(args, lambda: report, lambda: "\n".join(lines))
+    _emit(args, lambda: report, lambda: lines)
     return 0 if report["equal"] else 1
 
 
@@ -427,7 +439,7 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: degenerate base: {e}", file=sys.stderr)
             return 2
-        _emit(args, lambda: _walls_json(coords, records), lambda: _walls_text(coords, records))
+        _emit(args, lambda: _walls_json(coords, records), lambda: [_walls_text(coords, records)])
         return 0
     rng = random.Random(problem.rng_seed)
     found = []
@@ -440,7 +452,7 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
     _emit(
         args,
         lambda: {"bases": [_walls_json(base, records) for base, records in found]},
-        lambda: "\n\n".join(_walls_text(base, records) for base, records in found),
+        lambda: ["\n\n".join(_walls_text(base, records) for base, records in found)],
     )
     return 0
 

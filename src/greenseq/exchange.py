@@ -65,13 +65,6 @@ class GreenSequence(FrozenRecord):
     def __len__(self) -> int:
         return len(self.mutation_indices)
 
-    def to_json(self) -> dict:
-        return {
-            "indices": list(self.mutation_indices),
-            "c_vectors": [list(v) for v in self.c_vectors],
-            "length": len(self),
-        }
-
 
 def initial_seed_from_matrix(b: Iterable[Iterable[int]]) -> ExtExchangeMatrix:
     """Build the initial seed (B over the identity) from a raw B-matrix."""

@@ -50,13 +50,6 @@ class FhoSequence(FrozenRecord):
     def __len__(self) -> int:
         return len(self.modules)
 
-    def to_json(self) -> dict:
-        return {
-            "dims": [list(d) for d in self.dim_vectors],
-            "labels": [m.label for m in self.modules],
-            "length": len(self),
-        }
-
 
 def _torsion_free_mask(catalog: Catalog, seq: Sequence[int]) -> int:
     """F(M) as a bitmask over catalog positions, M = sum of seq."""

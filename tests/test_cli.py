@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq.cli import _json_text, main
+from greenseq.cli import _json_parts, main
 
 import common
 
@@ -430,6 +430,12 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(JSON_STRINGS, inner, max_size=4),
     max_leaves=24,
 )
+
+
+def _json_text(value) -> str:
+    parts = []
+    _json_parts(value, "\n", parts.append)
+    return "".join(parts)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from greenseq import exchange
+from greenseq.cli import _sequence_json
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
 
 # The worked six-step chain on the cyclic triangle: mutate at 3, 2, 3, 1, 3.
@@ -99,12 +100,14 @@ def test_a3_every_sequence_ends_with_no_green(a3_qp):
 
 
 def test_green_sequence_json(a3_qp):
+    # the listing writes the sequence's own tuples, with no list copies
     seed = exchange.initial_seed(a3_qp.quiver)
     seq = exchange.enumerate_green_sequences(seed)[0]
-    js = seq.to_json()
+    js = _sequence_json(a3_qp.quiver, seq)
     assert js["length"] == len(seq.mutation_indices)
-    assert js["indices"] == list(seq.mutation_indices)
-    assert js["c_vectors"] == [list(c) for c in seq.c_vectors]
+    assert js["indices"] is seq.mutation_indices
+    assert js["c_vectors"] is seq.c_vectors
+    assert js["vertices"] == [a3_qp.quiver.vertices[k] for k in seq.mutation_indices]
 
 
 def test_replay_c_vector_sequence(a3_qp):

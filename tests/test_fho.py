@@ -41,7 +41,6 @@ def test_dim_vectors_follow_the_modules(a3_catalog):
     seq = FhoSequence(modules=mods)
     dims = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
     assert seq.dim_vectors == tuple(dims)
-    assert seq.to_json()["dims"] == [list(d) for d in dims]
 
 
 def test_five_step_sequence_is_maximal(a3_catalog):
@@ -91,14 +90,6 @@ def test_torsion_pair_chain(a3_catalog):
         f_mask = _torsion_free_mask(a3_catalog, seq[:t])
         assert labels_of(a3_catalog, _torsion_mask(a3_catalog, f_mask)) == g_labels
         assert labels_of(a3_catalog, f_mask) == f_labels
-
-
-def test_sequence_json(a3_catalog):
-    seq = FhoSequence(tuple(by_labels(a3_catalog, FIVE)))
-    js = seq.to_json()
-    assert js["length"] == 5
-    assert js["labels"] == FIVE
-    assert js["dims"] == [[0, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]]
 
 
 def test_enumeration_matches_green_sequences(a3_qp, a3_catalog):

@@ -182,6 +182,24 @@ def test_infinite_exchange_graph_stops_on_its_state_budget(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_long_json_listing_is_written_in_bounded_memory():
+    # the partial a9 listing is tens of MB of JSON; assembled whole before it
+    # is printed, it does not fit in 192 MiB
+    done = subprocess.run(
+        [sys.executable, "-m", "greenseq.cli", "mgs", str(common.PROBLEMS / "a9_example.json"),
+         "enumerate", "--format", "json", "--budget", "100000"],
+        env=_cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: _cap_address_space(192 << 20),
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "MemoryError" not in done.stderr
+    assert json.loads(done.stdout)["partial"] is True
+
+
 @pytest.mark.parametrize("name", sorted(INFINITE_TYPE))
 @pytest.mark.parametrize(
     "argv",
@@ -314,18 +332,22 @@ def test_exponent_notation_exits_2_at_once(tmp_path, where):
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     # the JSON is larger than a pipe holds, so the write is still going on
-    # when the reader stops after one line
-    child = subprocess.Popen(
-        [sys.executable, "-m", "greenseq.cli", "walls", A3, "--random", "200", "--format", "json"],
-        env=_cli_env(PYTHONUNBUFFERED=unbuffered),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    assert child.stdout.readline() == "{\n"
-    child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    assert child.wait(timeout=30) == 1
-    assert "Traceback" not in err
-    assert err == ""
+    # when the reader stops after one line; the a5 listing is the largest
+    for argv in (
+        ["walls", A3, "--random", "200"],
+        ["mgs", str(common.PROBLEMS / "a5_example.json"), "enumerate"],
+    ):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "greenseq.cli", *argv, "--format", "json"],
+            env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert child.stdout.readline() == "{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=30) == 1, argv
+        assert "Traceback" not in err
+        assert err == ""
