@@ -277,6 +277,16 @@ def test_corrupted_module_fails_before_any_work(tmp_path, capsys):
             ["walls", A3, "--base", "1/3,-2/7,5", "--format", "json"],
             "413bc9f32542f940629f405b6f9bb88faf6dce265687c9a8a592f42cfcb428ed",
         ),
+        (
+            # the text output of the benchmark's two `walls` ops
+            ["walls", A5, "--random", "200", "--seed", "1"],
+            "e42bc44a8c16cc5237f1ddcccb54ee3884dcb770ac2cae821392fe069eb7916e",
+        ),
+        (
+            ["walls", str(common.PROBLEMS / "a9_example.json"), "--random", "200",
+             "--seed", "1"],
+            "fddcf231fc23041c07c0e05f8d058d31ff08140c73117f6723c225cf05db2732",
+        ),
     ],
 )
 def test_walls_stdout_is_pinned(capsys, argv, digest):
