@@ -392,8 +392,11 @@ class Catalog(Record):
         self.arrow_masks: dict[str, int] = {}
         # positions i with hom(i, i) == 1, set by `schurian_indices` on first call
         self.schurian_positions: Optional[tuple[int, ...]] = None
-        # walls of the Schurian members, set by `walls.catalog_walls`
-        self.walls: Optional[list] = None
+        # the wall table of the Schurian members (a `walls.WallTable`: the
+        # walls, their distinct normal and face vectors, and per wall the
+        # sums and positions its crossing test reads), set by
+        # `walls.catalog_walls`
+        self.walls: Optional[tuple] = None
         self._by_dims: dict[tuple[int, ...], list[Representation]] = {}
         self._index: dict[int, int] = {}
         for i, m in enumerate(modules):

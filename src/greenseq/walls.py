@@ -12,6 +12,14 @@ walls test, so the sign pass and the crossing points are integer vectors;
 feasibility questions go through a fraction-free phase-1 simplex on integer
 rows (Bland's rule, so it terminates). `Fraction` appears only at the API
 edges: the crossing times and the points that are returned.
+
+The walls of a catalog are built once, into a table kept in `Catalog.walls`
+(`catalog_walls`). It holds each distinct normal and face vector once (on
+a9, 63 vectors for 45 normals and 117 faces) and, per wall, the coordinate
+sums and vector positions that its crossing test reads. `crossing_sequence`
+takes one integer dot per distinct vector and tests every wall from those
+dots; `_side` tests a single point against a single wall. Both apply one
+sign rule, `_face_side`.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import random
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from greenseq import exchange
@@ -70,7 +79,19 @@ def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def _dot(x: Sequence, d: Sequence[int]):
-    return sum([a * b for a, b in zip(x, d)])
+    return sum(map(mul, x, d))
+
+
+def _face_side(values: Sequence[int]) -> Optional[bool]:
+    """The sign rule of D(M) at a point of its hyperplane.
+
+    `values` holds x . d for the proper nonzero faces d, at a positive
+    multiple of the point. The point is off D(M) (None) when one of them is
+    positive; otherwise it is in the interior iff none of them is zero.
+    """
+    if values and max(values) > 0:
+        return None
+    return 0 not in values
 
 
 def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
@@ -83,20 +104,41 @@ def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
     """
     if _dot(v, wall.normal):
         return None
-    interior = True
-    for d in wall.faces:
-        x = _dot(v, d)
-        if x > 0:
-            return None
-        if x == 0:
-            interior = False
-    return interior
+    return _face_side([_dot(v, d) for d in wall.faces])
 
 
-def catalog_walls(catalog: Catalog) -> list[Wall]:
-    """Walls of the Schurian catalog members, kept in `catalog.walls`."""
+class WallTable(NamedTuple):
+    """The walls of a catalog's Schurian members, over the vectors they share.
+
+    `vectors` holds each distinct normal and face once. Wall i has the row
+    `rows[i]` = (s, S // s, k, faces): s is the coordinate sum of its normal,
+    S the lcm of all the normal sums, k the position of the normal in
+    `vectors`, and faces one (position, coordinate sum) pair per face, in
+    the order of `walls[i].faces`.
+    """
+
+    walls: tuple[Wall, ...]
+    vectors: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+
+
+def catalog_walls(catalog: Catalog) -> WallTable:
+    """The wall table of the Schurian catalog members, built once and kept
+    in `catalog.walls`."""
     if catalog.walls is None:
-        catalog.walls = [wall_for(catalog.modules[i]) for i in catalog.schurian_indices()]
+        walls = [wall_for(catalog.modules[i]) for i in catalog.schurian_indices()]
+        position: dict[tuple[int, ...], int] = {}
+
+        def at(v: tuple[int, ...]) -> int:
+            return position.setdefault(v, len(position))
+
+        sums = [sum(w.normal) for w in walls]
+        total = lcm(*sums)
+        rows = tuple(
+            (s, total // s, at(w.normal), tuple((at(d), sum(d)) for d in w.faces))
+            for w, s in zip(walls, sums)
+        )
+        catalog.walls = WallTable(tuple(walls), tuple(position), rows)
     return catalog.walls
 
 
@@ -108,43 +150,48 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     retained crossings must then have pairwise distinct times and interior
     points, otherwise the base was not generic.
 
-    With B = L*base integral, a wall with normal of sum s is met at
-    t = -(B . normal)/(s*L), where the point is (s*B - (B . normal)*1)/(s*L):
-    its integer numerator goes to the sign pass, and a Fraction is built only
-    for the time of a retained crossing.
+    With B = L*base integral, a wall with normal n of sum s is met at
+    t = -(B . n)/(s*L), at the point P/(s*L) with P = s*B - (B . n)*1. The
+    catalog's wall table (`catalog_walls`) gives each distinct normal and
+    face vector v once, so B . v is one integer dot per vector, and a face d
+    has P . d = s*(B . d) - (B . n)*(1 . d) with no further dot. P . n = 0
+    by construction, so the sign pass reads the faces only. The met walls
+    are ordered, and checked for equal times, on the integer
+    -(B . n)*(S/s) = t*S*L, with S the lcm of the normal sums; a Fraction
+    is built only for the time of a returned record or of an error message.
 
     Raises:
         GenericityError: with `.colliding` set to the offending module pair
             (equal times) or single module (boundary point).
     """
     scaled, scale = _scaled(base)
-    records = []
-    for wall in catalog_walls(catalog):
-        s = sum(wall.normal)
-        bn = _dot(scaled, wall.normal)
-        interior = _side(wall, [s * b - bn for b in scaled])
+    table = catalog_walls(catalog)
+    dots = [_dot(scaled, v) for v in table.vectors]
+    met = []
+    for wall, (s, stretch, k, faces) in zip(table.walls, table.rows):
+        bn = dots[k]
+        interior = _face_side([s * dots[f] - bn * ones for f, ones in faces])
         if interior is not None:
-            records.append(
-                CrossingRecord(
-                    time=Fraction(-bn, s * scale), module=wall.module, interior=interior
-                )
-            )
-    records.sort(key=lambda r: r.time)
-    for a, b in zip(records, records[1:]):
-        if a.time == b.time:
+            met.append((-bn * stretch, wall.module, interior, bn, s))
+    met.sort(key=itemgetter(0))
+    for (key, a, _, bn, s), (next_key, b, _, _, _) in zip(met, met[1:]):
+        if key == next_key:
             raise GenericityError(
-                f"crossing times collide at t={a.time} for "
-                f"{a.module.label or a.module.dims} and {b.module.label or b.module.dims}",
-                colliding=(a.module, b.module),
+                f"crossing times collide at t={Fraction(-bn, s * scale)} for "
+                f"{a.label or a.dims} and {b.label or b.dims}",
+                colliding=(a, b),
             )
-    for r in records:
-        if not r.interior:
+    for _, module, interior, bn, s in met:
+        if not interior:
             raise GenericityError(
-                f"crossing of {r.module.label or r.module.dims} at t={r.time} "
-                "is on the wall boundary",
-                colliding=(r.module,),
+                f"crossing of {module.label or module.dims} at "
+                f"t={Fraction(-bn, s * scale)} is on the wall boundary",
+                colliding=(module,),
             )
-    return records
+    return [
+        CrossingRecord(time=Fraction(-bn, s * scale), module=module, interior=True)
+        for _, module, _, bn, s in met
+    ]
 
 
 def crossings_to_json(records: Iterable[CrossingRecord]) -> list[dict]:
@@ -278,11 +325,11 @@ def find_base_for_sequence(
     The walls are the catalog's (`catalog_walls`); a module with no wall
     there, not being Schurian, gets its own.
     """
-    by_module = {id(w.module): w for w in catalog_walls(catalog)}
+    by_position = dict(zip(catalog.schurian_indices(), catalog_walls(catalog).walls))
     walls = []
     for dims in dims_seq:
         module = catalog.unique_by_dims(dims)
-        walls.append(by_module.get(id(module)) or wall_for(module))
+        walls.append(by_position.get(catalog.index(module)) or wall_for(module))
     if not walls:
         return None
     n = len(walls[0].normal)
@@ -363,7 +410,7 @@ def random_generic_base(
 def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     """crossing_sequence(base), after checking that base lies on no wall."""
     v = _scaled(base)[0]
-    for wall in catalog_walls(catalog):
+    for wall in catalog_walls(catalog).walls:
         if _side(wall, v) is not None:
             raise GenericityError(
                 f"base lies on the wall of {wall.module.label or wall.normal}",

@@ -11,6 +11,7 @@ from greenseq.errors import GenericityError
 from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
 from greenseq.rep import submodule_dimvecs
 from greenseq.walls import (
+    CrossingRecord,
     _scaled,
     _side,
     catalog_walls,
@@ -188,7 +189,7 @@ def test_sign_pass_matches_the_wall_definition(name):
     catalog = common.catalog(name)
     modules = [catalog.modules[i] for i in catalog.schurian_indices()]
     subs = [submodule_dimvecs(m) for m in modules]
-    walls = catalog_walls(catalog)
+    walls = catalog_walls(catalog).walls
     n = catalog.algebra.quiver.n
     rng = random.Random(11)
     seen = set()
@@ -221,6 +222,77 @@ def test_sign_pass_matches_the_wall_definition(name):
                 (t, m, True) for t, m, _, _, _ in crossed
             ]
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _fraction_crossings(base, catalog):
+    """The crossing records of the path through base, or the GenericityError
+    it raises, in plain Fraction arithmetic, wall by wall from `wall_for`:
+    the rule `crossing_sequence` followed before it read the wall table."""
+    records = []
+    for i in catalog.schurian_indices():
+        wall = wall_for(catalog.modules[i])
+        t = -sum(Fraction(b) * c for b, c in zip(base, wall.normal)) / sum(wall.normal)
+        pt = [Fraction(b) + t for b in base]
+        assert sum(x * c for x, c in zip(pt, wall.normal)) == 0
+        values = [sum(x * c for x, c in zip(pt, d)) for d in wall.faces]
+        if all(v <= 0 for v in values):
+            records.append(CrossingRecord(t, wall.module, all(v < 0 for v in values)))
+    records.sort(key=lambda r: r.time)
+    for a, b in zip(records, records[1:]):
+        if a.time == b.time:
+            return GenericityError(
+                f"crossing times collide at t={a.time} for "
+                f"{a.module.label or a.module.dims} and {b.module.label or b.module.dims}",
+                colliding=(a.module, b.module),
+            )
+    for r in records:
+        if not r.interior:
+            return GenericityError(
+                f"crossing of {r.module.label or r.module.dims} at t={r.time} "
+                "is on the wall boundary",
+                colliding=(r.module,),
+            )
+    return records
+
+
+def _assert_matches_fraction_reference(base, catalog):
+    expected = _fraction_crossings(base, catalog)
+    if isinstance(expected, GenericityError):
+        with pytest.raises(GenericityError) as info:
+            crossing_sequence(base, catalog)
+        assert str(info.value) == str(expected)
+        assert len(info.value.colliding) == len(expected.colliding)
+        assert all(a is b for a, b in zip(info.value.colliding, expected.colliding))
+        return "error"
+    records = crossing_sequence(base, catalog)
+    assert records == expected
+    assert all(a.module is b.module for a, b in zip(records, expected))
+    return "records"
+
+
+@pytest.mark.parametrize("name", ["a3_cyclic", "d4_cyclic", "a5_example", "a9_example"])
+def test_wall_table_matches_the_fraction_reference(name):
+    catalog = common.catalog(name)
+    n = catalog.algebra.quiver.n
+    rng = random.Random(20)
+    kinds = []
+    for k in range(40):
+        # small integer bases make crossing times collide; the others are generic
+        if k % 2:
+            base = random_rational_base(rng, n)
+        else:
+            base = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+        kinds.append(_assert_matches_fraction_reference(base, catalog))
+    assert set(kinds) == {"records", "error"}
+
+
+@pytest.mark.parametrize(
+    "base",
+    # the degenerate bases above, and the boundary point of the wall of 2<3
+    [frac(-3, -4, -5), frac(0, 0, 0), frac(5, 0, 0)],
+)
+def test_wall_table_matches_the_fraction_reference_on_degenerate_a3_bases(a3_catalog, base):
+    assert _assert_matches_fraction_reference(base, a3_catalog) == "error"
 
 
 def test_compartment_cvectors_rejects_a_seed_that_disagrees(a3_qp, a3_catalog):
