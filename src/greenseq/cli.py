@@ -8,10 +8,11 @@ produce identical bytes.
 Each command loads only the layers it runs, and builds only the format it
 prints, which `_emit` writes as it is made rather than assembling it.
 `mutate` and `mgs` run on `io` and `exchange` alone. `mgs --construct-max`
-also loads `rep` and `bounds` (which loads `fho` and `walls`), `verify`
-loads `rep` and `fho` (which loads `walls`), and `walls` loads `rep` and
+also loads `rep` and `bounds` (which loads `fho`), `verify` loads `rep` and
+`fho` (whose `verify_theorem1` loads `walls`), and `walls` loads `rep` and
 `walls`. Those imports sit inside the commands, so an `mgs` run never
-compiles the module and wall layers. No command loads the module behind
+compiles the module and wall layers, and `mgs --construct-max` never
+compiles the wall layer. No command loads the module behind
 `@dataclass`, nor the `inspect`, `ast` and `dis` it imports: the records
 are `typing.NamedTuple`s or slotted classes that list their field names and
 take `==`, `hash` and the repr from their base (`greenseq.records`).

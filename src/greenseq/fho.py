@@ -22,10 +22,9 @@ last_out < first_in.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
-from greenseq import exchange, walls
+from greenseq import exchange
 from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.qp import QuiverWithPotential, b_matrix
 from greenseq.records import FrozenRecord
@@ -234,6 +233,12 @@ def verify_theorem1(
     Returns:
         A JSON-friendly report dict; report["equal"] is the overall verdict.
     """
+    # the wall layer serves this check alone, so `mgs --construct-max`,
+    # which loads this module, does not compile it
+    import random
+
+    from greenseq import walls
+
     seed = exchange.initial_seed(qp.quiver)
     assert seed.b == b_matrix(qp.quiver)
     mgs = exchange.enumerate_green_sequences(seed, budget=budget)

@@ -90,7 +90,7 @@ def test_each_module_imports_first_and_io_skips_exchange():
         (["mutate", "problems/a3_cyclic.json", "1", "2"], {"rep", "fho", "walls", "bounds"}),
         (["walls", "problems/a3_cyclic.json", "--random", "1"], {"fho", "bounds"}),
         (["verify", "problems/a3_cyclic.json"], {"bounds", "reflect"}),
-        (["mgs", "problems/d4_cyclic.json", "--construct-max"], {"reflect"}),
+        (["mgs", "problems/d4_cyclic.json", "--construct-max"], {"reflect", "walls"}),
     ],
     ids=["mgs", "mutate", "walls", "verify", "construct-max"],
 )
