@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -164,7 +165,8 @@ def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
     `newline` starts each line of the value. With `indent` set, `json.dumps`
     runs the standard library's pure-Python encoder; this writer escapes
     strings with the C encoder and writes a list of plain ints in one part.
-    Dict keys must be str.
+    A `map` is written as the list of its items, each made only when the
+    writer reaches it. Dict keys must be str.
     """
     if isinstance(value, str):
         write(encode_basestring_ascii(value))
@@ -181,12 +183,9 @@ def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
             _json_parts(value[key], inner, write)
             lead = "," + inner
         write(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
+    elif isinstance(value, (list, tuple, map)):
         inner = newline + "  "
-        if all(type(x) is int for x in value):
+        if type(value) is not map and value and all(type(x) is int for x in value):
             write("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
             return
         lead = "[" + inner
@@ -194,7 +193,7 @@ def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
             write(lead)
             _json_parts(item, inner, write)
             lead = "," + inner
-        write(newline + "]")
+        write("[]" if lead[0] == "[" else newline + "]")
     else:
         write(json.dumps(value))
 
@@ -272,7 +271,7 @@ def _sequences_json(quiver, seqs, partial: bool) -> dict:
     return {
         "partial": partial,
         "count": len(seqs),
-        "sequences": [_sequence_json(quiver, s) for s in seqs],
+        "sequences": map(_sequence_json, repeat(quiver), seqs),
     }
 
 

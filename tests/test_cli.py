@@ -454,6 +454,28 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_json_writer_makes_each_map_item_as_it_writes_it():
+    made, seen, parts = [], [], []
+
+    def record(i):
+        made.append(i)
+        return {"i": i, "pair": [i, -i]}
+
+    def write(part):
+        seen.append(len(made))
+        parts.append(part)
+
+    value = {"ints": map(int, "12"), "none": map(record, []), "records": map(record, range(3))}
+    _json_parts(value, "\n", write)
+    assert "".join(parts) == json.dumps(
+        {"ints": [1, 2], "none": [], "records": [record(i) for i in range(3)]},
+        indent=2,
+        sort_keys=True,
+    )
+    # parts were written while 0, 1, 2 and 3 records had been made
+    assert sorted(set(seen)) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, {"a": [{"b": 1, 2: 3}]}])
 def test_json_writer_rejects_non_str_keys(value):
     with pytest.raises(TypeError):
