@@ -131,6 +131,32 @@ def test_a5_seven_step_sequence(a5_algebra, a5_catalog):
     assert is_maximal_fho(mods, a5_catalog)
 
 
+def reference_maximal_fho(catalog):
+    """The prefix walk: from F(seq), append every brick of F in index order,
+    until F holds no brick, and keep a leaf iff `is_maximal_fho` holds."""
+    found = []
+
+    def walk(seq, free):
+        inside = [c for c in catalog.schurian_indices() if free >> c & 1]
+        if not inside:
+            modules = tuple(catalog.modules[i] for i in seq)
+            if is_maximal_fho(modules, catalog):
+                found.append(FhoSequence(modules))
+        for c in inside:
+            walk([*seq, c], free & ~catalog.out_mask(c))
+
+    walk([], (1 << len(catalog)) - 1)
+    return found
+
+
+@pytest.mark.parametrize("name", ["a3_cyclic", "d4_cyclic", "a5_example", "nakayama"])
+def test_enumeration_equals_the_prefix_walk(name):
+    catalog = common.nakayama_catalog() if name == "nakayama" else common.catalog(name)
+    seqs = enumerate_maximal_fho(catalog)
+    assert seqs
+    assert seqs == reference_maximal_fho(catalog)
+
+
 def test_verify_report(a3_qp, a3_catalog):
     report = verify_theorem1(a3_qp, a3_catalog)
     assert report["equal"] is True
