@@ -77,9 +77,10 @@ def _parser() -> argparse.ArgumentParser:
             help="override the search budget: exchange-graph states for `mgs extrema`, "
             "path nodes for `mgs enumerate|classes` (which build that graph under the same "
             "budget first), cut choices for --construct-max, "
-            "search nodes for `verify`, and, for every command that builds a module "
-            "catalog, string letters (the catalog stops once its walks pass "
-            "2 x budget letters, a walk of length L counting 1 + L)",
+            "path nodes for `verify` (its green-sequence and forward hom-orthogonal "
+            "searches both count them and finish at the same budget), and, for every "
+            "command that builds a module catalog, string letters (the catalog stops "
+            "once its walks pass 2 x budget letters, a walk of length L counting 1 + L)",
         )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")

@@ -133,14 +133,6 @@ def insertion_obstructions(
     return out
 
 
-def _maximal(catalog: Catalog, seq: Sequence[int], free: int) -> bool:
-    """Empty torsion-free class (free = F(seq) as a mask) and no Schurian
-    module insertable anywhere."""
-    if free:
-        return False
-    return not any(insertion_window(catalog, seq, c) for c in catalog.schurian_indices())
-
-
 def is_maximal_fho(modules: Sequence[Representation], catalog: Catalog) -> bool:
     """Unrestricted maximality: weakly FHO, empty torsion-free class, and no
     Schurian catalog module insertable at any position.
@@ -149,8 +141,10 @@ def is_maximal_fho(modules: Sequence[Representation], catalog: Catalog) -> bool:
         ValueError: if some member is not a catalog member and equals none.
     """
     seq = catalog.indices(modules)
-    return _weakly_fho(catalog, seq) and _maximal(
-        catalog, seq, _torsion_free_mask(catalog, seq)
+    return (
+        _weakly_fho(catalog, seq)
+        and not _torsion_free_mask(catalog, seq)
+        and not any(insertion_window(catalog, seq, c) for c in catalog.schurian_indices())
     )
 
 
@@ -177,18 +171,17 @@ def is_fho_in_torsion_class(
 def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[FhoSequence]:
     """All maximal forward hom-orthogonal sequences over a complete catalog.
 
-    Depth-first search whose state is F(seq), the torsion-free class of the
-    sequence as a mask over catalog positions: appending c leaves
-    F & ~out_mask(c), and the modules that can be appended are the Schurian
-    ones in F, tried in index order, so the result order is deterministic. A
-    branch dies when F holds no Schurian module; the leaf is kept iff it
-    passes the full maximality test (a right-nonextendable sequence can
-    still admit a middle insertion).
+    Depth-first search along the cover edges of the torsion-free classes.
+    The state is F(seq), the torsion-free class of the sequence as a mask
+    over catalog positions. Brick c of F is appended only when it labels a
+    cover F > F' = F & ~out_mask(c), that is, when c is the one brick of F
+    with no map into F'. A path is listed when F = 0 and dropped if it stops
+    before. Bricks are tried in index order, so the result order is
+    deterministic.
 
     Raises:
         SearchBudgetExceeded: when the search visits more than `budget` nodes.
     """
-    bricks = sum(1 << i for i in catalog.schurian_indices())
     found: list[FhoSequence] = []
     visited = 0
 
@@ -197,18 +190,16 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
         visited += 1
         if visited > budget:
             raise SearchBudgetExceeded(f"forward hom-orthogonal search exceeded {budget} nodes")
-        candidates = free & bricks
-        if not candidates:
-            if _maximal(catalog, seq, free):
-                found.append(FhoSequence(tuple(catalog.modules[i] for i in seq)))
+        if not free:
+            found.append(FhoSequence(tuple(catalog.modules[i] for i in seq)))
             return
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            c = low.bit_length() - 1
-            seq.append(c)
-            walk(seq, free & ~catalog.out_mask(c))
-            seq.pop()
+        inside = [x for x in catalog.schurian_indices() if free >> x & 1]
+        for c in inside:
+            below = free & ~catalog.out_mask(c)
+            if all(x == c or catalog.out_mask(x) & below for x in inside):
+                seq.append(c)
+                walk(seq, below)
+                seq.pop()
 
     walk([], (1 << len(catalog)) - 1)
     return found

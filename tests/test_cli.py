@@ -407,6 +407,12 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             0,
             "80c9d0a8ab6a3b712be42de5d1c7a75ca11f439b72f13a8bf2eb12a25071023c",
         ),
+        (
+            # the smallest budget both sequence searches of verify finish in
+            ["verify", D4, "--seed", "1", "--format", "json", "--budget", "425"],
+            1,
+            "d786c6421d5ccda4f5ddb289897d86e0ed6176aec747717b8bf9027be01e0809",
+        ),
     ],
 )
 def test_mgs_stdout_is_pinned(capsys, argv, code, digest):

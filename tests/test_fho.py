@@ -3,6 +3,7 @@
 import pytest
 
 from greenseq import exchange
+from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import (
     FhoSequence,
     _torsion_free_mask,
@@ -155,6 +156,22 @@ def test_enumeration_equals_the_prefix_walk(name):
     seqs = enumerate_maximal_fho(catalog)
     assert seqs
     assert seqs == reference_maximal_fho(catalog)
+
+
+@pytest.mark.parametrize(
+    "name, nodes", [("a3_cyclic", 31), ("d4_cyclic", 425), ("a5_example", 8030)]
+)
+def test_enumeration_needs_the_budget_of_the_green_sequence_listing(name, nodes):
+    # both count path nodes, and the cover edges are the green mutations
+    catalog = common.catalog(name)
+    seed = exchange.initial_seed(common.problem(name).qp.quiver)
+    for search in (
+        lambda budget: enumerate_maximal_fho(catalog, budget=budget),
+        lambda budget: exchange.enumerate_green_sequences(seed, budget=budget),
+    ):
+        search(nodes)
+        with pytest.raises(SearchBudgetExceeded):
+            search(nodes - 1)
 
 
 def test_verify_report(a3_qp, a3_catalog):
