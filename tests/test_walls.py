@@ -9,7 +9,7 @@ import pytest
 from greenseq import exchange
 from greenseq.errors import GenericityError
 from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
-from greenseq.rep import submodule_dimvecs
+from greenseq.rep import Catalog, submodule_dimvecs
 from greenseq.walls import (
     CrossingRecord,
     _scaled,
@@ -293,6 +293,16 @@ def test_wall_table_matches_the_fraction_reference(name):
 )
 def test_wall_table_matches_the_fraction_reference_on_degenerate_a3_bases(a3_catalog, base):
     assert _assert_matches_fraction_reference(base, a3_catalog) == "error"
+    # with the wall of 2<3 alone nothing collides there, so a path through
+    # its boundary point reaches the boundary error
+    lone = Catalog(a3_catalog.algebra, (a3_catalog.by_label("2<3"),))
+    if base == frac(-3, -4, -5):
+        assert _assert_matches_fraction_reference(base, lone) == "records"
+        return
+    assert _assert_matches_fraction_reference(base, lone) == "error"
+    with pytest.raises(GenericityError, match="on the wall boundary") as info:
+        crossing_sequence(base, lone)
+    assert info.value.colliding == lone.modules
 
 
 def test_compartment_cvectors_rejects_a_seed_that_disagrees(a3_qp, a3_catalog):
