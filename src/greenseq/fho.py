@@ -9,6 +9,11 @@ restricts insertion candidates to the torsion class generated by the
 sequence. The two agree on maximal sequences: a maximal one leaves nothing
 in its torsion-free class, so its torsion class is the whole catalog.
 
+In finite type the maximal sequences are the maximal chains of
+torsion-free classes (Demonet-Iyama-Reading-Reiten-Thomas): brick c labels
+the cover F > F' = F & ~out_mask(c) exactly when c is the one brick of F
+with no map into F', and `enumerate_maximal_fho` walks only these edges.
+
 Every check over a catalog reads the catalog's Hom table (`Catalog.hom`,
 `Catalog.out_mask`, `Catalog.in_mask`), with modules named by their catalog
 positions, so each Hom space is computed at most once per catalog. The
