@@ -25,6 +25,7 @@ from greenseq.bounds import (
     triangle_seed_cycles,
     vanishes_on_cut,
 )
+from greenseq.cli import main
 from greenseq.fho import is_maximal_fho
 from greenseq.rep import projective, string_catalog
 
@@ -269,6 +270,20 @@ def test_cut_sequences_read_each_hom_pair_once(monkeypatch, a9_qp):
     cat = string_catalog(common.algebra("a9_example"))
     maximal_cut_sequences(a9_qp, cat)
     assert len(calls) == 45 * 45
+
+
+@pytest.mark.parametrize("name", common.PROBLEM_NAMES)
+def test_construct_max_prints_the_longest_maximal_cut(name, capsys):
+    rows = maximal_cut_sequences(common.problem(name).qp, common.catalog(name))
+    kept = [(cut, seq) for cut, seq in rows if seq is not None]
+    longest = max(len(seq) for _, seq in kept)
+    # among cuts of equal length, the earliest in `cuts` order
+    cut, seq = next((cut, seq) for cut, seq in kept if len(seq) == longest)
+    path = str(common.PROBLEMS / f"{name}.json")
+    assert main(["mgs", path, "--construct-max", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["from_cut"] == sorted(cut.deleted_arrows)
+    assert payload["labels"] == [m.label for m in seq.modules]
 
 
 def test_budget_bounds_the_cut_choices(a9_qp, a9_catalog):

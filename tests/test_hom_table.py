@@ -177,6 +177,45 @@ def test_table_is_filled_lazily(monkeypatch):
     assert len(calls) == 45
 
 
+# every catalog the suite builds, and a5 over two more primes
+HOM_PAIR_CATALOGS = [
+    ("a3_cyclic", 2), ("d4_cyclic", 2), ("a5_example", 2), ("a9_example", 2),
+    ("nakayama", 2), ("a5_example", 3), ("a5_example", 5),
+]
+
+
+@pytest.mark.parametrize("name, p", HOM_PAIR_CATALOGS)
+def test_table_equals_hom_dim_on_every_pair(name, p):
+    algebra = common.nakayama_algebra(p) if name == "nakayama" else common.algebra(name, p)
+    cat = string_catalog(algebra)
+    mismatches = [
+        (m.label, n.label, cat.hom(i, j), hom_dim(m, n))
+        for i, m in enumerate(cat)
+        for j, n in enumerate(cat)
+        if cat.hom(i, j) != hom_dim(m, n)
+    ]
+    assert mismatches == []
+
+
+def test_local_tables_fill_through_hom_dim(monkeypatch, a3_algebra):
+    calls = []
+    original = rep.hom_dim
+
+    def counting(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    monkeypatch.setattr(rep, "hom_dim", counting)
+    s1, s3 = simple(a3_algebra, 1), simple(a3_algebra, 3)
+    p1 = rep.projective(a3_algebra, 1)
+    assert is_weakly_fho([s3, s1])
+    assert (s1, s1) in calls and (s3, s3) in calls
+    calls.clear()
+    # P_1 maps onto S_1, so S_1 may not come after it
+    assert not is_weakly_fho([p1, s1])
+    assert (p1, s1) in calls
+
+
 def test_table_entries_and_masks(a3_catalog):
     cat = a3_catalog
     for i, m in enumerate(cat):
