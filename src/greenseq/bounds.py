@@ -149,25 +149,54 @@ def construct_max_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     return FhoSequence(tuple(catalog.modules[i] for i in order))
 
 
+def _cuts_within(qp: QuiverWithPotential, budget: int) -> list[Cut]:
+    """`cuts(qp)`, once the cut choices, the product of the potential's cycle
+    lengths, are within the budget; past it, SearchBudgetExceeded is raised
+    before any cut is built."""
+    choices = prod(len(term.cycle) for term in qp.potential)
+    if choices > budget:
+        raise SearchBudgetExceeded(f"{choices} cut choices exceed the search budget {budget}")
+    return cuts(qp)
+
+
+def _maximal_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
+    """The cut's sequence if it passes the full maximality check
+    (`is_maximal_fho`), else None."""
+    seq = construct_max_sequence(cut, catalog)
+    if seq is not None and is_maximal_fho(seq.modules, catalog):
+        return seq
+    return None
+
+
 def maximal_cut_sequences(
     qp: QuiverWithPotential, catalog: Catalog, budget: int = 1_000_000
 ) -> list[tuple[Cut, Optional[FhoSequence]]]:
     """Each cut with the sequence it carries, kept only if it passes the full
     maximality check (`is_maximal_fho`); None otherwise.
 
-    The budget bounds the cut choices, the product of the potential's cycle
-    lengths: past it, SearchBudgetExceeded is raised before any cut is built.
+    The budget bounds the cut choices (`_cuts_within`).
     """
-    choices = prod(len(term.cycle) for term in qp.potential)
-    if choices > budget:
-        raise SearchBudgetExceeded(f"{choices} cut choices exceed the search budget {budget}")
-    out = []
-    for cut in cuts(qp):
-        seq = construct_max_sequence(cut, catalog)
-        if seq is not None and not is_maximal_fho(seq.modules, catalog):
-            seq = None
-        out.append((cut, seq))
-    return out
+    return [(cut, _maximal_sequence(cut, catalog)) for cut in _cuts_within(qp, budget)]
+
+
+def longest_maximal_cut(
+    qp: QuiverWithPotential, catalog: Catalog, budget: int = 1_000_000
+) -> Optional[tuple[Cut, FhoSequence]]:
+    """The longest entry of `maximal_cut_sequences` that keeps a sequence,
+    the earliest in `cuts` order among equal lengths; None if no cut keeps one.
+
+    A cut's sequence, when it has one, orders all of the cut's `c_modules`.
+    So the cuts are tried longest first, by a stable sort that keeps `cuts`
+    order among equal lengths, and the search stops at the first cut whose
+    sequence passes the maximality check. The budget bounds the cut choices
+    (`_cuts_within`).
+    """
+    ranked = sorted(_cuts_within(qp, budget), key=lambda cut: -len(c_modules(cut, catalog)))
+    for cut in ranked:
+        seq = _maximal_sequence(cut, catalog)
+        if seq is not None:
+            return cut, seq
+    return None
 
 
 def triangle_seed_cycles(qp: QuiverWithPotential, catalog: Catalog) -> list[tuple[int, ...]]:

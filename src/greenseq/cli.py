@@ -8,9 +8,10 @@ produce identical bytes.
 Each command loads only the layers it runs, and builds only the format it
 prints, which `_emit` writes as it is made rather than assembling it.
 `mutate` and `mgs` run on `io` and `exchange` alone. `mgs --construct-max`
-also loads `rep` and `bounds` (which loads `fho`), `verify` loads `rep` and
-`fho` (whose `verify_theorem1` loads `walls`), and `walls` loads `rep` and
-`walls`. Those imports sit inside the commands, so an `mgs` run never
+also loads `rep` and `bounds` (which loads `fho`); it tries the cuts longest
+first and stops at the first whose sequence is maximal. `verify` loads `rep`
+and `fho` (whose `verify_theorem1` loads `walls`), and `walls` loads `rep`
+and `walls`. Those imports sit inside the commands, so an `mgs` run never
 compiles the module and wall layers, and `mgs --construct-max` never
 compiles the wall layer. No command loads the module behind
 `@dataclass`, nor the `inspect`, `ast` and `dis` it imports: the records
@@ -105,7 +106,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--construct-max",
         action="store_true",
-        help="build a longest sequence from the best cut instead of enumerating",
+        help="build a longest sequence from a cut instead of enumerating: cuts are "
+        "tried longest first, and the first whose sequence is maximal is printed",
     )
 
     p = sub.add_parser("verify", help="check the three descriptions against each other")
@@ -340,13 +342,11 @@ def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
 
     quiver = problem.qp.quiver
     catalog = string_catalog(problem.algebra(), budget=problem.search_budget)
-    best_cut = best = None
-    for cut, seq in bounds.maximal_cut_sequences(problem.qp, catalog, problem.search_budget):
-        if seq is not None and (best is None or len(seq) > len(best)):
-            best_cut, best = cut, seq
-    if best is None:
+    found = bounds.longest_maximal_cut(problem.qp, catalog, problem.search_budget)
+    if found is None:
         print("error: no cut carries a maximal sequence", file=sys.stderr)
         return 1
+    best_cut, best = found
     gs, final = exchange.replay_c_vector_sequence(
         seed, [m.dims for m in best.modules]
     )

@@ -9,6 +9,15 @@ complete for the supported string algebras (gentle cluster-tilted type A and
 cyclic Nakayama quotients); finite type means there are no bands to worry
 about. An input with bands has strings of every length, so the enumeration
 stops on a budget of letters, in time and memory linear in that budget.
+
+Hom dimensions come from one of two sources. `hom_dim` solves the
+commuting-square equations of any two representations. Between string
+modules, Crawley-Boevey's basis of maps (*Maps between representations of
+zero-relation algebras*, J. Algebra 126, 1989) makes dim Hom(M(C), M(D)) a
+count instead: the number of pairs of a factor substring of C and an image
+substring of D that are equal as strings, up to inversion (`_substrings`
+states when an occurrence is which). A catalog built by `string_catalog`
+fills its Hom table by that count; every other catalog calls `hom_dim`.
 """
 
 from __future__ import annotations
@@ -310,6 +319,44 @@ def string_module(algebra: Algebra, start: int, word: Sequence[Letter], label: s
     return make_rep(algebra, dims, mats, label=label, walk=(start, tuple(word)))
 
 
+def _substrings(quiver: Quiver, walk: tuple) -> tuple[dict, dict]:
+    """Factor and image occurrences of the substrings of a string walk.
+
+    With the walk's letters word[0..L-1] and vertices v_0..v_L, the
+    substring at positions i..j (letters i to j-1, vertices v_i to v_j) is a
+    factor occurrence when i == 0 or word[i-1] is inverse, and j == L or
+    word[j] is direct: the substring spans a quotient of the module. It is
+    an image occurrence when i == 0 or word[i-1] is direct, and j == L or
+    word[j] is inverse: it spans a submodule. The conditions read the same
+    from either end of the walk. A substring and its inverse reading are one
+    key, the smaller of (v_i, word[i:j]) and its inverse.
+
+    Returns:
+        Two dicts, factor and image, from key to number of occurrences.
+    """
+    start, word = walk
+    length = len(word)
+    verts = _word_vertices(quiver, start, word)
+    back = tuple((aid, -s) for aid, s in reversed(word))
+    # signs[t] is the sign of the letter left of vertex t, 0 off the ends
+    signs = [0] + [s for _, s in word] + [0]
+    factors: dict = {}
+    images: dict = {}
+    for i in range(length + 1):
+        left = signs[i]
+        for j in range(i, length + 1):
+            right = signs[j + 1]
+            factor = left <= 0 and right >= 0
+            image = left >= 0 and right <= 0
+            if factor or image:
+                key = min((verts[i], word[i:j]), (verts[j], back[length - j : length - i]))
+                if factor:
+                    factors[key] = factors.get(key, 0) + 1
+                if image:
+                    images[key] = images.get(key, 0) + 1
+    return factors, images
+
+
 def _string_name(verts: list[int], word: Sequence[Letter]) -> str:
     parts = [str(verts[0])]
     for t, (aid, s) in enumerate(word):
@@ -356,9 +403,15 @@ class Catalog(Record):
     supported string algebra; `fho.is_weakly_fho` and
     `fho.insertion_obstructions` build catalogs over arbitrary module lists,
     as local Hom tables. The catalog carries the Hom table of its modules,
-    indexed by catalog position and filled lazily: `hom(i, j)` calls
-    `hom_dim` the first time a pair is asked for and reads the stored value
-    afterwards. `out_mask(i)` and `in_mask(j)` are the table's nonzero
+    indexed by catalog position and filled lazily: `hom(i, j)` fills a pair
+    (`fill_hom`) the first time it is asked for and reads the stored value
+    afterwards. The table has two sources. A catalog built with the keyword
+    `strings=True`, as `string_catalog` builds its own, fills an entry by
+    counting matching substrings of the two members' walks
+    (Crawley-Boevey's basis of maps between string modules; see the module
+    docstring and `_substrings`), and takes each member's counts on the
+    first fill that reads it. Every other catalog fills an entry with
+    `hom_dim`. `out_mask(i)` and `in_mask(j)` are the table's nonzero
     pattern along a row or a column as a bitmask over catalog positions,
     each built on first use; `arrow_mask(a)` is likewise the members that
     are nonzero on arrow a.
@@ -370,6 +423,7 @@ class Catalog(Record):
     _fields = ("algebra", "modules")
     __slots__ = _fields + (
         "homs",
+        "substrings",
         "out_masks",
         "in_masks",
         "arrow_masks",
@@ -379,12 +433,20 @@ class Catalog(Record):
         "_index",
     )
 
-    def __init__(self, algebra: Algebra, modules: tuple[Representation, ...]):
+    def __init__(
+        self, algebra: Algebra, modules: tuple[Representation, ...], *, strings: bool = False
+    ):
         self.algebra = algebra
         self.modules = modules
         n = len(modules)
         # homs[i][j] = dim Hom(modules[i], modules[j]), None until first asked
         self.homs: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        # with strings=True, substrings[i] is `_substrings` of modules[i]'s
+        # walk, None until a fill reads it; None throughout for a catalog
+        # that fills its table with `hom_dim`
+        self.substrings: Optional[list[Optional[tuple[dict, dict]]]] = (
+            [None] * n if strings else None
+        )
         # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
         self.out_masks: list[Optional[int]] = [None] * n
         self.in_masks: list[Optional[int]] = [None] * n
@@ -444,8 +506,23 @@ class Catalog(Record):
         row = self.homs[i]
         h = row[j]
         if h is None:
-            h = row[j] = hom_dim(self.modules[i], self.modules[j])
+            h = row[j] = self.fill_hom(i, j)
         return h
+
+    def fill_hom(self, i: int, j: int) -> int:
+        """dim Hom(modules[i], modules[j]) computed afresh, for one table entry:
+        the substring count of a string catalog, else `hom_dim`."""
+        if self.substrings is None:
+            return hom_dim(self.modules[i], self.modules[j])
+        factors = self._substrings_of(i)[0]
+        images = self._substrings_of(j)[1]
+        return sum(k * images.get(key, 0) for key, k in factors.items())
+
+    def _substrings_of(self, i: int) -> tuple[dict, dict]:
+        counts = self.substrings[i]
+        if counts is None:
+            counts = self.substrings[i] = _substrings(self.algebra.quiver, self.modules[i].walk)
+        return counts
 
     def out_mask(self, i: int) -> int:
         mask = self.out_masks[i]
@@ -559,7 +636,7 @@ def string_catalog(algebra: Algebra, budget: int = 100_000) -> Catalog:
 
     modules = [string_module(algebra, start, word) for start, word in keys]
     modules.sort(key=lambda m: (m.total_dim, m.dims, m.label))
-    return Catalog(algebra=algebra, modules=tuple(modules))
+    return Catalog(algebra=algebra, modules=tuple(modules), strings=True)
 
 
 # --------------------------------------------------------------------------

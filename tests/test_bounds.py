@@ -260,16 +260,16 @@ def test_disjoint_cycles_skip_non_schurian_modules(nakayama_catalog):
 
 def test_cut_sequences_read_each_hom_pair_once(monkeypatch, a9_qp):
     calls = []
-    original = rep.hom_dim
+    original = rep.Catalog.fill_hom
 
-    def counting(m, n):
-        calls.append((m, n))
-        return original(m, n)
+    def counting(cat, i, j):
+        calls.append((i, j))
+        return original(cat, i, j)
 
-    monkeypatch.setattr(rep, "hom_dim", counting)
+    monkeypatch.setattr(rep.Catalog, "fill_hom", counting)
     cat = string_catalog(common.algebra("a9_example"))
     maximal_cut_sequences(a9_qp, cat)
-    assert len(calls) == 45 * 45
+    assert len(calls) == len(set(calls)) == 45 * 45
 
 
 @pytest.mark.parametrize("name", common.PROBLEM_NAMES)

@@ -159,13 +159,13 @@ def filled(cat):
 
 def test_table_is_filled_lazily(monkeypatch):
     calls = []
-    original = rep.hom_dim
+    original = rep.Catalog.fill_hom
 
-    def counting(m, n):
-        calls.append((m, n))
-        return original(m, n)
+    def counting(cat, i, j):
+        calls.append((i, j))
+        return original(cat, i, j)
 
-    monkeypatch.setattr(rep, "hom_dim", counting)
+    monkeypatch.setattr(rep.Catalog, "fill_hom", counting)
     cat = string_catalog(common.algebra("a9_example"))
     assert len(cat) == 45
     assert filled(cat) == [] and calls == []
@@ -206,6 +206,10 @@ def test_local_tables_fill_through_hom_dim(monkeypatch, a3_algebra):
         return original(m, n)
 
     monkeypatch.setattr(rep, "hom_dim", counting)
+    # a string catalog counts substrings instead
+    cat = string_catalog(a3_algebra)
+    assert [cat.hom(i, j) for i in range(len(cat)) for j in range(len(cat))]
+    assert calls == []
     s1, s3 = simple(a3_algebra, 1), simple(a3_algebra, 3)
     p1 = rep.projective(a3_algebra, 1)
     assert is_weakly_fho([s3, s1])
