@@ -189,7 +189,9 @@ def longest_maximal_cut(
     So the cuts are tried longest first, by a stable sort that keeps `cuts`
     order among equal lengths, and the search stops at the first cut whose
     sequence passes the maximality check. The budget bounds the cut choices
-    (`_cuts_within`).
+    (`_cuts_within`). The tried cut's `c_modules` are taken again inside
+    `construct_max_sequence`, which keeps that step one call; the repeat is
+    a bit test per catalog member, once per cut tried.
     """
     ranked = sorted(_cuts_within(qp, budget), key=lambda cut: -len(c_modules(cut, catalog)))
     for cut in ranked:

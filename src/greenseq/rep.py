@@ -16,8 +16,9 @@ modules, Crawley-Boevey's basis of maps (*Maps between representations of
 zero-relation algebras*, J. Algebra 126, 1989) makes dim Hom(M(C), M(D)) a
 count instead: the number of pairs of a factor substring of C and an image
 substring of D that are equal as strings, up to inversion (`_substrings`
-states when an occurrence is which). A catalog built by `string_catalog`
-fills its Hom table by that count; every other catalog calls `hom_dim`.
+states when an occurrence is which). A catalog fills a Hom entry by that
+count when both modules carry a string walk, as `string_catalog`'s members
+do, and calls `hom_dim` otherwise.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class Representation(FrozenRecord):
     and the table `_mat` are left out.
     """
 
-    # `walk` is (start vertex, word of (arrow id, +-1)) when built from a
-    # string walk
+    # `walk` is (start vertex, word of (arrow id, +-1)) when built by
+    # `string_module`, else (); a `Catalog` reads Hom between two modules
+    # with walks from the walks
     _fields = ("algebra", "dims", "mats", "label", "walk")
     _compared = _fields[:3]
     # `_mat` is `mats` as a dict, for `mat`
@@ -294,7 +296,12 @@ def _word_vertices(quiver: Quiver, start: int, word: Sequence[Letter]) -> list[i
 
 
 def string_module(algebra: Algebra, start: int, word: Sequence[Letter], label: str = "") -> Representation:
-    """The string module of a reduced walk, with 0/1 matrices."""
+    """The string module of a reduced walk, with 0/1 matrices.
+
+    The algebra must be a string algebra (`check_string_algebra`): the module
+    keeps its walk, and a `Catalog` counts substrings of walks for the Hom
+    dimension between two such modules, a rule that holds only there.
+    """
     quiver = algebra.quiver
     verts = _word_vertices(quiver, start, word)
     by_vertex: dict[int, list[int]] = {v: [] for v in quiver.vertices}
@@ -405,13 +412,13 @@ class Catalog(Record):
     as local Hom tables. The catalog carries the Hom table of its modules,
     indexed by catalog position and filled lazily: `hom(i, j)` fills a pair
     (`fill_hom`) the first time it is asked for and reads the stored value
-    afterwards. The table has two sources. A catalog built with the keyword
-    `strings=True`, as `string_catalog` builds its own, fills an entry by
-    counting matching substrings of the two members' walks
+    afterwards. The table has two sources. An entry between two members
+    that carry string walks, as every member of a `string_catalog` does, is
+    filled by counting matching substrings of the two walks
     (Crawley-Boevey's basis of maps between string modules; see the module
-    docstring and `_substrings`), and takes each member's counts on the
-    first fill that reads it. Every other catalog fills an entry with
-    `hom_dim`. `out_mask(i)` and `in_mask(j)` are the table's nonzero
+    docstring and `_substrings`); each member's counts are taken on the
+    first fill that reads them. An entry with a member that has no walk
+    (`simple`, `projective`, `make_rep` modules) is filled with `hom_dim`. `out_mask(i)` and `in_mask(j)` are the table's nonzero
     pattern along a row or a column as a bitmask over catalog positions,
     each built on first use; `arrow_mask(a)` is likewise the members that
     are nonzero on arrow a.
@@ -433,20 +440,15 @@ class Catalog(Record):
         "_index",
     )
 
-    def __init__(
-        self, algebra: Algebra, modules: tuple[Representation, ...], *, strings: bool = False
-    ):
+    def __init__(self, algebra: Algebra, modules: tuple[Representation, ...]):
         self.algebra = algebra
         self.modules = modules
         n = len(modules)
         # homs[i][j] = dim Hom(modules[i], modules[j]), None until first asked
         self.homs: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        # with strings=True, substrings[i] is `_substrings` of modules[i]'s
-        # walk, None until a fill reads it; None throughout for a catalog
-        # that fills its table with `hom_dim`
-        self.substrings: Optional[list[Optional[tuple[dict, dict]]]] = (
-            [None] * n if strings else None
-        )
+        # substrings[i] is `_substrings` of modules[i]'s walk, None until a
+        # fill reads it, and throughout for a member without a walk
+        self.substrings: list[Optional[tuple[dict, dict]]] = [None] * n
         # bit j of out_masks[i] / bit i of in_masks[j]: Hom(modules[i], modules[j]) != 0
         self.out_masks: list[Optional[int]] = [None] * n
         self.in_masks: list[Optional[int]] = [None] * n
@@ -511,8 +513,8 @@ class Catalog(Record):
 
     def fill_hom(self, i: int, j: int) -> int:
         """dim Hom(modules[i], modules[j]) computed afresh, for one table entry:
-        the substring count of a string catalog, else `hom_dim`."""
-        if self.substrings is None:
+        the substring count when both members carry a walk, else `hom_dim`."""
+        if not (self.modules[i].walk and self.modules[j].walk):
             return hom_dim(self.modules[i], self.modules[j])
         factors = self._substrings_of(i)[0]
         images = self._substrings_of(j)[1]
@@ -636,7 +638,7 @@ def string_catalog(algebra: Algebra, budget: int = 100_000) -> Catalog:
 
     modules = [string_module(algebra, start, word) for start, word in keys]
     modules.sort(key=lambda m: (m.total_dim, m.dims, m.label))
-    return Catalog(algebra=algebra, modules=tuple(modules), strings=True)
+    return Catalog(algebra=algebra, modules=tuple(modules))
 
 
 # --------------------------------------------------------------------------

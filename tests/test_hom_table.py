@@ -219,6 +219,13 @@ def test_local_tables_fill_through_hom_dim(monkeypatch, a3_algebra):
     # P_1 maps onto S_1, so S_1 may not come after it
     assert not is_weakly_fho([p1, s1])
     assert (p1, s1) in calls
+    # a local table counts substrings between two members with walks only
+    calls.clear()
+    walked = cat.by_label("1")
+    assert is_weakly_fho([walked, cat.by_label("3")])
+    assert calls == []
+    is_weakly_fho([walked, s3])
+    assert (walked, s3) in calls and (walked, walked) not in calls
 
 
 def test_table_entries_and_masks(a3_catalog):
