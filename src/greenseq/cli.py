@@ -139,11 +139,17 @@ def _load(args) -> gio.ProblemFile:
     return gio.problem_from_json(data)
 
 
+# how many rendered int tuples one `_emit` call keeps (see `_json_parts`)
+_JSON_MEMO_SIZE = 1024
+
+
 def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]) -> None:
     """Write the JSON payload or the text lines; only the one written is built.
 
     Parts reach stdout 4,096 at a time, so no output is held whole and an
-    unbuffered stdout (`PYTHONUNBUFFERED`) is not written once per part.
+    unbuffered stdout (`PYTHONUNBUFFERED`) is not written once per part. The
+    JSON writer's memo of rendered int tuples is made here, so it lives for
+    this one call and holds at most `_JSON_MEMO_SIZE` entries.
     """
     chunk: list[str] = []
 
@@ -154,7 +160,7 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]
             chunk.clear()
 
     if args.format == "json":
-        _json_parts(payload(), "\n", write)
+        _json_parts(payload(), "\n", write, {})
         write("\n")
     else:
         for line in text():
@@ -162,7 +168,7 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]
     sys.stdout.write("".join(chunk))
 
 
-def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
+def _json_parts(value, newline: str, write: Callable[[str], object], memo: dict) -> None:
     """Write `json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
 
     `newline` starts each line of the value. With `indent` set, `json.dumps`
@@ -170,7 +176,22 @@ def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
     strings with the C encoder and writes a list of plain ints in one part.
     A `map` is written as the list of its items, each made only when the
     writer reaches it. Dict keys must be str.
+
+    `memo` maps (id of a tuple of plain ints, newline) to (that tuple, its
+    text), so a c-vector that recurs through a listing (the listings share
+    one tuple per c-vector) is rendered once per indentation. The key is the
+    tuple's identity, not its value: `(1, 0)`, `(True, False)` and
+    `(1.0, 0.0)` are equal and hash alike, and a tuple holding a list has
+    no hash. The entry keeps its tuple alive, so no other object takes that
+    id while the memo lives. Entries are added until the memo holds
+    `_JSON_MEMO_SIZE`, then no more, so its size is bounded whatever the
+    output's length; the caller makes it and owns its lifetime.
     """
+    if type(value) is tuple:
+        hit = memo.get((id(value), newline))
+        if hit is not None:
+            write(hit[1])
+            return
     if isinstance(value, str):
         write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -183,18 +204,21 @@ def _json_parts(value, newline: str, write: Callable[[str], object]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
             write(lead + encode_basestring_ascii(key) + ": ")
-            _json_parts(value[key], inner, write)
+            _json_parts(value[key], inner, write, memo)
             lead = "," + inner
         write(newline + "}")
     elif isinstance(value, (list, tuple, map)):
         inner = newline + "  "
         if type(value) is not map and value and all(type(x) is int for x in value):
-            write("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            text = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            if type(value) is tuple and len(memo) < _JSON_MEMO_SIZE:
+                memo[id(value), newline] = value, text
+            write(text)
             return
         lead = "[" + inner
         for item in value:
             write(lead)
-            _json_parts(item, inner, write)
+            _json_parts(item, inner, write, memo)
             lead = "," + inner
         write("[]" if lead[0] == "[" else newline + "]")
     else:

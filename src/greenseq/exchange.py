@@ -10,6 +10,10 @@ exchange graph of an initial seed, by one depth-first search over its states.
 `mgs_summary` folds it in post-order; `enumerate_green_sequences` walks its
 labelled paths. A green step is read from c-vector ids alone
 (B_t = C_t^T B_0 C_t); `mutate` runs once per state, when the build enters it.
+
+`mutate` does work only on the rows and entries that Fomin-Zelevinsky
+mutation at k changes: a row whose k-th entry is 0 is reused as it is, and
+any other row is updated at column k and at the nonzero entries of row k.
 """
 
 from __future__ import annotations
@@ -91,9 +95,11 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     Entries in row i, column j with i != k != j gain b_ik * |b_kj| whenever
     b_ik and b_kj have the same sign; row k and column k flip sign.
 
-    A row with b_ik = 0 is reused as it is. Any other row adds b_ik times
-    [b_k.]_+ (when b_ik > 0) or [-b_k.]_+ (when b_ik < 0), both computed
-    once; their k-th entry is -2, so that b_ik becomes -b_ik.
+    Work is done only on the rows and entries that this rule changes. A row
+    with b_ik = 0 is reused as it is. Any other row i != k is copied, its
+    k-th entry negated, and b_ik * |b_kj| added at just the columns j != k
+    where b_kj has the sign of b_ik: the nonzero entries of row k, split by
+    sign once per call. Row k is negated.
 
     Args:
         m: matrix to mutate (unchanged; a new value is returned).
@@ -106,21 +112,19 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} out of range for n={n}")
     row_k = m.b[k]
-    plus = [x if x > 0 else 0 for x in row_k]
-    minus = [-x if x < 0 else 0 for x in row_k]
-    plus[k] = minus[k] = -2
-    new = []
-    for i, row in enumerate(m.b + m.c):
+    plus = [(j, x) for j, x in enumerate(row_k) if x > 0 and j != k]
+    minus = [(j, -x) for j, x in enumerate(row_k) if x < 0 and j != k]
+    rows = [*m.b, *m.c]
+    for i, row in enumerate(rows):
         bik = row[k]
-        if i == k:
-            new.append(tuple([-x for x in row]))
-        elif bik > 0:
-            new.append(tuple([x + bik * y for x, y in zip(row, plus)]))
-        elif bik < 0:
-            new.append(tuple([x + bik * y for x, y in zip(row, minus)]))
-        else:
-            new.append(row)
-    return ExtExchangeMatrix(n=n, b=tuple(new[:n]), c=tuple(new[n:]))
+        if bik:
+            new = list(row)
+            new[k] = -bik
+            for j, y in plus if bik > 0 else minus:
+                new[j] += bik * y
+            rows[i] = tuple(new)
+    rows[k] = tuple([-x for x in row_k])
+    return ExtExchangeMatrix(n=n, b=tuple(rows[:n]), c=tuple(rows[n:]))
 
 
 def c_vector(m: ExtExchangeMatrix, k: int) -> IntVector:
@@ -192,34 +196,44 @@ class _ExchangeGraph:
 
     def build(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> None:
         """Enter every state below an initial seed, of at most `budget`, depth
-        first with its own stack, and number each state when it closes."""
+        first with its own stack, and number each state when it closes.
+
+        One flat loop: an open frame holds a list iterator over its green
+        columns, so a step to a state met before is taken without leaving the
+        frame, and the list of child numbers grows as each child closes."""
         ids = self.of(seed)
         if seed != initial_seed_from_matrix(seed.b):
             raise ValueError("a green-sequence search starts from an initial seed (C = I)")
         self.b0_cols = tuple(zip(*seed.b))
         self.budget = budget
-        green, number, children = self.green, self.number, self.children
-
-        def frame(key: Ids, ids: Ids, m: ExtExchangeMatrix):
-            number[key] = None  # open until it is numbered
-            return key, ids, m, (k for k, i in enumerate(ids) if green[i]), []
-
-        stack = [frame(tuple(sorted(ids)), ids, self.enter(seed, None, ids))]
+        green, number, children, step, enter = (
+            self.green, self.number, self.children, self.step, self.enter
+        )
+        key = tuple(sorted(ids))
+        m = enter(seed, None, ids)
+        number[key] = None  # open until it is numbered
+        stack = [(key, ids, m, iter([k for k, i in enumerate(ids) if green[i]]), [])]
         while stack:
-            key, ids, m, branches, below = stack[-1]  # below: child states
-            k = next(branches, None)
-            if k is None:  # every child is numbered, so this state is next
+            key, ids, m, branches, below = stack[-1]  # below: child numbers
+            for k in branches:
+                child = step(ids, k)
+                target = tuple(sorted(child))
+                seen = number.get(target, -1)
+                if seen == -1:  # a new state: enter it, and resume here once it closes
+                    entered = enter(m, k, child)
+                    number[target] = None
+                    greens = iter([j for j, i in enumerate(child) if green[i]])
+                    stack.append((target, child, entered, greens, []))
+                    break
+                if seen is None:
+                    raise AssertionError("green mutation returned to an open state")
+                below.append(seen)
+            else:  # every child is numbered, so this state is next
                 stack.pop()
                 number[key] = len(children)
-                children.append(tuple(map(number.__getitem__, below)))
-                continue
-            child = self.step(ids, k)
-            target = tuple(sorted(child))
-            if target not in number:
-                stack.append(frame(target, child, self.enter(m, k, child)))
-            elif number[target] is None:
-                raise AssertionError("green mutation returned to an open state")
-            below.append(target)
+                if stack:  # the parent's `below`
+                    stack[-1][4].append(len(children))
+                children.append(tuple(below))
 
     def enter(self, m: ExtExchangeMatrix, k: Optional[int], ids: Ids) -> ExtExchangeMatrix:
         """The matrix of the new state `ids`, the seed's (k is None) or that

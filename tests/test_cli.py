@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq.cli import _json_parts, main
+from greenseq.cli import _JSON_MEMO_SIZE, _json_parts, main
 
 import common
 
@@ -450,7 +450,7 @@ JSON_VALUES = st.recursive(
 
 def _json_text(value) -> str:
     parts = []
-    _json_parts(value, "\n", parts.append)
+    _json_parts(value, "\n", parts.append, {})
     return "".join(parts)
 
 
@@ -458,6 +458,26 @@ def _json_text(value) -> str:
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_memo_keeps_equal_tuples_of_other_types_apart():
+    # (1, 0), (True, False) and (1.0, 0.0) are equal and hash alike, so a
+    # memo keyed by value alone would write all three as [1, 0]; the same
+    # tuple also recurs at two depths, and as an equal but distinct object
+    pair = (1, 0)
+    for value in (
+        [pair, (True, False), (1.0, 0.0), {"a": pair}],
+        [(True, False), (1.0, 0.0), pair, [pair, [pair]], tuple([1, 0]), {"a": [pair]}],
+    ):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_memo_stops_growing_at_its_bound():
+    memo, parts = {}, []
+    value = [(i, -i) for i in range(2 * _JSON_MEMO_SIZE)]
+    _json_parts(value, "\n", parts.append, memo)
+    assert len(memo) == _JSON_MEMO_SIZE
+    assert "".join(parts) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_writer_makes_each_map_item_as_it_writes_it():
@@ -472,7 +492,7 @@ def test_json_writer_makes_each_map_item_as_it_writes_it():
         parts.append(part)
 
     value = {"ints": map(int, "12"), "none": map(record, []), "records": map(record, range(3))}
-    _json_parts(value, "\n", write)
+    _json_parts(value, "\n", write, {})
     assert "".join(parts) == json.dumps(
         {"ints": [1, 2], "none": [], "records": [record(i) for i in range(3)]},
         indent=2,

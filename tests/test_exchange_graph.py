@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greenseq import exchange
 from greenseq.errors import SearchBudgetExceeded
@@ -111,6 +112,34 @@ def test_mutate_matches_the_entrywise_rule(name):
         assert step == reference_mutate(m, k)
         assert exchange.mutate(step, k) == m
         m = step
+
+
+# small entries make zeros and equal signs common; unbounded ones test size
+ENTRIES = st.integers(-3, 3) | st.integers()
+
+
+@st.composite
+def extended_matrices(draw):
+    """Any integer 2n x n matrix, n from 1 to 6: B skew-symmetric or not, and
+    C not necessarily sign-coherent."""
+    n = draw(st.integers(1, 6))
+    square = st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    b, c = draw(square), draw(square)
+    if draw(st.booleans()):
+        b = [[b[i][j] if i < j else -b[j][i] if i > j else 0 for j in range(n)] for i in range(n)]
+    return exchange.ExtExchangeMatrix(n, tuple(map(tuple, b)), tuple(map(tuple, c)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(extended_matrices())
+def test_mutate_matches_the_entrywise_rule_on_any_integer_matrix(m):
+    for k in range(m.n):
+        step = exchange.mutate(m, k)
+        assert step == reference_mutate(m, k)
+        assert exchange.mutate(step, k) == m
+    for k in (m.n, -1):
+        with pytest.raises(IndexError):
+            exchange.mutate(m, k)
 
 
 @pytest.mark.parametrize("name", SMALL)
