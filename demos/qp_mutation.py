@@ -12,7 +12,8 @@ from pathlib import Path
 
 from greenseq.exchange import initial_seed_from_matrix, mutate
 from greenseq.io import load_problem
-from greenseq.qp import b_matrix, jacobian_relations, mutate_qp
+from greenseq.qp import b_matrix, jacobian_relations
+from greenseq.qp_mutation import mutate_qp
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -7,7 +7,9 @@ produce identical bytes.
 
 Each command loads only the layers it runs, and builds only the format it
 prints, which `_emit` writes as it is made rather than assembling it.
-`mutate` and `mgs` run on `io` and `exchange` alone. `mgs --construct-max`
+`mutate` and `mgs` run on `io` and `exchange` alone: they compile `cli`,
+`errors`, `records`, `qp`, `io` and `exchange`, and neither the linear
+algebra (`linalg`) nor QP mutation (`qp_mutation`). `mgs --construct-max`
 also loads `rep` and `bounds` (which loads `fho`); it tries the cuts longest
 first and stops at the first whose sequence is maximal. `verify` loads `rep`
 and `fho` (whose `verify_theorem1` loads `walls`), and `walls` loads `rep`
@@ -168,7 +170,9 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]
     sys.stdout.write("".join(chunk))
 
 
-def _json_parts(value, newline: str, write: Callable[[str], object], memo: dict) -> None:
+def _json_parts(
+    value, newline: str, write: Callable[[str], object], memo: dict, item: bool = True
+) -> None:
     """Write `json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
 
     `newline` starts each line of the value. With `indent` set, `json.dumps`
@@ -179,13 +183,17 @@ def _json_parts(value, newline: str, write: Callable[[str], object], memo: dict)
 
     `memo` maps (id of a tuple of plain ints, newline) to (that tuple, its
     text), so a c-vector that recurs through a listing (the listings share
-    one tuple per c-vector) is rendered once per indentation. The key is the
-    tuple's identity, not its value: `(1, 0)`, `(True, False)` and
-    `(1.0, 0.0)` are equal and hash alike, and a tuple holding a list has
-    no hash. The entry keeps its tuple alive, so no other object takes that
-    id while the memo lives. Entries are added until the memo holds
-    `_JSON_MEMO_SIZE`, then no more, so its size is bounded whatever the
-    output's length; the caller makes it and owns its lifetime.
+    one tuple per c-vector) is rendered once per indentation. Only a tuple
+    that is an item of a list or tuple takes a slot (`item`, false for a
+    dict value): a listing's c-vectors are items of each record's
+    `c_vectors`, while a value of the record itself, such as its `indices`,
+    is its own and never recurs. The key is the tuple's identity, not its
+    value: `(1, 0)`, `(True, False)` and `(1.0, 0.0)` are equal and hash
+    alike, and a tuple holding a list has no hash. The entry keeps its
+    tuple alive, so no other object takes that id while the memo lives.
+    Entries are added until the memo holds `_JSON_MEMO_SIZE`, then no more,
+    so its size is bounded whatever the output's length; the caller makes
+    it and owns its lifetime.
     """
     if type(value) is tuple:
         hit = memo.get((id(value), newline))
@@ -204,14 +212,14 @@ def _json_parts(value, newline: str, write: Callable[[str], object], memo: dict)
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
             write(lead + encode_basestring_ascii(key) + ": ")
-            _json_parts(value[key], inner, write, memo)
+            _json_parts(value[key], inner, write, memo, False)
             lead = "," + inner
         write(newline + "}")
     elif isinstance(value, (list, tuple, map)):
         inner = newline + "  "
         if type(value) is not map and value and all(type(x) is int for x in value):
             text = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
-            if type(value) is tuple and len(memo) < _JSON_MEMO_SIZE:
+            if item and type(value) is tuple and len(memo) < _JSON_MEMO_SIZE:
                 memo[id(value), newline] = value, text
             write(text)
             return
@@ -286,12 +294,25 @@ def _classes_json(rows, partial: bool) -> dict:
     }
 
 
+class _CVectorTexts(dict):
+    """`str(tuple(v))` of each c-vector v, made when v is first looked up.
+
+    A listing meets few distinct c-vectors many times (15 in 21,834
+    occurrences on a5), so each text is made once per listing. The keys are
+    the exchange layer's c-vectors, int tuples, so equal keys print alike.
+    """
+
+    def __missing__(self, v: tuple[int, ...]) -> str:
+        text = self[v] = str(tuple(v))
+        return text
+
+
 def _classes_text(rows, partial: bool) -> Iterator[str]:
     yield f"equivalence classes: {len(rows)}" + (" (partial)" if partial else "")
+    texts = _CVectorTexts()
     for length, key, size in rows:
-        yield f"length {length}  members {size}  c-vectors " + " ".join(
-            str(tuple(v)) for v in key
-        )
+        shown = " ".join(map(texts.__getitem__, key))
+        yield f"length {length}  members {size}  c-vectors {shown}"
 
 
 def _sequences_json(quiver, seqs, partial: bool) -> dict:
@@ -304,12 +325,13 @@ def _sequences_json(quiver, seqs, partial: bool) -> dict:
 
 def _sequences_text(quiver, seqs, partial: bool) -> Iterator[str]:
     yield f"maximal green sequences: {len(seqs)}" + (" (partial)" if partial else "")
+    texts = _CVectorTexts()
     for s in seqs:
         yield (
             "("
-            + ",".join(str(v) for v in _vertex_labels(quiver, s.mutation_indices))
+            + ",".join(map(str, _vertex_labels(quiver, s.mutation_indices)))
             + ")  c-vectors "
-            + " ".join(str(tuple(v)) for v in s.c_vectors)
+            + " ".join(map(texts.__getitem__, s.c_vectors))
         )
 
 

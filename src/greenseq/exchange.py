@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import suppress
-from operator import mul
-from typing import Iterable, NamedTuple, Optional
+from itertools import compress
+from operator import itemgetter, mul
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from greenseq.errors import InvalidQuiverError, SearchBudgetExceeded
 from greenseq.qp import Quiver, b_matrix
@@ -44,9 +45,9 @@ class ExtExchangeMatrix(FrozenRecord):
     __slots__ = _fields = ("n", "b", "c")
 
     def __init__(self, n: int, b: IntMatrix, c: IntMatrix):
-        for half in (b, c):
-            if len(half) != n or any(map(n.__ne__, map(len, half))):
-                raise ValueError("matrix halves must be n x n")
+        # both halves in one pass: n rows each, and no row length but n
+        if len(b) != n or len(c) != n or {*map(len, b), *map(len, c)} - {n}:
+            raise ValueError("matrix halves must be n x n")
         self._init(n, b, c)
 
     def rows(self) -> IntMatrix:
@@ -99,7 +100,8 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     with b_ik = 0 is reused as it is. Any other row i != k is copied, its
     k-th entry negated, and b_ik * |b_kj| added at just the columns j != k
     where b_kj has the sign of b_ik: the nonzero entries of row k, split by
-    sign once per call. Row k is negated.
+    sign once per call. Row k is negated. The B and C halves are updated
+    each on its own, so no 2n-row stack is built.
 
     Args:
         m: matrix to mutate (unchanged; a new value is returned).
@@ -112,19 +114,34 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} out of range for n={n}")
     row_k = m.b[k]
-    plus = [(j, x) for j, x in enumerate(row_k) if x > 0 and j != k]
-    minus = [(j, -x) for j, x in enumerate(row_k) if x < 0 and j != k]
-    rows = [*m.b, *m.c]
-    for i, row in enumerate(rows):
+    plus: list[tuple[int, int]] = []  # (j, b_kj) where b_kj > 0
+    minus: list[tuple[int, int]] = []  # (j, -b_kj) where b_kj < 0
+    for j in compress(range(n), row_k):
+        if j != k:
+            x = row_k[j]
+            if x > 0:
+                plus.append((j, x))
+            else:
+                minus.append((j, -x))
+    b = _mutated_half(m.b, k, plus, minus)
+    b[k] = tuple([-x for x in row_k])
+    return ExtExchangeMatrix(n, tuple(b), tuple(_mutated_half(m.c, k, plus, minus)))
+
+
+def _mutated_half(
+    rows: IntMatrix, k: int, plus: list[tuple[int, int]], minus: list[tuple[int, int]]
+) -> list[IntVector]:
+    """`rows` with each row i that has b_ik != 0 mutated as `mutate` says."""
+    out = list(rows)
+    for i in compress(range(len(rows)), map(itemgetter(k), rows)):
+        row = rows[i]
         bik = row[k]
-        if bik:
-            new = list(row)
-            new[k] = -bik
-            for j, y in plus if bik > 0 else minus:
-                new[j] += bik * y
-            rows[i] = tuple(new)
-    rows[k] = tuple([-x for x in row_k])
-    return ExtExchangeMatrix(n=n, b=tuple(rows[:n]), c=tuple(rows[n:]))
+        new = list(row)
+        new[k] = -bik
+        for j, y in plus if bik > 0 else minus:
+            new[j] += bik * y
+        out[i] = tuple(new)
+    return out
 
 
 def c_vector(m: ExtExchangeMatrix, k: int) -> IntVector:
@@ -140,6 +157,13 @@ def is_green(m: ExtExchangeMatrix, k: int) -> bool:
     return any(col) and all(x >= 0 for x in col)
 
 
+def _picker(ids: Ids) -> Callable:
+    """A function that reads the entries at `ids` of a dict or list, as a tuple."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda row: tuple(map(row.__getitem__, ids))  # itemgetter(i) gives no tuple
+
+
 class _ExchangeGraph:
     """The oriented exchange graph of an initial seed, built once and kept.
 
@@ -149,9 +173,10 @@ class _ExchangeGraph:
     step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
     c_j + [b_kj]_+ c_k with b_kj = c_k^T B_0 c_j, memoized in one row per
     green c_k. `build` enters each state once, through `enter`, the one place
-    a matrix is built, checked against the ids `step` predicted. It numbers
-    the states in post-order, a topological order with the seed last, and
-    `children[s]` holds the numbers of the states one green step below s.
+    a matrix is built, checked against the c-vectors of the predicted ids.
+    It numbers the states in post-order, a topological order with the seed
+    last, and `children[s]` holds the numbers of the states one green step
+    below s.
     """
 
     def __init__(self):
@@ -200,30 +225,42 @@ class _ExchangeGraph:
 
         One flat loop: an open frame holds a list iterator over its green
         columns, so a step to a state met before is taken without leaving the
-        frame, and the list of child numbers grows as each child closes."""
+        frame. The child numbers of all open states share one list, `below`,
+        each state's after its parent's, and a frame holds where its own
+        start; a child's number joins its parent's as the child closes. A
+        frame also holds `_picker(ids)`, which reads a step's ids from the
+        memoized row of c_k in one call; `step` runs only when that row
+        lacks one of them."""
         ids = self.of(seed)
         if seed != initial_seed_from_matrix(seed.b):
             raise ValueError("a green-sequence search starts from an initial seed (C = I)")
         self.b0_cols = tuple(zip(*seed.b))
         self.budget = budget
-        green, number, children, step, enter = (
-            self.green, self.number, self.children, self.step, self.enter
+        vecs, green, rows, number, children = (
+            self.vecs, self.green, self.rows, self.number, self.children
         )
+        step, enter = self.step, self.enter
         key = tuple(sorted(ids))
-        m = enter(seed, None, ids)
+        m = enter(seed, None, ())
         number[key] = None  # open until it is numbered
-        stack = [(key, ids, m, iter([k for k, i in enumerate(ids) if green[i]]), [])]
+        greens = iter([k for k, i in enumerate(ids) if green[i]])
+        below: list[int] = []
+        stack = [(key, ids, _picker(ids), m, greens, 0)]
         while stack:
-            key, ids, m, branches, below = stack[-1]  # below: child numbers
+            key, ids, pick, m, branches, start = stack[-1]
             for k in branches:
-                child = step(ids, k)
+                try:
+                    child = pick(rows[ids[k]])
+                except KeyError:  # some c_j met beside c_k for the first time
+                    child = step(ids, k)
                 target = tuple(sorted(child))
                 seen = number.get(target, -1)
                 if seen == -1:  # a new state: enter it, and resume here once it closes
-                    entered = enter(m, k, child)
+                    get = _picker(child)
+                    entered = enter(m, k, get(vecs))
                     number[target] = None
                     greens = iter([j for j, i in enumerate(child) if green[i]])
-                    stack.append((target, child, entered, greens, []))
+                    stack.append((target, child, get, entered, greens, len(below)))
                     break
                 if seen is None:
                     raise AssertionError("green mutation returned to an open state")
@@ -231,16 +268,20 @@ class _ExchangeGraph:
             else:  # every child is numbered, so this state is next
                 stack.pop()
                 number[key] = len(children)
-                if stack:  # the parent's `below`
-                    stack[-1][4].append(len(children))
-                children.append(tuple(below))
+                children.append(tuple(below[start:]))
+                del below[start:]
+                if stack:  # one more child number of the parent
+                    below.append(number[key])
 
-    def enter(self, m: ExtExchangeMatrix, k: Optional[int], ids: Ids) -> ExtExchangeMatrix:
-        """The matrix of the new state `ids`, the seed's (k is None) or that
-        of step(of(m), k), if the state budget has room for it."""
+    def enter(
+        self, m: ExtExchangeMatrix, k: Optional[int], cols: tuple[IntVector, ...]
+    ) -> ExtExchangeMatrix:
+        """The matrix of a new state, the seed's (k is None) or that of
+        step(of(m), k), whose c-vectors `cols` the step predicted, if the
+        state budget has room for it."""
         if k is not None:
             m = mutate(m, k)
-            if tuple(zip(*m.c)) != tuple(map(self.vecs.__getitem__, ids)):
+            if tuple(zip(*m.c)) != cols:
                 raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
         if len(self.number) >= self.budget:
             raise SearchBudgetExceeded(f"exchange-graph search exceeded {self.budget} states")
@@ -358,15 +399,21 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     """
     graph = _ExchangeGraph()
     graph.build(seed, budget)
-    folds: list[tuple[int, int, int]] = []  # (count, min, max) per state number
+    counts: list[int] = []  # per state number, and so are `los` and `his`
+    los: list[int] = []
+    his: list[int] = []
     for below in graph.children:
         if below:
-            counts, los, his = zip(*map(folds.__getitem__, below))
-            folds.append((sum(counts), 1 + min(los), 1 + max(his)))
+            get = _picker(below)
+            counts.append(sum(get(counts)))
+            los.append(1 + min(get(los)))
+            his.append(1 + max(get(his)))
         else:
-            folds.append((1, 0, 0))
-    count, lo, hi = folds[-1]  # the seed's, numbered last
-    return MgsSummary(count=count, min_len=lo, max_len=hi, states=len(folds))
+            counts.append(1)
+            los.append(0)
+            his.append(0)
+    # the seed's, numbered last
+    return MgsSummary(count=counts[-1], min_len=los[-1], max_len=his[-1], states=len(counts))
 
 
 def replay_c_vector_sequence(

@@ -4,7 +4,12 @@ Conventions:
   * rationals are encoded as strings "p/q" (or "p" when integral),
   * a quiver with potential is {"vertices": [...], "arrows": [{"id","src","tgt"}...],
     "potential": [{"coeff": "p/q", "cycle": [arrow ids]}...]},
-  * a problem file wraps one qp plus run parameters.
+  * a problem file wraps one qp plus run parameters, whose field prime must be
+    a prime at most `MAX_FIELD_PRIME` (`check_field_prime`, which
+    `rep.Algebra` runs too).
+
+Loading a problem loads `errors`, `records` and `qp` only: neither the
+exchange layer nor the module layer and its linear algebra (`linalg`).
 """
 
 from __future__ import annotations
@@ -13,12 +18,37 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from greenseq.linalg import check_field_prime
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
 from greenseq.records import Record
 
 if TYPE_CHECKING:
     from greenseq.rep import Algebra
+
+
+# Largest accepted field prime: the largest prime below 2**31.
+MAX_FIELD_PRIME = 2**31 - 1
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by 2, 3 and the numbers 6k +- 1 up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0 or n % 3 == 0:
+        return n in (2, 3)
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
+
+def check_field_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime at most MAX_FIELD_PRIME."""
+    if p > MAX_FIELD_PRIME:
+        raise ValueError(f"field_prime {p} exceeds {MAX_FIELD_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"field_prime {p} is not prime")
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples with entries reduced mod p. Everything here
 is pure Python; the matrices involved are tiny (dimension vectors of string
-modules), so clarity beats vectorization.
+modules), so clarity beats vectorization. Whether p is an accepted prime is
+checked where a prime enters the package, by `io.check_field_prime`, so a
+command that never builds a module (`mgs`, `mutate`) never loads this module.
 """
 
 from __future__ import annotations
@@ -10,31 +12,6 @@ from __future__ import annotations
 from itertools import combinations, product
 
 Matrix = tuple[tuple[int, ...], ...]
-
-# Largest accepted field prime: the largest prime below 2**31.
-MAX_FIELD_PRIME = 2**31 - 1
-
-
-def is_prime(n: int) -> bool:
-    """Trial division by 2, 3 and the numbers 6k +- 1 up to sqrt(n)."""
-    if n < 2:
-        return False
-    if n % 2 == 0 or n % 3 == 0:
-        return n in (2, 3)
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
-def check_field_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime at most MAX_FIELD_PRIME."""
-    if p > MAX_FIELD_PRIME:
-        raise ValueError(f"field_prime {p} exceeds {MAX_FIELD_PRIME}")
-    if not is_prime(p):
-        raise ValueError(f"field_prime {p} is not prime")
 
 
 def zeros(rows: int, cols: int) -> Matrix:

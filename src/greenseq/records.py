@@ -6,9 +6,10 @@ fields, keep lookup tables, or leave fields out of `==` are classes with
 names its constructor fields once, in `_fields`, and lists `_compared` only
 when `==` reads fewer of them. `Record` derives `__repr__` from `_fields` and
 `__eq__` and `__hash__` from `_compared`; the hash is that of the tuple of the
-compared values. A frozen record sets its slots in order with `_init` and
-rejects any later assignment; a mutable one assigns its fields as usual and
-sets `__hash__ = None`.
+compared values. A frozen record sets its slots in order with `_init`, through
+the slot descriptors its class collects once, and rejects any later
+assignment; a mutable one assigns its fields as usual and sets
+`__hash__ = None`.
 """
 
 import operator
@@ -23,6 +24,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if "__slots__" in cls.__dict__:  # else the base's setters serve
+            # the `__set__` of each slot the class declares, in order
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         if "_fields" not in cls.__dict__:
             return
         if "_compared" not in cls.__dict__:
@@ -52,8 +56,8 @@ class FrozenRecord(Record):
 
     def _init(self, *values) -> None:
         """Set the slots, in `__slots__` order, to `values`."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -15,7 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 from greenseq import linalg
 from greenseq.errors import ReflectionError
 from greenseq.linalg import Matrix
-from greenseq.qp import MutationData, Quiver, QuiverWithPotential, mutate_qp_data
+from greenseq.qp import Quiver, QuiverWithPotential
+from greenseq.qp_mutation import MutationData, mutate_qp_data
 from greenseq.rep import (
     Algebra,
     Representation,

@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from greenseq import linalg
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
+from greenseq.io import check_field_prime
 from greenseq.linalg import Matrix
 from greenseq.qp import Quiver, QuiverWithPotential, Relation, jacobian_relations
 from greenseq.records import FrozenRecord, Record
@@ -41,7 +42,7 @@ class Algebra(FrozenRecord):
 
     def __init__(self, quiver: Quiver, relations: tuple[Relation, ...], p: int = 2):
         self._init(quiver, relations, p)
-        linalg.check_field_prime(p)
+        check_field_prime(p)
 
 
 def algebra_from_qp(qp: QuiverWithPotential, p: int = 2) -> Algebra:
@@ -171,7 +172,11 @@ def eval_terms(
 
 
 def check_relations(rep: Representation) -> Optional[Relation]:
-    """First violated relation, or None when all hold."""
+    """First violated relation, or None when all hold.
+
+    A relation whose source or target has dimension 0 in `rep` is the empty
+    matrix, which holds, so it is not evaluated.
+    """
     quiver = rep.algebra.quiver
     for rel in rep.algebra.relations:
         if not rel.terms:
@@ -179,7 +184,7 @@ def check_relations(rep: Representation) -> Optional[Relation]:
         src, tgt = rel.src_tgt(quiver)
         rows = rep.dims[quiver.pos(tgt)]
         cols = rep.dims[quiver.pos(src)]
-        if not linalg.is_zero(eval_terms(rep, rel.terms, rows, cols)):
+        if rows and cols and not linalg.is_zero(eval_terms(rep, rel.terms, rows, cols)):
             return rel
     return None
 

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greenseq import cli, exchange
 from greenseq.cli import _JSON_MEMO_SIZE, _json_parts, main
 
 import common
@@ -478,6 +479,46 @@ def test_json_writer_memo_stops_growing_at_its_bound():
     _json_parts(value, "\n", parts.append, memo)
     assert len(memo) == _JSON_MEMO_SIZE
     assert "".join(parts) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_listing_memo_holds_only_the_c_vectors(capsys, monkeypatch):
+    # the memo is the fourth argument of the writer's first call; only the
+    # c-vectors recur through a listing, so only they take its slots, and
+    # the records' own `indices` tuples take none
+    memos = []
+    parts = cli._json_parts
+
+    def spy(value, newline, write, memo, *item):
+        memos.append(memo)
+        return parts(value, newline, write, memo, *item)
+
+    monkeypatch.setattr(cli, "_json_parts", spy)
+    code, out, err = run(capsys, ["mgs", A5, "enumerate", "--format", "json"])
+    assert code == 0
+    memo = memos[0]
+    listed = {v for s in json.loads(out)["sequences"] for v in map(tuple, s["c_vectors"])}
+    assert len(listed) == 15
+    assert sorted(value for value, text in memo.values()) == sorted(listed)
+    assert {newline for key, newline in memo} == {"\n" + " " * 8}
+
+
+def test_text_listings_render_each_c_vector_once(capsys, monkeypatch):
+    made = []
+    texts = cli._CVectorTexts
+
+    class Counted(texts):
+        def __missing__(self, v):
+            made.append(v)
+            return texts.__missing__(self, v)
+
+    monkeypatch.setattr(cli, "_CVectorTexts", Counted)
+    seed = exchange.initial_seed(common.problem("a5_example").qp.quiver)
+    distinct = {v for s in exchange.enumerate_green_sequences(seed) for v in s.c_vectors}
+    for action in ("enumerate", "classes"):
+        del made[:]
+        code, out, err = run(capsys, ["mgs", A5, action])
+        assert code == 0
+        assert sorted(made) == sorted(distinct)
 
 
 def test_json_writer_makes_each_map_item_as_it_writes_it():

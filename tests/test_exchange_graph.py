@@ -142,6 +142,22 @@ def test_mutate_matches_the_entrywise_rule_on_any_integer_matrix(m):
             exchange.mutate(m, k)
 
 
+@pytest.mark.parametrize(
+    "b, summary",
+    [((), (1, 0, 0, 1)), (((0,),), (1, 1, 1, 2)), (((0, 1), (-1, 0)), (2, 2, 3, 5))],
+    ids=["n=0", "A1", "A2"],
+)
+def test_graphs_of_at_most_two_vertices(b, summary):
+    # a state of one c-vector reads its step through a row lookup of its own,
+    # since `itemgetter` of one key gives no tuple; n = 0 has no step at all
+    seed = exchange.initial_seed_from_matrix(b)
+    assert tuple(exchange.mgs_summary(seed)) == summary
+    got = exchange.enumerate_green_sequences(seed)
+    assert [(s.mutation_indices, s.c_vectors) for s in got] == reference_sequences(
+        seed, maximal_only=True
+    )
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_enumeration_matches_the_recursive_definition(name):
     for seed in [seed_of(name)] + mutated_seeds(name, 3):

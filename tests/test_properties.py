@@ -21,8 +21,8 @@ from greenseq.qp import (
     QuiverWithPotential,
     combine_terms,
     jacobian_relations,
-    mutate_qp,
 )
+from greenseq.qp_mutation import mutate_qp
 from greenseq.reflect import (
     find_isomorphism,
     phi_k,

@@ -13,8 +13,8 @@ from greenseq.qp import (
     b_matrix,
     combine_terms,
     jacobian_relations,
-    mutate_qp,
 )
+from greenseq.qp_mutation import mutate_qp
 from greenseq import exchange
 
 import common

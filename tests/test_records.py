@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from greenseq import bounds, exchange, io, qp, reflect, rep, walls
+from greenseq import bounds, exchange, io, qp, qp_mutation, reflect, rep, walls
 from greenseq.errors import InvalidQuiverError
 from greenseq.fho import FhoSequence
 
@@ -65,7 +65,7 @@ def _cases():
     quiver = algebra.quiver
     problem = common.problem("a3_cyclic")
     m0, m1 = catalog.modules[:2]
-    data = qp.mutate_qp_data(problem.qp, quiver.vertices[0])
+    data = qp_mutation.mutate_qp_data(problem.qp, quiver.vertices[0])
     seed = exchange.initial_seed(quiver)
     wall = walls.wall_for(m0)
     context = reflect.reflection_context(problem.qp, quiver.vertices[0])
@@ -75,7 +75,7 @@ def _cases():
         (qp.PotentialTerm, ("coeff", "cycle"), (Fraction(2), ("a", "b", "c"))),
         (qp.QuiverWithPotential, ("quiver", "potential"), (quiver, problem.qp.potential)),
         (qp.Relation, ("terms", "arrow"), (algebra.relations[0].terms, "a")),
-        (qp.MutationData, MUTATION_FIELDS, tuple(getattr(data, f) for f in MUTATION_FIELDS)),
+        (qp_mutation.MutationData, MUTATION_FIELDS, tuple(getattr(data, f) for f in MUTATION_FIELDS)),
         (
             io.ProblemFile,
             ("qp", "field_prime", "search_budget", "rng_seed"),
@@ -288,6 +288,26 @@ def test_constructors_still_validate():
     cls, names, (algebra, dims, mats, label, walk) = cases["Representation"]
     with pytest.raises(ValueError):
         cls(algebra, dims[:-1], mats)
+
+
+def test_exchange_matrix_checks_both_halves():
+    # the constructor checks B and C in one pass; each way a half can be
+    # short is caught, whichever half it is in
+    cls, names, (n, b, c) = _cases()["ExtExchangeMatrix"]
+    short = b[1][:-1]
+    for bad_b, bad_c in [
+        (b[:1] + (short,) + b[2:], c),
+        (b, c[:1] + (c[1][:-1],) + c[2:]),
+        (b[:-1], c),
+        (b, c[:-1]),
+        (b + b[:1], c),
+        (b, c[:1] + (c[1] + (0,),) + c[2:]),
+    ]:
+        with pytest.raises(ValueError, match="matrix halves must be n x n"):
+            cls(n, bad_b, bad_c)
+    empty = cls(0, (), ())
+    assert (empty.n, empty.b, empty.c) == (0, (), ())
+    assert exchange.mgs_summary(empty) == exchange.MgsSummary(1, 0, 0, 1)
 
 
 def test_quiver_with_potential_combines_its_terms():

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from greenseq import linalg, rep
 from greenseq.errors import NonStringAlgebraError, SearchBudgetExceeded
 from greenseq.qp import Arrow, Quiver
 from greenseq.rep import (
@@ -11,6 +12,7 @@ from greenseq.rep import (
     check_relations,
     check_string_algebra,
     eval_path,
+    eval_terms,
     hom_basis,
     hom_dim,
     injective,
@@ -167,6 +169,45 @@ def test_relations_hold_on_catalog_modules(a3_catalog, a5_catalog):
     for cat in (a3_catalog, a5_catalog):
         for m in cat.modules:
             assert check_relations(m) is None
+
+
+def _every_relation_verdict(m):
+    """`check_relations` evaluating every relation, also the empty ones."""
+    quiver = m.algebra.quiver
+    for rel in m.algebra.relations:
+        if rel.terms:
+            src, tgt = rel.src_tgt(quiver)
+            rows, cols = m.dims[quiver.pos(tgt)], m.dims[quiver.pos(src)]
+            if not linalg.is_zero(eval_terms(m, rel.terms, rows, cols)):
+                return rel
+    return None
+
+
+@pytest.mark.parametrize("name", common.PROBLEM_NAMES)
+def test_relation_check_skips_only_relations_it_cannot_break(name, monkeypatch):
+    # each catalog module, and the sum of the dimensions of any two with every
+    # matrix all ones, which breaks relations whose ends are both nonzero; the
+    # latter are built with the constructor's check switched off
+    modules = common.catalog(name).modules
+    algebra = modules[0].algebra
+    quiver = algebra.quiver
+    with monkeypatch.context() as patched:
+        patched.setattr(rep, "check_relations", lambda m: None)
+        filled = []
+        for i, m in enumerate(modules):
+            for other in modules[i:]:
+                dims = [x + y for x, y in zip(m.dims, other.dims)]
+                ones = {
+                    a.id: [[1] * dims[quiver.pos(a.src)]] * dims[quiver.pos(a.tgt)]
+                    for a in quiver.arrows
+                }
+                filled.append(make_rep(algebra, dims, ones))
+    broken = 0
+    for m in [*modules, *filled]:
+        verdict = check_relations(m)
+        assert verdict == _every_relation_verdict(m)
+        broken += verdict is not None
+    assert broken > 0
 
 
 def test_make_rep_rejects_relation_violations(a3_algebra):

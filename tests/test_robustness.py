@@ -14,8 +14,8 @@ from greenseq import linalg, rep, walls
 from greenseq.cli import main
 from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import verify_theorem1
-from greenseq.io import problem_from_json
-from greenseq.linalg import MAX_FIELD_PRIME, is_prime, subspace_count, subspaces
+from greenseq.io import MAX_FIELD_PRIME, is_prime, problem_from_json
+from greenseq.linalg import subspace_count, subspaces
 from greenseq.rep import (
     Algebra,
     algebra_from_qp,
