@@ -7,7 +7,7 @@ produce identical bytes.
 
 Each command loads only the layers it runs, and builds only the format it
 prints, which `_emit` writes as it is made rather than assembling it.
-`mutate` and `mgs` run on `io` and `exchange` alone: they compile `cli`,
+`mutate` and `mgs` run on `io` and `exchange` alone: they load `cli`,
 `errors`, `records`, `qp`, `io` and `exchange`, and neither the linear
 algebra (`linalg`) nor QP mutation (`qp_mutation`). `mgs --construct-max`
 also loads `rep` and `bounds` (which loads `fho`); it tries the cuts longest
@@ -171,7 +171,7 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], Iterable[str]]
 
 
 def _json_parts(
-    value, newline: str, write: Callable[[str], object], memo: dict, item: bool = True
+    value, newline: str, write: Callable[[str], object], memo: dict, memoize: bool = True
 ) -> None:
     """Write `json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
 
@@ -184,8 +184,8 @@ def _json_parts(
     `memo` maps (id of a tuple of plain ints, newline) to (that tuple, its
     text), so a c-vector that recurs through a listing (the listings share
     one tuple per c-vector) is rendered once per indentation. Only a tuple
-    that is an item of a list or tuple takes a slot (`item`, false for a
-    dict value): a listing's c-vectors are items of each record's
+    that is an item of a list or tuple takes a slot (`memoize`, false for
+    a dict value): a listing's c-vectors are items of each record's
     `c_vectors`, while a value of the record itself, such as its `indices`,
     is its own and never recurs. The key is the tuple's identity, not its
     value: `(1, 0)`, `(True, False)` and `(1.0, 0.0)` are equal and hash
@@ -219,14 +219,14 @@ def _json_parts(
         inner = newline + "  "
         if type(value) is not map and value and all(type(x) is int for x in value):
             text = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
-            if item and type(value) is tuple and len(memo) < _JSON_MEMO_SIZE:
+            if memoize and type(value) is tuple and len(memo) < _JSON_MEMO_SIZE:
                 memo[id(value), newline] = value, text
             write(text)
             return
         lead = "[" + inner
-        for item in value:
+        for x in value:
             write(lead)
-            _json_parts(item, inner, write, memo)
+            _json_parts(x, inner, write, memo)
             lead = "," + inner
         write("[]" if lead[0] == "[" else newline + "]")
     else:

@@ -172,7 +172,8 @@ class _ExchangeGraph:
     sorted tuple (whose size grows with n, not with the ids), an edge a green
     step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
     c_j + [b_kj]_+ c_k with b_kj = c_k^T B_0 c_j, memoized in one row per
-    green c_k. `build` enters each state once, through `enter`, the one place
+    green c_k, which `fill_row` completes where `step` finds an entry
+    missing. `build` enters each state once, through `enter`, the one place
     a matrix is built, checked against the c-vectors of the predicted ids.
     It numbers the states in post-order, a topological order with the seed
     last, and `children[s]` holds the numbers of the states one green step
@@ -204,20 +205,25 @@ class _ExchangeGraph:
         """The ids of m's c-columns, in column order."""
         return tuple(map(self.id, zip(*m.c)))
 
-    def step(self, ids: Ids, k: int) -> Ids:
-        """The ids after the green step at column k."""
+    def step(self, ids: Ids, k: int, pick: Callable) -> Ids:
+        """The ids after the green step at column k, read from the memoized
+        row of c_k by `pick`, which is `_picker(ids)`."""
+        try:
+            return pick(self.rows[ids[k]])
+        except KeyError:  # some c_j met beside c_k for the first time
+            return pick(self.fill_row(ids, k))
+
+    def fill_row(self, ids: Ids, k: int) -> dict[int, int]:
+        """The memoized row of c_k, given an entry for each of `ids` it lacked."""
         ck = ids[k]
         row = self.rows[ck]
-        try:
-            return tuple(map(row.__getitem__, ids))
-        except KeyError:  # some c_j met beside c_k for the first time
-            vk = self.vecs[ck]
-            form = [sum(map(mul, vk, col)) for col in self.b0_cols]  # c_k^T B_0
-            row[ck] = self.id(tuple([-x for x in vk]))
-            for cj in set(ids).difference(row):
-                b = max(sum(map(mul, form, self.vecs[cj])), 0)  # [b_kj]_+
-                row[cj] = self.id(tuple([x + b * y for x, y in zip(self.vecs[cj], vk)]))
-            return tuple(map(row.__getitem__, ids))
+        vk = self.vecs[ck]
+        form = [sum(map(mul, vk, col)) for col in self.b0_cols]  # c_k^T B_0
+        row[ck] = self.id(tuple([-x for x in vk]))
+        for cj in set(ids).difference(row):
+            b = max(sum(map(mul, form, self.vecs[cj])), 0)  # [b_kj]_+
+            row[cj] = self.id(tuple([x + b * y for x, y in zip(self.vecs[cj], vk)]))
+        return row
 
     def build(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> None:
         """Enter every state below an initial seed, of at most `budget`, depth
@@ -228,17 +234,14 @@ class _ExchangeGraph:
         frame. The child numbers of all open states share one list, `below`,
         each state's after its parent's, and a frame holds where its own
         start; a child's number joins its parent's as the child closes. A
-        frame also holds `_picker(ids)`, which reads a step's ids from the
-        memoized row of c_k in one call; `step` runs only when that row
-        lacks one of them."""
+        frame also holds `_picker(ids)`: `step` reads the frame's steps with
+        it, and a new state's own picker reads its predicted c-vectors."""
         ids = self.of(seed)
         if seed != initial_seed_from_matrix(seed.b):
             raise ValueError("a green-sequence search starts from an initial seed (C = I)")
         self.b0_cols = tuple(zip(*seed.b))
         self.budget = budget
-        vecs, green, rows, number, children = (
-            self.vecs, self.green, self.rows, self.number, self.children
-        )
+        vecs, green, number, children = self.vecs, self.green, self.number, self.children
         step, enter = self.step, self.enter
         key = tuple(sorted(ids))
         m = enter(seed, None, ())
@@ -249,10 +252,7 @@ class _ExchangeGraph:
         while stack:
             key, ids, pick, m, branches, start = stack[-1]
             for k in branches:
-                try:
-                    child = pick(rows[ids[k]])
-                except KeyError:  # some c_j met beside c_k for the first time
-                    child = step(ids, k)
+                child = step(ids, k, pick)
                 target = tuple(sorted(child))
                 seen = number.get(target, -1)
                 if seen == -1:  # a new state: enter it, and resume here once it closes
@@ -302,7 +302,7 @@ def enumerate_green_sequences(
     The exchange graph is built first, with `budget` as its state budget, so
     `mutate` runs once per state but the seed's. The listing then walks its
     labelled paths: a node is its seed's c-vector ids in column order, and
-    `_ExchangeGraph.step` gives its children.
+    `_ExchangeGraph.step` gives its children, through the node's picker.
 
     Args:
         seed: an initial seed (B over the identity).
@@ -326,7 +326,7 @@ def enumerate_green_sequences(
     # budget runs the walk below out too, with its partial list.
     with suppress(SearchBudgetExceeded):
         graph.build(seed, budget)
-    green = graph.green
+    green, step = graph.green, graph.step
     found: list[GreenSequence] = []
     indices: list[int] = []
     cvecs: list[IntVector] = []
@@ -341,11 +341,11 @@ def enumerate_green_sequences(
         branches = [k for k, i in enumerate(ids) if green[i]]
         if not branches:
             found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        return ids, iter(branches)
+        return ids, _picker(ids), iter(branches)
 
     stack = [visit(graph.of(seed))]  # one frame per node on the current path
     while stack:
-        ids, branches = stack[-1]
+        ids, pick, branches = stack[-1]
         k = next(branches, None)
         if k is None:
             stack.pop()
@@ -353,7 +353,7 @@ def enumerate_green_sequences(
         else:
             indices.append(k)
             cvecs.append(graph.vecs[ids[k]])
-            stack.append(visit(graph.step(ids, k)))
+            stack.append(visit(step(ids, k, pick)))
     return found
 
 

@@ -5,7 +5,7 @@ the bookkeeping the reflection functors read.
 also the pair partition and correction paths behind it (`MutationData`).
 Paths, cycles and coefficients follow the conventions of `greenseq.qp`.
 Within the package only `reflect` imports this module, and no command
-loads `reflect`, so no command compiles it.
+loads `reflect`, so no command loads it.
 """
 
 from __future__ import annotations

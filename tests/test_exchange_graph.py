@@ -223,7 +223,7 @@ def test_step_predicts_mutate_on_every_labelled_seed(name, seeds, edges):
         for k in range(m.n):
             if exchange.is_green(m, k):
                 child = exchange.mutate(m, k)
-                step = graph.step(ids, k)
+                step = graph.step(ids, k, exchange._picker(ids))
                 assert step == graph.of(child)
                 count += 1
                 if step not in matrices:
@@ -247,7 +247,7 @@ def test_step_predicts_mutate_on_a_green_walk_through_a9():
             continue
         k = rng.choice(greens)
         m = exchange.mutate(m, k)
-        ids = graph.step(ids, k)
+        ids = graph.step(ids, k, exchange._picker(ids))
         assert ids == graph.of(m)
         steps += 1
 
