@@ -414,6 +414,13 @@ def test_walls_stdout_is_pinned(capsys, argv, digest):
             1,
             "d786c6421d5ccda4f5ddb289897d86e0ed6176aec747717b8bf9027be01e0809",
         ),
+        (
+            # 2,149 exact LP solves (`walls.rational_feasible`): any change
+            # to their pivots or to the bases they return changes this digest
+            ["verify", A5, "--seed", "1", "--format", "json"],
+            1,
+            "4ad716f05ad5df561469389bcd58e54bd5619568bb19e3e5b14059cfc50eff0b",
+        ),
     ],
 )
 def test_mgs_stdout_is_pinned(capsys, argv, code, digest):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from greenseq import exchange
-from greenseq.errors import GenericityError
+from greenseq.errors import GenericityError, SearchBudgetExceeded
 from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
 from greenseq.rep import Catalog, submodule_dimvecs
 from greenseq.walls import (
@@ -338,3 +338,20 @@ def test_simplex_bases_are_pinned(name, count, digest):
         base = find_base_for_sequence(catalog, key)
         h.update(repr(None if base is None else [str(c) for c in base]).encode())
     assert h.hexdigest() == digest
+
+
+def test_a9_simplex_bases_are_pinned():
+    # every 16th of the first 794 a9 maximal green sequences, as the listing
+    # finds them within a budget of 3,000 nodes: 50 systems of 30 to 43
+    # inequalities in 9 unknowns, 28 of them feasible
+    catalog = common.catalog("a9_example")
+    seed = exchange.initial_seed(common.problem("a9_example").qp.quiver)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exchange.enumerate_green_sequences(seed, budget=3000)
+    keys = [s.c_vectors for s in info.value.partial[::16]]
+    assert len(keys) == 50
+    h = hashlib.sha256()
+    for key in keys:
+        base = find_base_for_sequence(catalog, key)
+        h.update(repr(None if base is None else [str(c) for c in base]).encode())
+    assert h.hexdigest() == "9875414e5d284c53edd6d9a634c19fc1fd2b62e463decdf655fd08a95874790a"
