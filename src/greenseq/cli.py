@@ -229,6 +229,10 @@ def _json_parts(
             _json_parts(x, inner, write, memo)
             lead = "," + inner
         write("[]" if lead[0] == "[" else newline + "]")
+    elif type(value) is int:
+        # the text json.dumps gives a plain int; a bool or an int subclass
+        # takes json.dumps below
+        write(int.__repr__(value))
     else:
         write(json.dumps(value))
 

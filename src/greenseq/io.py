@@ -52,6 +52,9 @@ def check_field_prime(p: int) -> None:
 
 
 def fraction_to_str(x: Fraction) -> str:
+    """`str(Fraction(x))`; an int or a Fraction is written as it is."""
+    if type(x) is Fraction or type(x) is int:
+        return str(x)
     return str(Fraction(x))
 
 

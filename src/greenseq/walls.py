@@ -10,8 +10,13 @@ All geometry is exact and runs on integers inside. A rational point is
 multiplied by the lcm of its denominators, which keeps every sign the
 walls test, so the sign pass and the crossing points are integer vectors;
 feasibility questions go through a fraction-free phase-1 simplex on integer
-rows (Bland's rule, so it terminates). `Fraction` appears only at the API
-edges: the crossing times and the points that are returned.
+rows (Bland's rule, so it terminates). Its tableau stores u, the slacks, the
+equations' artificials and the right-hand side; each v column is the
+negated u column, and an inequality's artificial column is its slack column
+times the row's sign (plus D in the reduced costs), relations that every
+pivot keeps, so the pivots are those of the full tableau
+(`rational_feasible`). `Fraction` appears only at the API edges: the
+crossing times and the points that are returned.
 
 The walls of a catalog are built once, into a table kept in `Catalog.walls`
 (`catalog_walls`). It holds each distinct normal and face vector once (on
@@ -70,10 +75,15 @@ def wall_for(module: Representation) -> Wall:
     )
 
 
+# coordinate types `_scaled` reads without a Fraction: an int and a Fraction
+# have an integer numerator and a positive denominator in lowest terms
+_EXACT = frozenset((int, Fraction))
+
+
 def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
     """(L*x, L) with L the lcm of the denominators of x: an integer vector
     that is a positive multiple of x."""
-    x = [Fraction(v) for v in x]
+    x = [v if type(v) in _EXACT else Fraction(v) for v in x]
     scale = lcm(*(c.denominator for c in x))
     return tuple(c.numerator * (scale // c.denominator) for c in x), scale
 
@@ -166,7 +176,7 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     """
     scaled, scale = _scaled(base)
     table = catalog_walls(catalog)
-    dots = [_dot(scaled, v) for v in table.vectors]
+    dots = [sum(map(mul, scaled, v)) for v in table.vectors]
     met = []
     for wall, (s, stretch, k, faces) in zip(table.walls, table.rows):
         bn = dots[k]
@@ -211,6 +221,36 @@ def crossings_to_json(records: Iterable[CrossingRecord]) -> list[dict]:
 # --------------------------------------------------------------------------
 # exact rational feasibility (fraction-free phase-1 simplex, Bland's rule)
 
+def _entering(
+    reduced: list[int], n: int, signs: list[int], denom: int
+) -> Optional[tuple[int, int, int]]:
+    """Bland's entering column for `rational_feasible`, or None at the optimum.
+
+    `reduced` is the stored reduced-cost row: u, the slacks, the equations'
+    artificials, then the objective. The scan takes the first negative
+    reduced cost in the full column order u, v, slacks, artificials, and
+    returns (that column's index in the full order, the stored column it is
+    read through, the factor it is read with).
+    """
+    rhs = len(reduced) - 1
+    for j in range(n):
+        if reduced[j] < 0:
+            return j, j, 1
+    for j in range(n):
+        if reduced[j] > 0:
+            return n + j, j, -1
+    # the slacks, then the equations' artificials: stored column j >= n is
+    # column n + j of the full order
+    for j in range(n, rhs):
+        if reduced[j] < 0:
+            return n + j, j, 1
+    # the inequalities' artificials, each read through its slack column j
+    for j, sign in enumerate(signs, n):
+        if sign * reduced[j] + denom < 0:
+            return rhs + j, j, sign
+    return None
+
+
 def rational_feasible(
     n: int,
     eqs: Sequence[tuple[Sequence[int], int]],
@@ -220,8 +260,10 @@ def rational_feasible(
 
     The rows a and bounds b are integers. x is split into u - v with
     u, v >= 0, slacks turn inequalities into equations, and a phase-1
-    simplex with artificial variables and Bland's pivoting rule decides
-    feasibility.
+    simplex with one artificial variable per constraint and Bland's pivoting
+    rule decides feasibility. A row with b < 0 is negated first: its sign s
+    is -1, else +1. The columns are u, v, the slacks, the artificials
+    (equations first) and the right-hand side.
 
     The tableau is held as integer numerators over one positive common
     denominator D, the determinant of the current basis (1 at the start).
@@ -229,51 +271,75 @@ def rational_feasible(
     entry, every other row becomes (piv*row - f*pivot_row)/D, where f is the
     row's entry in the entering column, and D becomes piv; each of these
     divisions is exact, and asserted to be. The reduced costs, times D, are
-    one more row of the tableau, updated by the same pivots. The entering
-    column (the first with a negative reduced cost) and the leaving row (the
-    minimum ratio, compared by cross-multiplication, ties to the smallest
-    basic variable) are those of the same simplex over Fractions, so the
-    pivot path and the returned x are too.
+    one more row of the tableau, updated by the same pivots.
+
+    Only u, the slacks, the equations' artificials and the right-hand side
+    are stored: n + m + e + 1 of the 2n + 2m + e + 1 columns, for m
+    inequalities and e equations. The rest are derived, by two relations
+    that hold in the first tableau:
+    - each v column is the negation of its u column;
+    - the artificial column of inequality i is s_i times its slack column;
+      in the reduced-cost row, where artificials cost 1 and slacks 0, this
+      reads R_art = s_i*R_slack + D.
+    The row update is linear, so a pivot keeps both relations; in the last
+    one the D term becomes (piv*D - f*0)/D = piv, the new D. So every
+    derived entry is the entry of the full tableau. Bland's scan
+    (`_entering`) reads the reduced costs in the full column order, the
+    ratio test reads the entering column through its stored partner and
+    breaks ties on the basic variables' full-order indices, and the pivot
+    updates the stored columns with that same entering column. The pivot
+    path and the returned x are therefore those of the full tableau, and
+    those of the same simplex over Fractions.
     """
     m = len(ineqs)
-    width = 2 * n + m
-    for a, b in list(eqs) + list(ineqs):
+    e = len(eqs)
+    constraints = [*eqs, *ineqs]
+    for a, b in constraints:
         if len(a) != n:
             raise ValueError("constraint arity mismatch")
         if not isinstance(b, int) or not all(map(isinstance, a, repeat(int))):
             raise TypeError("constraint rows and bounds must be integers")
-    ncons = len(eqs) + m
-    total = width + ncons
-    # columns: u, v, slacks, artificials, then the right-hand side
+    ncons = e + m
+    # full-order index of the first artificial; that of the inequalities'
+    # first artificial is n + rhs
+    width = 2 * n + m
+    rhs = n + m + e
+    signs: list[int] = []
     tableau: list[list[int]] = []
-    for i, (a, b) in enumerate(list(eqs) + list(ineqs)):
-        row = list(a) + [-c for c in a] + [0] * (m + ncons) + [b]
-        if i >= len(eqs):
-            row[2 * n + i - len(eqs)] = 1
+    for i, (a, b) in enumerate(constraints):
+        row = [*a, *repeat(0, m + e), b]
+        if i >= e:
+            row[n + i - e] = 1
+            signs.append(-1 if b < 0 else 1)
         if b < 0:
             row = [-c for c in row]
-        row[width + i] = 1
+        if i < e:
+            row[n + m + i] = 1
         tableau.append(row)
     # reduced costs of the phase-1 objective (the sum of the artificials)
-    # with every artificial basic: c_j - (sum of column j)
-    reduced = [0] * width + [1] * ncons + [0]
-    for row in tableau:
-        reduced = [r - c for r, c in zip(reduced, row)]
+    # with every artificial basic: c_j - (sum of column j), which is 0 at
+    # the equations' artificials
+    reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (rhs + 1)
+    reduced[n + m : rhs] = repeat(0, e)
     tableau.append(reduced)
+    # row sums, for the exactness check of each pivot
+    sums = [sum(row) for row in tableau]
     basis = [width + i for i in range(ncons)]
     denom = 1
 
-    while True:
-        reduced = tableau[ncons]
-        entering = next((j for j in range(total) if reduced[j] < 0), -1)
-        if entering < 0:
-            break
+    while (step := _entering(tableau[ncons], n, signs, denom)) is not None:
+        entering, col, sign = step
+        if sign > 0:
+            coefs = [row[col] for row in tableau]
+        else:
+            coefs = [-row[col] for row in tableau]
+        if entering >= n + rhs:
+            coefs[ncons] += denom
         leaving = -1
         best_num = best_den = 0
-        for i in range(ncons):
-            coef = tableau[i][entering]
-            if coef > 0:
-                num = tableau[i][total]
+        for i, coef in enumerate(coefs):
+            if coef > 0 and i < ncons:
+                num = tableau[i][rhs]
                 # num/coef against best_num/best_den, both denominators > 0
                 if leaving < 0 or num * best_den < best_num * coef or (
                     num * best_den == best_num * coef and basis[i] < basis[leaving]
@@ -284,25 +350,34 @@ def rational_feasible(
             # phase-1 objective is bounded below by zero, so this cannot occur
             raise RuntimeError("phase-1 simplex reported unboundedness")
         prow = tableau[leaving]
-        piv = prow[entering]
-        psum = sum(prow)
-        for i, row in enumerate(tableau):
-            f = row[entering]
+        piv = coefs[leaving]
+        psum = sums[leaving]
+        for i, f in enumerate(coefs):
             if i == leaving or (not f and piv == denom):
                 continue
-            new = [(piv * c - f * d) // denom for c, d in zip(row, prow)]
+            row = tableau[i]
+            # (piv*c - f*d) // D, with fewer products where f = 0 or piv = D
+            if not f:
+                new = [piv * c // denom for c in row]
+            elif piv == denom:
+                g = -f
+                new = [c + g * d // denom for c, d in zip(row, prow)]
+            else:
+                new = [(piv * c - f * d) // denom for c, d in zip(row, prow)]
             # floor division leaves remainders in [0, D): they are all zero
             # iff the row sums agree
-            assert denom * sum(new) == piv * sum(row) - f * psum, "inexact pivot"
+            total = sum(new)
+            assert denom * total == piv * sums[i] - f * psum, "inexact pivot"
             tableau[i] = new
+            sums[i] = total
         denom = piv
         basis[leaving] = entering
 
-    if any(tableau[i][total] for i in range(ncons) if basis[i] >= width):
+    if any(tableau[i][rhs] for i in range(ncons) if basis[i] >= width):
         return None
-    nums = [0] * total
+    nums = [0] * (width + ncons)
     for i in range(ncons):
-        nums[basis[i]] = tableau[i][total]
+        nums[basis[i]] = tableau[i][rhs]
     # x = X/D with X integer and D > 0, so each row is checked as a.X vs b*D
     xs = [nums[j] - nums[n + j] for j in range(n)]
     for a, b in eqs:

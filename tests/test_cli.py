@@ -468,6 +468,27 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+class _Count(int):
+    pass
+
+
+def test_json_writer_scalars_match_json_dumps():
+    # plain ints are written through int.__repr__; bools, None, floats and
+    # int subclasses still go through json.dumps
+    big = 10**39 + 7
+    for value in (
+        {"zero": 0, "neg": -17, "big": big, "negbig": -big, "t": True, "f": False,
+         "none": None, "float": 2.5, "sub": _Count(3)},
+        [0, -17, big, True, None, 2.5, False, _Count(-4), "x"],
+        0,
+        -big,
+        True,
+        None,
+        -0.5,
+    ):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_json_writer_memo_keeps_equal_tuples_of_other_types_apart():
     # (1, 0), (True, False) and (1.0, 0.0) are equal and hash alike, so a
     # memo keyed by value alone would write all three as [1, 0]; the same

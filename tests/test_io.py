@@ -24,6 +24,15 @@ def test_fraction_strings():
     assert fraction_from_str("1.5") == Fraction(3, 2)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [0, 7, -12, 10**40, True, Fraction(-3, 2), Fraction(6, 4), Fraction(-10, 5), Fraction(0, 9)],
+)
+def test_fraction_to_str_is_the_text_of_the_fraction(x):
+    # ints and Fractions skip the Fraction round trip; the text stays
+    assert fraction_to_str(x) == str(Fraction(x))
+
+
 @pytest.mark.parametrize("bad", ["", "x", "1/0", True, None, 1.5, "1e400000000", "2E-3", "1/1e9"])
 def test_fraction_rejects_garbage(bad):
     with pytest.raises(ValueError):

@@ -128,6 +128,65 @@ def test_matches_the_fraction_simplex_on_random_systems():
     assert feasible > 200 and infeasible > 200
 
 
+def a9_sized_system(rng):
+    """A system the size of an a9 wall search: up to 9 unknowns and 40
+    inequalities, and up to 3 equations.
+
+    Most rows hold at a random integer point, many of them with equality,
+    so pivots are often degenerate; a few miss it, which makes some systems
+    infeasible. The bounds take both signs, so the simplex negates some
+    rows and not others. Repeated, opposite and zero rows are mixed in.
+    """
+    n = rng.randint(1, 9)
+    span = rng.choice([1, 2, 3])
+    point = [rng.randint(-3, 3) for _ in range(n)]
+
+    def row():
+        return [rng.randint(-span, span) for _ in range(n)]
+
+    def at(a):
+        return sum(c * x for c, x in zip(a, point))
+
+    eqs = []
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        a = row()
+        eqs.append((a, at(a) + rng.choice([0, 0, 0, 0, 1])))
+    ineqs = []
+    for _ in range(rng.randint(0, 36)):
+        a = row()
+        margin = -1 if rng.random() < 0.05 else rng.choice([0, 0, 1, 2, 5])
+        ineqs.append((a, at(a) + margin))
+    for a, b in list(ineqs):
+        pick = rng.random()
+        if pick < 0.05:
+            ineqs.append((list(a), b))
+        elif pick < 0.1:
+            ineqs.append(([-c for c in a], -b + rng.choice([-1, 0, 0, 3])))
+        elif pick < 0.12:
+            ineqs.append(([0] * n, rng.choice([-1, 0, 1])))
+    del ineqs[40:]
+    rng.shuffle(ineqs)
+    return n, eqs, ineqs
+
+
+def test_matches_the_fraction_simplex_on_a9_sized_systems():
+    # the Fraction reference takes about 0.1 s on one of these, so there
+    # are few of them
+    rng = random.Random(1706065)
+    outcomes = []
+    large = both_signs = with_eqs = 0
+    for _ in range(30):
+        n, eqs, ineqs = a9_sized_system(rng)
+        got = rational_feasible(n, eqs, ineqs)
+        assert got == reference_feasible(n, eqs, ineqs), (n, eqs, ineqs)
+        outcomes.append(got is None)
+        large += len(ineqs) >= 30
+        both_signs += {b < 0 for _, b in ineqs} == {True, False}
+        with_eqs += bool(eqs)
+    assert 5 <= sum(outcomes) <= 25
+    assert large >= 5 and both_signs >= 20 and with_eqs >= 10
+
+
 def test_rows_must_be_integers():
     with pytest.raises(TypeError, match="integers"):
         rational_feasible(1, [], [([Fraction(1, 2)], -1)])
