@@ -222,32 +222,38 @@ def crossings_to_json(records: Iterable[CrossingRecord]) -> list[dict]:
 # exact rational feasibility (fraction-free phase-1 simplex, Bland's rule)
 
 def _entering(
-    reduced: list[int], n: int, signs: list[int], denom: int
+    reduced: list[int], n: int, e: int, signs: list[int], where: list[int], denom: int
 ) -> Optional[tuple[int, int, int]]:
     """Bland's entering column for `rational_feasible`, or None at the optimum.
 
-    `reduced` is the stored reduced-cost row: u, the slacks, the equations'
-    artificials, then the objective. The scan takes the first negative
-    reduced cost in the full column order u, v, slacks, artificials, and
-    returns (that column's index in the full order, the stored column it is
-    read through, the factor it is read with).
+    The scan takes the first negative reduced cost in the full column order
+    u, v, slacks, artificials, and returns (that column's full index, the
+    u column or constraint row it is read through, its factor). `where[r]`
+    is the stored position of row r's unit column, 0 while it is not
+    stored; the reduced cost of an unstored unit column is D*(c - s_r).
     """
-    rhs = len(reduced) - 1
     for j in range(n):
         if reduced[j] < 0:
             return j, j, 1
     for j in range(n):
         if reduced[j] > 0:
             return n + j, j, -1
-    # the slacks, then the equations' artificials: stored column j >= n is
-    # column n + j of the full order
-    for j in range(n, rhs):
-        if reduced[j] < 0:
-            return n + j, j, 1
-    # the inequalities' artificials, each read through its slack column j
-    for j, sign in enumerate(signs, n):
-        if sign * reduced[j] + denom < 0:
-            return rhs + j, j, sign
+    ncons = len(signs)
+    slack = 2 * n - e
+    for r in range(e, ncons):
+        w = where[r]
+        if (reduced[w] if w else -signs[r] * denom) < 0:
+            return slack + r, r, 1
+    # an unstored artificial has reduced cost 0
+    art = slack + ncons
+    for r in range(e):
+        w = where[r]
+        if w and reduced[w] < 0:
+            return art + r, r, 1
+    for r in range(e, ncons):
+        w = where[r]
+        if w and signs[r] * reduced[w] + denom < 0:
+            return art + r, r, signs[r]
     return None
 
 
@@ -261,9 +267,9 @@ def rational_feasible(
     The rows a and bounds b are integers. x is split into u - v with
     u, v >= 0, slacks turn inequalities into equations, and a phase-1
     simplex with one artificial variable per constraint and Bland's pivoting
-    rule decides feasibility. A row with b < 0 is negated first: its sign s
-    is -1, else +1. The columns are u, v, the slacks, the artificials
-    (equations first) and the right-hand side.
+    rule decides feasibility. A row with b < 0 is negated first. The full
+    column order is u, v, the slacks, the artificials (equations first),
+    then the right-hand side.
 
     The tableau is held as integer numerators over one positive common
     denominator D, the determinant of the current basis (1 at the start).
@@ -273,23 +279,29 @@ def rational_feasible(
     divisions is exact, and asserted to be. The reduced costs, times D, are
     one more row of the tableau, updated by the same pivots.
 
-    Only u, the slacks, the equations' artificials and the right-hand side
-    are stored: n + m + e + 1 of the 2n + 2m + e + 1 columns, for m
-    inequalities and e equations. The rest are derived, by two relations
-    that hold in the first tableau:
+    Most columns are derived, not stored. Each row r has a unit column: its
+    slack, whose entry is s_r = -1 if the row was negated and +1 if not, or
+    for an equation its artificial, with s_r = +1. Three relations hold in
+    the first tableau and are kept by every pivot, because the row update
+    is linear and a pivot on another row leaves a column that is zero there
+    as D times what it was over the old D:
     - each v column is the negation of its u column;
-    - the artificial column of inequality i is s_i times its slack column;
-      in the reduced-cost row, where artificials cost 1 and slacks 0, this
-      reads R_art = s_i*R_slack + D.
-    The row update is linear, so a pivot keeps both relations; in the last
-    one the D term becomes (piv*D - f*0)/D = piv, the new D. So every
-    derived entry is the entry of the full tableau. Bland's scan
-    (`_entering`) reads the reduced costs in the full column order, the
-    ratio test reads the entering column through its stored partner and
-    breaks ties on the basic variables' full-order indices, and the pivot
-    updates the stored columns with that same entering column. The pivot
-    path and the returned x are therefore those of the full tableau, and
-    those of the same simplex over Fractions.
+    - the artificial column of inequality r is s_r times its slack column;
+      in the reduced-cost row, where artificials cost 1 and slacks 0, that
+      is R_art = s_r*R_slack + D (the pivot maps the D term to piv, the
+      new D);
+    - until row r is a pivot row, its unit column is s_r*D in row r and 0
+      in the other constraint rows, with reduced cost D*(c - s_r), c its
+      cost.
+    So the tableau stores u and the right-hand side, and a row's unit column
+    only from the first time that row is a pivot row, or that column or its
+    artificial enters. That is n + 1 + p of the 2n + 2m + e + 1 columns of
+    the full tableau, for m inequalities, e equations and p rows pivoted on
+    so far. Bland's scan (`_entering`) reads every reduced cost in the full
+    order, and the ratio test reads the entering column through its stored
+    partner and breaks ties on the basic variables' full indices, so the
+    pivot path and the returned x are those of the full tableau, and of the
+    same simplex over Fractions.
     """
     m = len(ineqs)
     e = len(eqs)
@@ -300,46 +312,54 @@ def rational_feasible(
         if not isinstance(b, int) or not all(map(isinstance, a, repeat(int))):
             raise TypeError("constraint rows and bounds must be integers")
     ncons = e + m
-    # full-order index of the first artificial; that of the inequalities'
-    # first artificial is n + rhs
+    # full index of the first artificial
     width = 2 * n + m
-    rhs = n + m + e
-    signs: list[int] = []
+    # stored columns: u, the right-hand side (position n), then unit columns
     tableau: list[list[int]] = []
+    signs = [1] * e
     for i, (a, b) in enumerate(constraints):
-        row = [*a, *repeat(0, m + e), b]
+        tableau.append([-c for c in a] + [-b] if b < 0 else [*a, b])
         if i >= e:
-            row[n + i - e] = 1
             signs.append(-1 if b < 0 else 1)
-        if b < 0:
-            row = [-c for c in row]
-        if i < e:
-            row[n + m + i] = 1
-        tableau.append(row)
     # reduced costs of the phase-1 objective (the sum of the artificials)
-    # with every artificial basic: c_j - (sum of column j), which is 0 at
-    # the equations' artificials
-    reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (rhs + 1)
-    reduced[n + m : rhs] = repeat(0, e)
+    # with every artificial basic: c_j - (sum of column j)
+    reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (n + 1)
     tableau.append(reduced)
     # row sums, for the exactness check of each pivot
     sums = [sum(row) for row in tableau]
+    where = [0] * ncons
     basis = [width + i for i in range(ncons)]
     denom = 1
 
-    while (step := _entering(tableau[ncons], n, signs, denom)) is not None:
+    def store(r: int) -> None:
+        # append row r's unit column, as the third relation gives it
+        where[r] = len(tableau[r])
+        for row in tableau:
+            row.append(0)
+        unit = signs[r] * denom
+        tableau[r][-1] = unit
+        sums[r] += unit
+        cost = (r < e) * denom - unit
+        tableau[ncons][-1] = cost
+        sums[ncons] += cost
+
+    while (step := _entering(tableau[ncons], n, e, signs, where, denom)) is not None:
         entering, col, sign = step
+        if entering >= 2 * n:
+            if not where[col]:
+                store(col)
+            col = where[col]
         if sign > 0:
             coefs = [row[col] for row in tableau]
         else:
             coefs = [-row[col] for row in tableau]
-        if entering >= n + rhs:
+        if entering >= width + e:
             coefs[ncons] += denom
         leaving = -1
         best_num = best_den = 0
         for i, coef in enumerate(coefs):
             if coef > 0 and i < ncons:
-                num = tableau[i][rhs]
+                num = tableau[i][n]
                 # num/coef against best_num/best_den, both denominators > 0
                 if leaving < 0 or num * best_den < best_num * coef or (
                     num * best_den == best_num * coef and basis[i] < basis[leaving]
@@ -349,21 +369,15 @@ def rational_feasible(
         if leaving < 0:
             # phase-1 objective is bounded below by zero, so this cannot occur
             raise RuntimeError("phase-1 simplex reported unboundedness")
+        if not where[leaving]:
+            store(leaving)
         prow = tableau[leaving]
         piv = coefs[leaving]
         psum = sums[leaving]
         for i, f in enumerate(coefs):
             if i == leaving or (not f and piv == denom):
                 continue
-            row = tableau[i]
-            # (piv*c - f*d) // D, with fewer products where f = 0 or piv = D
-            if not f:
-                new = [piv * c // denom for c in row]
-            elif piv == denom:
-                g = -f
-                new = [c + g * d // denom for c, d in zip(row, prow)]
-            else:
-                new = [(piv * c - f * d) // denom for c, d in zip(row, prow)]
+            new = [(piv * c - f * d) // denom for c, d in zip(tableau[i], prow)]
             # floor division leaves remainders in [0, D): they are all zero
             # iff the row sums agree
             total = sum(new)
@@ -373,11 +387,11 @@ def rational_feasible(
         denom = piv
         basis[leaving] = entering
 
-    if any(tableau[i][rhs] for i in range(ncons) if basis[i] >= width):
+    if any(tableau[i][n] for i in range(ncons) if basis[i] >= width):
         return None
     nums = [0] * (width + ncons)
     for i in range(ncons):
-        nums[basis[i]] = tableau[i][rhs]
+        nums[basis[i]] = tableau[i][n]
     # x = X/D with X integer and D > 0, so each row is checked as a.X vs b*D
     xs = [nums[j] - nums[n + j] for j in range(n)]
     for a, b in eqs:

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from greenseq import walls
 from greenseq.walls import rational_feasible
 
 
-def reference_feasible(n, eqs, ineqs):
+def reference_feasible(n, eqs, ineqs, path=None):
     """Phase-1 simplex over Fractions with Bland's rule: the previous
-    implementation of `rational_feasible`, unchanged but for its name."""
+    implementation of `rational_feasible`, unchanged but for its name and
+    `path`, a list to which it appends each entering column, if given."""
     m = len(ineqs)
     width = 2 * n + m
     rows = []
@@ -56,6 +58,8 @@ def reference_feasible(n, eqs, ineqs):
                 break
         if entering < 0:
             break
+        if path is not None:
+            path.append(entering)
         leaving = -1
         best = None
         for i in range(ncons):
@@ -111,6 +115,22 @@ def random_system(rng):
     if rng.random() < 0.1:
         ineqs.append(([0] * n, rng.choice([-1, 0])))
     return n, eqs, ineqs
+
+
+@pytest.fixture
+def entering_path(monkeypatch):
+    """The entering columns of each `rational_feasible` call, in order."""
+    path = []
+    scan = walls._entering
+
+    def spy(*args):
+        step = scan(*args)
+        if step is not None:
+            path.append(step[0])
+        return step
+
+    monkeypatch.setattr(walls, "_entering", spy)
+    return path
 
 
 def test_matches_the_fraction_simplex_on_random_systems():
@@ -169,7 +189,20 @@ def a9_sized_system(rng):
     return n, eqs, ineqs
 
 
-def test_matches_the_fraction_simplex_on_a9_sized_systems():
+def test_pivots_are_those_of_the_fraction_simplex(entering_path):
+    # the same x can come from another pivot path, so the path is compared
+    # too: an artificial that enters at a degenerate vertex, for one, moves
+    # the path and not x
+    rng = random.Random(1706)
+    for _ in range(300):
+        n, eqs, ineqs = random_system(rng)
+        entering_path.clear()
+        expected = []
+        assert rational_feasible(n, eqs, ineqs) == reference_feasible(n, eqs, ineqs, expected)
+        assert entering_path == expected, (n, eqs, ineqs)
+
+
+def test_matches_the_fraction_simplex_on_a9_sized_systems(entering_path):
     # the Fraction reference takes about 0.1 s on one of these, so there
     # are few of them
     rng = random.Random(1706065)
@@ -177,8 +210,11 @@ def test_matches_the_fraction_simplex_on_a9_sized_systems():
     large = both_signs = with_eqs = 0
     for _ in range(30):
         n, eqs, ineqs = a9_sized_system(rng)
+        entering_path.clear()
+        expected = []
         got = rational_feasible(n, eqs, ineqs)
-        assert got == reference_feasible(n, eqs, ineqs), (n, eqs, ineqs)
+        assert got == reference_feasible(n, eqs, ineqs, expected), (n, eqs, ineqs)
+        assert entering_path == expected, (n, eqs, ineqs)
         outcomes.append(got is None)
         large += len(ineqs) >= 30
         both_signs += {b < 0 for _, b in ineqs} == {True, False}
