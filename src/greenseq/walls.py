@@ -10,11 +10,12 @@ All geometry is exact and runs on integers inside. A rational point is
 multiplied by the lcm of its denominators, which keeps every sign the
 walls test, so the sign pass and the crossing points are integer vectors;
 feasibility questions go through a fraction-free phase-1 simplex on integer
-rows (Bland's rule, so it terminates). Its tableau stores u, the slacks, the
-equations' artificials and the right-hand side; each v column is the
-negated u column, and an inequality's artificial column is its slack column
-times the row's sign (plus D in the reduced costs), relations that every
-pivot keeps, so the pivots are those of the full tableau
+rows (Bland's rule, so it terminates). Its tableau stores only u, the
+right-hand side, and a row's slack (or an equation's artificial) once that
+row is pivoted on: each v column is the negated u column, an inequality's
+artificial is its slack times the row's sign (plus D in the reduced costs),
+and a slack is a unit column until its row is pivoted on. Every pivot keeps
+these relations, so the pivots are those of the full tableau
 (`rational_feasible`). `Fraction` appears only at the API edges: the
 crossing times and the points that are returned.
 
@@ -282,9 +283,9 @@ def rational_feasible(
     Most columns are derived, not stored. Each row r has a unit column: its
     slack, whose entry is s_r = -1 if the row was negated and +1 if not, or
     for an equation its artificial, with s_r = +1. Three relations hold in
-    the first tableau and are kept by every pivot, because the row update
-    is linear and a pivot on another row leaves a column that is zero there
-    as D times what it was over the old D:
+    the first tableau, and every pivot keeps them: the row update is
+    linear, and a pivot on a row where a column is 0 multiplies that column
+    by piv/D, the new D over the old:
     - each v column is the negation of its u column;
     - the artificial column of inequality r is s_r times its slack column;
       in the reduced-cost row, where artificials cost 1 and slacks 0, that
@@ -296,12 +297,12 @@ def rational_feasible(
     So the tableau stores u and the right-hand side, and a row's unit column
     only from the first time that row is a pivot row, or that column or its
     artificial enters. That is n + 1 + p of the 2n + 2m + e + 1 columns of
-    the full tableau, for m inequalities, e equations and p rows pivoted on
-    so far. Bland's scan (`_entering`) reads every reduced cost in the full
-    order, and the ratio test reads the entering column through its stored
-    partner and breaks ties on the basic variables' full indices, so the
-    pivot path and the returned x are those of the full tableau, and of the
-    same simplex over Fractions.
+    the full tableau, for m inequalities and e equations, where p is at
+    most the number of pivots so far. Bland's scan (`_entering`) reads
+    every reduced cost in the full order, and the ratio test reads the
+    entering column through its stored partner and breaks ties on the basic
+    variables' full indices, so the pivot path and the returned x are those
+    of the full tableau, and of the same simplex over Fractions.
     """
     m = len(ineqs)
     e = len(eqs)
@@ -315,18 +316,15 @@ def rational_feasible(
     # full index of the first artificial
     width = 2 * n + m
     # stored columns: u, the right-hand side (position n), then unit columns
-    tableau: list[list[int]] = []
-    signs = [1] * e
-    for i, (a, b) in enumerate(constraints):
-        tableau.append([-c for c in a] + [-b] if b < 0 else [*a, b])
-        if i >= e:
-            signs.append(-1 if b < 0 else 1)
+    tableau = [[-c for c in a] + [-b] if b < 0 else [*a, b] for a, b in constraints]
+    signs = [1] * e + [-1 if b < 0 else 1 for _, b in ineqs]
     # reduced costs of the phase-1 objective (the sum of the artificials)
     # with every artificial basic: c_j - (sum of column j)
     reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (n + 1)
     tableau.append(reduced)
     # row sums, for the exactness check of each pivot
     sums = [sum(row) for row in tableau]
+    # the position of each row's unit column, 0 while it is not stored
     where = [0] * ncons
     basis = [width + i for i in range(ncons)]
     denom = 1
