@@ -23,8 +23,9 @@ The walls of a catalog are built once, into a table kept in `Catalog.walls`
 (`catalog_walls`). It holds each distinct normal and face vector once (on
 a9, 63 vectors for 45 normals and 117 faces) and, per wall, the coordinate
 sums and vector positions that its crossing test reads. `crossing_sequence`
-takes one integer dot per distinct vector and tests every wall from those
-dots; `_side` tests a single point against a single wall. Both apply one
+takes one integer dot per distinct vector, each by one addition to the dot
+of a vector one unit smaller, and tests every wall from those dots;
+`_side` tests a single point against a single wall. Both apply one
 sign rule, `_face_side`.
 """
 
@@ -126,11 +127,19 @@ class WallTable(NamedTuple):
     S the lcm of all the normal sums, k the position of the normal in
     `vectors`, and faces one (position, coordinate sum) pair per face, in
     the order of `walls[i].faces`.
+
+    `chain` gives the dot of a point B with every vector by one addition
+    each. Its entry (i, j, c) says that vector i is vector j plus the unit
+    vector e_c, so B . v_i = B . v_j + B_c; j = len(vectors) stands for the
+    zero vector, and j comes before i. Every vector has such a j: a
+    submodule N of M has a maximal submodule N' with N/N' simple, so
+    dim N - dim N' is a unit vector, and N' is 0 or a face of the wall of M.
     """
 
     walls: tuple[Wall, ...]
     vectors: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+    chain: tuple[tuple[int, int, int], ...]
 
 
 def catalog_walls(catalog: Catalog) -> WallTable:
@@ -149,7 +158,22 @@ def catalog_walls(catalog: Catalog) -> WallTable:
             (s, total // s, at(w.normal), tuple((at(d), sum(d)) for d in w.faces))
             for w, s in zip(walls, sums)
         )
-        catalog.walls = WallTable(tuple(walls), tuple(position), rows)
+        vectors = tuple(position)
+        zero = len(vectors)
+        chain = []
+        # by coordinate sum, so that each j precedes the vectors it serves
+        for i in sorted(range(zero), key=lambda i: sum(vectors[i])):
+            v = vectors[i]
+            for c, x in enumerate(v):
+                if x:
+                    w = v[:c] + (x - 1,) + v[c + 1 :]
+                    j = position.get(w, -1) if any(w) else zero
+                    if j >= 0:
+                        chain.append((i, j, c))
+                        break
+            else:
+                raise AssertionError(f"no face of the table is one unit below {v}")
+        catalog.walls = WallTable(tuple(walls), vectors, rows, tuple(chain))
     return catalog.walls
 
 
@@ -164,7 +188,8 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     With B = L*base integral, a wall with normal n of sum s is met at
     t = -(B . n)/(s*L), at the point P/(s*L) with P = s*B - (B . n)*1. The
     catalog's wall table (`catalog_walls`) gives each distinct normal and
-    face vector v once, so B . v is one integer dot per vector, and a face d
+    face vector v once, so B . v is one addition per vector (`WallTable`
+    gives a vector one unit smaller), and a face d
     has P . d = s*(B . d) - (B . n)*(1 . d) with no further dot. P . n = 0
     by construction, so the sign pass reads the faces only. The met walls
     are ordered, and checked for equal times, on the integer
@@ -177,7 +202,10 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     """
     scaled, scale = _scaled(base)
     table = catalog_walls(catalog)
-    dots = [sum(map(mul, scaled, v)) for v in table.vectors]
+    # the last slot is the zero vector's dot
+    dots = [0] * (len(table.vectors) + 1)
+    for i, j, c in table.chain:
+        dots[i] = dots[j] + scaled[c]
     met = []
     for wall, (s, stretch, k, faces) in zip(table.walls, table.rows):
         bn = dots[k]
