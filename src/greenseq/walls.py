@@ -375,10 +375,7 @@ def rational_feasible(
             if not where[col]:
                 store(col)
             col = where[col]
-        if sign > 0:
-            coefs = [row[col] for row in tableau]
-        else:
-            coefs = [-row[col] for row in tableau]
+        coefs = [sign * row[col] for row in tableau]
         if entering >= width + e:
             coefs[ncons] += denom
         leaving = -1
