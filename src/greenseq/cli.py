@@ -457,13 +457,21 @@ def _walls_json(base, records) -> dict:
     }
 
 
-def _walls_text(base, records) -> str:
-    """Text block for the crossings of one base."""
-    lines = ["base " + ",".join(gio.fraction_to_str(c) for c in base)]
+def _walls_text(base, records, tails: dict) -> str:
+    """Text block for the crossings of one base.
+
+    A line ends with its module's label and dimension vector; `tails` keeps
+    that text by module identity, so each module's is rendered once per
+    listing.
+    """
+    lines = ["base " + ",".join(map(gio.fraction_to_str, base))]
     for r in records:
-        lines.append(
-            f"t={r.time}  {r.module.label or r.module.dims}  dims {tuple(r.dims)}"
-        )
+        tail = tails.get(id(r.module))
+        if tail is None:
+            tail = tails[id(r.module)] = (
+                f"  {r.module.label or r.module.dims}  dims {tuple(r.dims)}"
+            )
+        lines.append(f"t={r.time}{tail}")
     return "\n".join(lines)
 
 
@@ -490,7 +498,7 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: degenerate base: {e}", file=sys.stderr)
             return 2
-        _emit(args, lambda: _walls_json(coords, records), lambda: [_walls_text(coords, records)])
+        _emit(args, lambda: _walls_json(coords, records), lambda: [_walls_text(coords, records, {})])
         return 0
     rng = random.Random(problem.rng_seed)
     found = []
@@ -500,10 +508,11 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
         except GenericityError as e:
             print(f"error: retry cap exceeded: {e}", file=sys.stderr)
             return 1
+    tails: dict[int, str] = {}
     _emit(
         args,
         lambda: {"bases": [_walls_json(base, records) for base, records in found]},
-        lambda: ["\n\n".join(_walls_text(base, records) for base, records in found)],
+        lambda: ["\n\n".join(_walls_text(base, records, tails) for base, records in found)],
     )
     return 0
 

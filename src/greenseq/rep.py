@@ -789,35 +789,5 @@ def stable_subspace_tuples(
 
 
 def submodule_dimvecs(m: Representation) -> set[tuple[int, ...]]:
-    """The set {dim M' : M' an arrow-stable subspace tuple of M}.
-
-    When M is thin (no dimension above 1), a subspace tuple is a subset of
-    its support, and it is stable iff it holds the head of each arrow with
-    a nonzero map whose tail it holds. The stable subsets are the unions of
-    the closures of single vertices under that rule, and are listed so,
-    without enumerating subspaces. Other modules, and any module past the
-    budget, go through `stable_subspace_tuples`.
-    """
-    if m.total_dim > MAX_TOTAL_DIM or max(m.dims, default=0) > 1:
-        return {dv for dv, _ in stable_subspace_tuples(m)}
-    quiver = m.algebra.quiver
-    n = len(m.dims)
-    # heads[i]: bit mask of the vertices a stable subset holding i must hold
-    heads = [0] * n
-    for a in quiver.arrows:
-        i, j = quiver.pos(a.src), quiver.pos(a.tgt)
-        if m.dims[i] and m.dims[j] and m.mat(a.id)[0][0] % m.algebra.p:
-            heads[i] |= 1 << j
-    stable = {0}
-    for i in range(n):
-        if m.dims[i]:
-            closure = frontier = 1 << i
-            while frontier:
-                reached = 0
-                for j in range(n):
-                    if frontier >> j & 1:
-                        reached |= heads[j]
-                frontier = reached & ~closure
-                closure |= reached
-            stable |= {s | closure for s in stable}
-    return {tuple(s >> j & 1 for j in range(n)) for s in stable}
+    """The set {dim M' : M' an arrow-stable subspace tuple of M}."""
+    return {dv for dv, _ in stable_subspace_tuples(m)}

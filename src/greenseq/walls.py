@@ -10,12 +10,11 @@ All geometry is exact and runs on integers inside. A rational point is
 multiplied by the lcm of its denominators, which keeps every sign the
 walls test, so the sign pass and the crossing points are integer vectors;
 feasibility questions go through a fraction-free phase-1 simplex on integer
-rows (Bland's rule, so it terminates). Its tableau stores only u, the
-right-hand side, and a row's slack (or an equation's artificial) once that
-row is pivoted on: each v column is the negated u column, an inequality's
-artificial is its slack times the row's sign (plus D in the reduced costs),
-and a slack is a unit column until its row is pivoted on. Every pivot keeps
-these relations, so the pivots are those of the full tableau
+rows (Bland's rule, so it terminates). Its tableau stores u, the slacks, the
+equations' artificials and the right-hand side: each v column is the
+negated u column, and an inequality's artificial column is its slack column
+times the row's sign (plus D in the reduced costs). Every pivot keeps both
+relations, so the pivots are those of the full tableau
 (`rational_feasible`). `Fraction` appears only at the API edges: the
 crossing times and the points that are returned.
 
@@ -23,9 +22,8 @@ The walls of a catalog are built once, into a table kept in `Catalog.walls`
 (`catalog_walls`). It holds each distinct normal and face vector once (on
 a9, 63 vectors for 45 normals and 117 faces) and, per wall, the coordinate
 sums and vector positions that its crossing test reads. `crossing_sequence`
-takes one integer dot per distinct vector, each by one addition to the dot
-of a vector one unit smaller, and tests every wall from those dots;
-`_side` tests a single point against a single wall. Both apply one
+takes one integer dot per distinct vector and tests every wall from those
+dots; `_side` tests a single point against a single wall. Both apply one
 sign rule, `_face_side`.
 """
 
@@ -127,19 +125,11 @@ class WallTable(NamedTuple):
     S the lcm of all the normal sums, k the position of the normal in
     `vectors`, and faces one (position, coordinate sum) pair per face, in
     the order of `walls[i].faces`.
-
-    `chain` gives the dot of a point B with every vector by one addition
-    each. Its entry (i, j, c) says that vector i is vector j plus the unit
-    vector e_c, so B . v_i = B . v_j + B_c; j = len(vectors) stands for the
-    zero vector, and j comes before i. Every vector has such a j: a
-    submodule N of M has a maximal submodule N' with N/N' simple, so
-    dim N - dim N' is a unit vector, and N' is 0 or a face of the wall of M.
     """
 
     walls: tuple[Wall, ...]
     vectors: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
-    chain: tuple[tuple[int, int, int], ...]
 
 
 def catalog_walls(catalog: Catalog) -> WallTable:
@@ -158,22 +148,7 @@ def catalog_walls(catalog: Catalog) -> WallTable:
             (s, total // s, at(w.normal), tuple((at(d), sum(d)) for d in w.faces))
             for w, s in zip(walls, sums)
         )
-        vectors = tuple(position)
-        zero = len(vectors)
-        chain = []
-        # by coordinate sum, so that each j precedes the vectors it serves
-        for i in sorted(range(zero), key=lambda i: sum(vectors[i])):
-            v = vectors[i]
-            for c, x in enumerate(v):
-                if x:
-                    w = v[:c] + (x - 1,) + v[c + 1 :]
-                    j = position.get(w, -1) if any(w) else zero
-                    if j >= 0:
-                        chain.append((i, j, c))
-                        break
-            else:
-                raise AssertionError(f"no face of the table is one unit below {v}")
-        catalog.walls = WallTable(tuple(walls), vectors, rows, tuple(chain))
+        catalog.walls = WallTable(tuple(walls), tuple(position), rows)
     return catalog.walls
 
 
@@ -188,8 +163,7 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     With B = L*base integral, a wall with normal n of sum s is met at
     t = -(B . n)/(s*L), at the point P/(s*L) with P = s*B - (B . n)*1. The
     catalog's wall table (`catalog_walls`) gives each distinct normal and
-    face vector v once, so B . v is one addition per vector (`WallTable`
-    gives a vector one unit smaller), and a face d
+    face vector v once, so B . v is one integer dot per vector, and a face d
     has P . d = s*(B . d) - (B . n)*(1 . d) with no further dot. P . n = 0
     by construction, so the sign pass reads the faces only. The met walls
     are ordered, and checked for equal times, on the integer
@@ -202,10 +176,7 @@ def crossing_sequence(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
     """
     scaled, scale = _scaled(base)
     table = catalog_walls(catalog)
-    # the last slot is the zero vector's dot
-    dots = [0] * (len(table.vectors) + 1)
-    for i, j, c in table.chain:
-        dots[i] = dots[j] + scaled[c]
+    dots = [sum(map(mul, scaled, v)) for v in table.vectors]
     met = []
     for wall, (s, stretch, k, faces) in zip(table.walls, table.rows):
         bn = dots[k]
@@ -251,38 +222,32 @@ def crossings_to_json(records: Iterable[CrossingRecord]) -> list[dict]:
 # exact rational feasibility (fraction-free phase-1 simplex, Bland's rule)
 
 def _entering(
-    reduced: list[int], n: int, e: int, signs: list[int], where: list[int], denom: int
+    reduced: list[int], n: int, signs: list[int], denom: int
 ) -> Optional[tuple[int, int, int]]:
     """Bland's entering column for `rational_feasible`, or None at the optimum.
 
-    The scan takes the first negative reduced cost in the full column order
-    u, v, slacks, artificials, and returns (that column's full index, the
-    u column or constraint row it is read through, its factor). `where[r]`
-    is the stored position of row r's unit column, 0 while it is not
-    stored; the reduced cost of an unstored unit column is D*(c - s_r).
+    `reduced` is the stored reduced-cost row: u, the slacks, the equations'
+    artificials, then the right-hand side. The scan takes the first negative
+    reduced cost in the full column order u, v, slacks, artificials, and
+    returns (that column's full index, the stored column it is read
+    through, the factor it is read with).
     """
+    rhs = len(reduced) - 1
     for j in range(n):
         if reduced[j] < 0:
             return j, j, 1
     for j in range(n):
         if reduced[j] > 0:
             return n + j, j, -1
-    ncons = len(signs)
-    slack = 2 * n - e
-    for r in range(e, ncons):
-        w = where[r]
-        if (reduced[w] if w else -signs[r] * denom) < 0:
-            return slack + r, r, 1
-    # an unstored artificial has reduced cost 0
-    art = slack + ncons
-    for r in range(e):
-        w = where[r]
-        if w and reduced[w] < 0:
-            return art + r, r, 1
-    for r in range(e, ncons):
-        w = where[r]
-        if w and signs[r] * reduced[w] + denom < 0:
-            return art + r, r, signs[r]
+    # the slacks, then the equations' artificials: stored column j >= n is
+    # full column n + j
+    for j in range(n, rhs):
+        if reduced[j] < 0:
+            return n + j, j, 1
+    # the inequalities' artificials, each read through its slack column j
+    for j, sign in enumerate(signs, n):
+        if sign * reduced[j] + denom < 0:
+            return rhs + j, j, sign
     return None
 
 
@@ -296,9 +261,9 @@ def rational_feasible(
     The rows a and bounds b are integers. x is split into u - v with
     u, v >= 0, slacks turn inequalities into equations, and a phase-1
     simplex with one artificial variable per constraint and Bland's pivoting
-    rule decides feasibility. A row with b < 0 is negated first. The full
-    column order is u, v, the slacks, the artificials (equations first),
-    then the right-hand side.
+    rule decides feasibility. A row with b < 0 is negated first: its sign
+    s_i is -1, else +1. The full column order is u, v, the slacks, the
+    artificials (equations first), then the right-hand side.
 
     The tableau is held as integer numerators over one positive common
     denominator D, the determinant of the current basis (1 at the start).
@@ -308,29 +273,23 @@ def rational_feasible(
     divisions is exact, and asserted to be. The reduced costs, times D, are
     one more row of the tableau, updated by the same pivots.
 
-    Most columns are derived, not stored. Each row r has a unit column: its
-    slack, whose entry is s_r = -1 if the row was negated and +1 if not, or
-    for an equation its artificial, with s_r = +1. Three relations hold in
-    the first tableau, and every pivot keeps them: the row update is
-    linear, and a pivot on a row where a column is 0 multiplies that column
-    by piv/D, the new D over the old:
+    Only u, the slacks, the equations' artificials and the right-hand side
+    are stored: n + m + e + 1 of the 2n + 2m + e + 1 columns, for m
+    inequalities and e equations. The other columns are derived by two
+    relations that hold in the first tableau:
     - each v column is the negation of its u column;
-    - the artificial column of inequality r is s_r times its slack column;
-      in the reduced-cost row, where artificials cost 1 and slacks 0, that
-      is R_art = s_r*R_slack + D (the pivot maps the D term to piv, the
-      new D);
-    - until row r is a pivot row, its unit column is s_r*D in row r and 0
-      in the other constraint rows, with reduced cost D*(c - s_r), c its
-      cost.
-    So the tableau stores u and the right-hand side, and a row's unit column
-    only from the first time that row is a pivot row, or that column or its
-    artificial enters. That is n + 1 + p of the 2n + 2m + e + 1 columns of
-    the full tableau, for m inequalities and e equations, where p is at
-    most the number of pivots so far. Bland's scan (`_entering`) reads
-    every reduced cost in the full order, and the ratio test reads the
-    entering column through its stored partner and breaks ties on the basic
-    variables' full indices, so the pivot path and the returned x are those
-    of the full tableau, and of the same simplex over Fractions.
+    - the artificial column of inequality i is s_i times its slack column;
+      in the reduced-cost row, where artificials cost 1 and slacks 0, this
+      reads R_art = s_i*R_slack + D.
+    The row update is linear, so every pivot keeps both relations; in the
+    second, the D term becomes (piv*D - f*0)/D = piv, the new D. So each
+    derived entry is the entry of the full tableau. Bland's scan
+    (`_entering`) reads the reduced costs in the full column order, the
+    ratio test reads the entering column through its stored partner and
+    breaks ties on the basic variables' full indices, and the pivot updates
+    the stored columns by that same entering column. The pivot path and the
+    returned x are therefore those of the full tableau, and of the same
+    simplex over Fractions.
     """
     m = len(ineqs)
     e = len(eqs)
@@ -341,48 +300,45 @@ def rational_feasible(
         if not isinstance(b, int) or not all(map(isinstance, a, repeat(int))):
             raise TypeError("constraint rows and bounds must be integers")
     ncons = e + m
-    # full index of the first artificial
+    # full index of the first artificial; the inequalities' first artificial
+    # is full column n + rhs
     width = 2 * n + m
-    # stored columns: u, the right-hand side (position n), then unit columns
-    tableau = [[-c for c in a] + [-b] if b < 0 else [*a, b] for a, b in constraints]
-    signs = [1] * e + [-1 if b < 0 else 1 for _, b in ineqs]
+    # stored columns: u, the slacks, the equations' artificials, then the
+    # right-hand side at position rhs
+    rhs = n + m + e
+    tableau = []
+    for i, (a, b) in enumerate(constraints):
+        row = [*a, *repeat(0, m + e), b]
+        if i >= e:
+            row[n + i - e] = 1
+        if b < 0:
+            row = [-c for c in row]
+        if i < e:
+            row[n + m + i] = 1
+        tableau.append(row)
+    signs = [-1 if b < 0 else 1 for _, b in ineqs]
     # reduced costs of the phase-1 objective (the sum of the artificials)
-    # with every artificial basic: c_j - (sum of column j)
-    reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (n + 1)
+    # with every artificial basic: c_j - (sum of column j), which is 0 at
+    # the equations' artificials
+    reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (rhs + 1)
+    reduced[n + m : rhs] = repeat(0, e)
     tableau.append(reduced)
     # row sums, for the exactness check of each pivot
     sums = [sum(row) for row in tableau]
-    # the position of each row's unit column, 0 while it is not stored
-    where = [0] * ncons
     basis = [width + i for i in range(ncons)]
     denom = 1
 
-    def store(r: int) -> None:
-        # append row r's unit column, as the third relation gives it
-        where[r] = len(tableau[r])
-        for row in tableau:
-            row.append(0)
-        unit = signs[r] * denom
-        tableau[r][-1] = unit
-        sums[r] += unit
-        cost = (r < e) * denom - unit
-        tableau[ncons][-1] = cost
-        sums[ncons] += cost
-
-    while (step := _entering(tableau[ncons], n, e, signs, where, denom)) is not None:
+    while (step := _entering(reduced, n, signs, denom)) is not None:
         entering, col, sign = step
-        if entering >= 2 * n:
-            if not where[col]:
-                store(col)
-            col = where[col]
         coefs = [sign * row[col] for row in tableau]
-        if entering >= width + e:
+        if entering >= n + rhs:
             coefs[ncons] += denom
         leaving = -1
         best_num = best_den = 0
-        for i, coef in enumerate(coefs):
-            if coef > 0 and i < ncons:
-                num = tableau[i][n]
+        for i in range(ncons):
+            coef = coefs[i]
+            if coef > 0:
+                num = tableau[i][rhs]
                 # num/coef against best_num/best_den, both denominators > 0
                 if leaving < 0 or num * best_den < best_num * coef or (
                     num * best_den == best_num * coef and basis[i] < basis[leaving]
@@ -392,8 +348,6 @@ def rational_feasible(
         if leaving < 0:
             # phase-1 objective is bounded below by zero, so this cannot occur
             raise RuntimeError("phase-1 simplex reported unboundedness")
-        if not where[leaving]:
-            store(leaving)
         prow = tableau[leaving]
         piv = coefs[leaving]
         psum = sums[leaving]
@@ -407,14 +361,15 @@ def rational_feasible(
             assert denom * total == piv * sums[i] - f * psum, "inexact pivot"
             tableau[i] = new
             sums[i] = total
+        reduced = tableau[ncons]
         denom = piv
         basis[leaving] = entering
 
-    if any(tableau[i][n] for i in range(ncons) if basis[i] >= width):
+    if any(tableau[i][rhs] for i in range(ncons) if basis[i] >= width):
         return None
     nums = [0] * (width + ncons)
     for i in range(ncons):
-        nums[basis[i]] = tableau[i][n]
+        nums[basis[i]] = tableau[i][rhs]
     # x = X/D with X integer and D > 0, so each row is checked as a.X vs b*D
     xs = [nums[j] - nums[n + j] for j in range(n)]
     for a, b in eqs:

@@ -165,6 +165,19 @@ def test_walls_base(capsys):
     assert all(c["interior"] for c in payload["crossings"])
 
 
+def test_walls_base_text(capsys):
+    code, out, _ = run(capsys, ["walls", A3, "--base", "0,1,2"])
+    assert code == 0
+    assert out.splitlines() == [
+        "base 0,1,2",
+        "t=-2  3  dims (0, 0, 1)",
+        "t=-3/2  2<3  dims (0, 1, 1)",
+        "t=-1  2  dims (0, 1, 0)",
+        "t=-1/2  1<2  dims (1, 1, 0)",
+        "t=0  1  dims (1, 0, 0)",
+    ]
+
+
 def test_walls_degenerate_base(capsys):
     code, out, err = run(capsys, ["walls", A3, "--base", "0,0,0"])
     assert code == 2

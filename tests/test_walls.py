@@ -340,20 +340,6 @@ def test_simplex_bases_are_pinned(name, count, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", common.PROBLEM_NAMES + ("nakayama",))
-def test_wall_table_chain_gives_every_dot(name):
-    # each vector's dot is one addition to that of a vector one unit below
-    catalog = common.nakayama_catalog() if name == "nakayama" else common.catalog(name)
-    table = catalog_walls(catalog)
-    rng = random.Random(name)
-    point = [rng.randint(-50, 50) for _ in table.vectors[0]]
-    dots = [0] * (len(table.vectors) + 1)
-    for i, j, c in table.chain:
-        dots[i] = dots[j] + point[c]
-    assert sorted(i for i, _, _ in table.chain) == list(range(len(table.vectors)))
-    assert dots[:-1] == [sum(x * y for x, y in zip(point, v)) for v in table.vectors]
-
-
 def test_a9_simplex_bases_are_pinned():
     # every 16th of the first 794 a9 maximal green sequences, as the listing
     # finds them within a budget of 3,000 nodes: 50 systems of 30 to 43
