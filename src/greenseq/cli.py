@@ -238,7 +238,7 @@ def _json_parts(
 
 
 def _matrix_text(rows: Sequence[Sequence[int]]) -> str:
-    width = max(len(str(x)) for row in rows for x in row)
+    width = max((len(str(x)) for row in rows for x in row), default=0)  # no rows if n = 0
     return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in rows)
 
 
@@ -368,7 +368,7 @@ def cmd_mgs(args, problem: gio.ProblemFile) -> int:
         seqs = exchange.enumerate_green_sequences(seed, budget=problem.search_budget)
         partial = False
     except SearchBudgetExceeded as e:
-        seqs = list(e.partial or [])
+        seqs = e.partial
         partial = True
     if args.action == "classes":
         classes = exchange.equivalence_classes(seqs)

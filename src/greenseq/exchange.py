@@ -8,8 +8,9 @@ wrap.
 Both green-sequence searches build one `_ExchangeGraph`, the oriented
 exchange graph of an initial seed, by one depth-first search over its states.
 `mgs_summary` folds it in post-order; `enumerate_green_sequences` walks its
-labelled paths. A green step is read from c-vector ids alone
-(B_t = C_t^T B_0 C_t); `mutate` runs once per state, when the build enters it.
+labelled paths with `maximal_paths`, the path walker of both listings. A green
+step is read from c-vector ids alone (B_t = C_t^T B_0 C_t); `mutate` runs once
+per state, when the build enters it.
 
 `mutate` does work only on the rows and entries that Fomin-Zelevinsky
 mutation at k changes: a row whose k-th entry is 0 is reused as it is, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import suppress
+from functools import cache
 from itertools import compress
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -288,29 +290,58 @@ class _ExchangeGraph:
         return m
 
 
+def maximal_paths(root, expand: Callable, record: Callable, budget: float, search: str) -> list:
+    """`record(labels, node)` of each maximal path from `root`, depth first.
+
+    `expand(node)` gives a node's edges as (label, child) pairs, in walk
+    order, and runs once per distinct node: its edges are kept. A path ends
+    at a node with none, where `record` turns its labels and that node into
+    an item, or into None to drop the path. Each node visit, the root's
+    included, is one path node; past `budget` of them SearchBudgetExceeded
+    is raised, with the items recorded so far as `partial`. The walk keeps
+    its own stack, so `budget`, not Python's recursion limit, bounds its depth.
+    """
+    out: list = []
+    labels: list = []  # the labels of the path walked, the root's None first
+    stack = [iter([(None, root)])]  # per node on the path, its parent's edges left
+    expand, visited = cache(expand), 0
+    while stack:
+        for label, node in stack[-1]:
+            visited += 1
+            if visited > budget:
+                raise SearchBudgetExceeded(f"{search} search exceeded {budget} nodes", partial=out)
+            labels.append(label)
+            edges = expand(node)
+            if edges:
+                stack.append(iter(edges))
+                break
+            item = record(labels[1:], node)
+            if item is not None:
+                out.append(item)
+            labels.pop()
+        else:  # the node's edges are all walked: back to its parent
+            stack.pop()
+            del labels[-1:]  # nothing left to drop once the root is done
+    return out
+
+
 def enumerate_green_sequences(
     seed: ExtExchangeMatrix, budget: int = 1_000_000
 ) -> list[GreenSequence]:
-    """Depth-first enumeration of the maximal green sequences from a seed.
+    """The maximal green sequences from a seed, in lexicographic index order.
 
     A green sequence is maximal when its final matrix has no green column.
-    Branches are explored in increasing mutation index, so the output is in
-    lexicographic order of the index sequences. The search keeps its own
-    stack, so its depth is bounded by `budget`, not by Python's recursion
-    limit.
 
     The exchange graph is built first, with `budget` as its state budget, so
-    `mutate` runs once per state but the seed's. The listing then walks its
-    labelled paths: a node is its seed's c-vector ids in column order, and
-    `_ExchangeGraph.step` gives its children, through the node's picker.
+    `mutate` runs once per state but the seed's. The listing is then
+    `maximal_paths` over labelled seeds, each its c-vector ids in column
+    order, whose children `_ExchangeGraph.step` gives through the node's
+    picker, labelled by mutation index and consumed c-vector.
 
     Args:
         seed: an initial seed (B over the identity).
         budget: node budget for the search; every green sequence, maximal or
             not, is one node, and so is the empty one at the seed.
-
-    Returns:
-        List of GreenSequence in lexicographic order.
 
     Raises:
         SearchBudgetExceeded: if more than `budget` nodes are visited; the
@@ -326,35 +357,16 @@ def enumerate_green_sequences(
     # budget runs the walk below out too, with its partial list.
     with suppress(SearchBudgetExceeded):
         graph.build(seed, budget)
-    green, step = graph.green, graph.step
-    found: list[GreenSequence] = []
-    indices: list[int] = []
-    cvecs: list[IntVector] = []
-    visited = 0
+    vecs, green, step = graph.vecs, graph.green, graph.step
 
-    def visit(ids: Ids):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            message = f"green-sequence search exceeded {budget} nodes"
-            raise SearchBudgetExceeded(message, partial=list(found))
-        branches = [k for k, i in enumerate(ids) if green[i]]
-        if not branches:
-            found.append(GreenSequence(tuple(indices), tuple(cvecs)))
-        return ids, _picker(ids), iter(branches)
+    def expand(ids: Ids) -> list:
+        pick = _picker(ids)
+        return [((k, vecs[i]), step(ids, k, pick)) for k, i in enumerate(ids) if green[i]]
 
-    stack = [visit(graph.of(seed))]  # one frame per node on the current path
-    while stack:
-        ids, pick, branches = stack[-1]
-        k = next(branches, None)
-        if k is None:
-            stack.pop()
-            del indices[-1:], cvecs[-1:]  # nothing to drop at the seed
-        else:
-            indices.append(k)
-            cvecs.append(graph.vecs[ids[k]])
-            stack.append(visit(step(ids, k, pick)))
-    return found
+    def record(labels: list, ids: Ids) -> GreenSequence:
+        return GreenSequence(*zip(*labels)) if labels else GreenSequence((), ())  # n = 0
+
+    return maximal_paths(graph.of(seed), expand, record, budget, "green-sequence")
 
 
 class MgsSummary(NamedTuple):

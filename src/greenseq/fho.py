@@ -12,7 +12,8 @@ in its torsion-free class, so its torsion class is the whole catalog.
 In finite type the maximal sequences are the maximal chains of
 torsion-free classes (Demonet-Iyama-Reading-Reiten-Thomas): brick c labels
 the cover F > F' = F & ~out_mask(c) exactly when c is the one brick of F
-with no map into F', and `enumerate_maximal_fho` walks only these edges.
+with no map into F', and `enumerate_maximal_fho` walks only these edges,
+with the walker of the green-sequence listing, `exchange.maximal_paths`.
 
 Every check over a catalog reads the catalog's Hom table (`Catalog.hom`,
 `Catalog.out_mask`, `Catalog.in_mask`), with modules named by their catalog
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from greenseq import exchange
-from greenseq.errors import GenericityError, SearchBudgetExceeded
+from greenseq.errors import GenericityError
 from greenseq.qp import QuiverWithPotential, b_matrix
 from greenseq.records import FrozenRecord
 from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
@@ -176,38 +177,27 @@ def is_fho_in_torsion_class(
 def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[FhoSequence]:
     """All maximal forward hom-orthogonal sequences over a complete catalog.
 
-    Depth-first search along the cover edges of the torsion-free classes.
-    The state is F(seq), the torsion-free class of the sequence as a mask
-    over catalog positions. Brick c of F is appended only when it labels a
-    cover F > F' = F & ~out_mask(c), that is, when c is the one brick of F
-    with no map into F'. A path is listed when F = 0 and dropped if it stops
-    before. Bricks are tried in index order, so the result order is
-    deterministic.
+    `exchange.maximal_paths` over the torsion-free classes F(seq), as masks
+    over catalog positions, along their cover edges (see the module
+    docstring) in brick index order, each class's computed once. A path is
+    listed when F = 0 and dropped if it stops before.
 
     Raises:
-        SearchBudgetExceeded: when the search visits more than `budget` nodes.
+        SearchBudgetExceeded: past `budget` path nodes, with the sequences
+            found so far as `partial`.
     """
-    found: list[FhoSequence] = []
-    visited = 0
+    schurian, out_mask, modules = catalog.schurian_indices(), catalog.out_mask, catalog.modules
 
-    def walk(seq: list[int], free: int):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise SearchBudgetExceeded(f"forward hom-orthogonal search exceeded {budget} nodes")
-        if not free:
-            found.append(FhoSequence(tuple(catalog.modules[i] for i in seq)))
-            return
-        inside = [x for x in catalog.schurian_indices() if free >> x & 1]
-        for c in inside:
-            below = free & ~catalog.out_mask(c)
-            if all(x == c or catalog.out_mask(x) & below for x in inside):
-                seq.append(c)
-                walk(seq, below)
-                seq.pop()
+    def expand(free: int) -> list[tuple[int, int]]:
+        inside = [x for x in schurian if free >> x & 1]
+        below = [(c, free & ~out_mask(c)) for c in inside]
+        return [(c, f) for c, f in below if all(out_mask(x) & f for x in inside if x != c)]
 
-    walk([], (1 << len(catalog)) - 1)
-    return found
+    def record(seq: list[int], free: int) -> FhoSequence | None:
+        return None if free else FhoSequence(tuple([modules[i] for i in seq]))
+
+    every = (1 << len(catalog)) - 1
+    return exchange.maximal_paths(every, expand, record, budget, "forward hom-orthogonal")
 
 
 def verify_theorem1(
@@ -291,10 +281,7 @@ def verify_theorem1(
         "mgs_count": len(mgs),
         "fho_count": len(fho_seqs),
         "wall_realized_count": len(set_walls),
-        "realized_via": {
-            "random": sum(1 for v in observed.values() if v == "random"),
-            "directed": sum(1 for v in observed.values() if v == "directed"),
-        },
+        "realized_via": {via: list(observed.values()).count(via) for via in ("random", "directed")},
         "extremal_lengths": [lengths[0], lengths[-1]] if lengths else [0, 0],
         # every maximal sequence is also maximal in its torsion class (see
         # the module docstring), so the count is fho_count

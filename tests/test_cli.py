@@ -42,6 +42,15 @@ def test_mutate_chain_json(capsys):
     ]
 
 
+def test_mutate_chain_text_of_a_zero_vertex_problem(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"qp": {"vertices": [], "arrows": [], "potential": []}}))
+    code, out, err = run(capsys, ["mutate", str(path)])
+    assert code == 0
+    assert out.startswith("initial seed")
+    assert err == ""
+
+
 def test_mutate_rejects_non_vertices(capsys):
     code, out, err = run(capsys, ["mutate", A3, "3", "7"])
     assert code == 2

@@ -1,8 +1,12 @@
 """Forward hom-orthogonal sequences and torsion pairs."""
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
-from greenseq import exchange
+from greenseq import exchange, fho
 from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import (
     FhoSequence,
@@ -172,6 +176,64 @@ def test_enumeration_needs_the_budget_of_the_green_sequence_listing(name, nodes)
         search(nodes)
         with pytest.raises(SearchBudgetExceeded):
             search(nodes - 1)
+
+
+def test_enumeration_budget_error_carries_the_partial_listing(a5_catalog):
+    with pytest.raises(SearchBudgetExceeded) as info:
+        enumerate_maximal_fho(a5_catalog, budget=100)
+    assert str(info.value) == "forward hom-orthogonal search exceeded 100 nodes"
+    partial = info.value.partial
+    assert partial
+    assert partial == enumerate_maximal_fho(a5_catalog)[: len(partial)]
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit(a5_catalog):
+    # the Hom table is filled first, so the listing is the only thing that
+    # could go deeper than a few frames; a5's sequences have up to 13 bricks
+    for i in range(len(a5_catalog)):
+        a5_catalog.out_mask(i)
+    every = enumerate_maximal_fho(a5_catalog)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 15)
+    try:
+        assert enumerate_maximal_fho(a5_catalog) == every
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_one_walker_lists_the_paths_of_both_sides():
+    # a path-node budget error is raised by `exchange.maximal_paths` alone,
+    # and no function nested in the FHO listing calls itself or its parent
+    raisers = []  # the innermost function around each path-node budget error
+    recursions = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, ast.FunctionDef):
+                inner = where + (child.name,)
+            elif (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and getattr(child.exc.func, "id", None) == "SearchBudgetExceeded"
+                and "nodes" in ast.unparse(child.exc.args[0])
+            ):
+                raisers.append(where[-1])
+            elif (
+                isinstance(child, ast.Call)
+                and where[:1] == ("enumerate_maximal_fho",)
+                and getattr(child.func, "id", None) in where[1:]
+            ):
+                recursions.append(".".join(where))
+            walk(child, inner)
+
+    for module in (exchange, fho):
+        walk(ast.parse(Path(module.__file__).read_text()), ())
+    assert raisers == ["maximal_paths"]
+    assert recursions == []
 
 
 def test_verify_report(a3_qp, a3_catalog):
