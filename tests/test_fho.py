@@ -205,23 +205,24 @@ def test_enumeration_is_not_bounded_by_the_recursion_limit(a5_catalog):
 
 
 def test_one_walker_lists_the_paths_of_both_sides():
-    # a path-node budget error is raised by `exchange.maximal_paths` alone,
-    # and no function nested in the FHO listing calls itself or its parent
-    raisers = []  # the innermost function around each path-node budget error
+    # every budget error of the two modules, named by its enclosing class and
+    # functions: the path-node one is raised by `exchange.maximal_paths`
+    # alone, beside the graph build's state budget; and no function nested
+    # in the FHO listing calls itself or an enclosing one
+    raisers = []
     recursions = []
 
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
-            if isinstance(child, ast.FunctionDef):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = where + (child.name,)
             elif (
                 isinstance(child, ast.Raise)
                 and isinstance(child.exc, ast.Call)
                 and getattr(child.exc.func, "id", None) == "SearchBudgetExceeded"
-                and "nodes" in ast.unparse(child.exc.args[0])
             ):
-                raisers.append(where[-1])
+                raisers.append(".".join(where))
             elif (
                 isinstance(child, ast.Call)
                 and where[:1] == ("enumerate_maximal_fho",)
@@ -232,7 +233,7 @@ def test_one_walker_lists_the_paths_of_both_sides():
 
     for module in (exchange, fho):
         walk(ast.parse(Path(module.__file__).read_text()), ())
-    assert raisers == ["maximal_paths"]
+    assert sorted(raisers) == ["_ExchangeGraph.enter", "maximal_paths"]
     assert recursions == []
 
 
