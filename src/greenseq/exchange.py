@@ -296,7 +296,7 @@ def maximal_paths(root, expand: Callable, record: Callable, budget: float, searc
     `expand(node)` gives a node's edges as (label, child) pairs, in walk
     order, and runs once per distinct node: its edges are kept. A path ends
     at a node with none, where `record` turns its labels and that node into
-    an item, or into None to drop the path. Each node visit, the root's
+    the path's item (or raises). Each node visit, the root's
     included, is one path node; past `budget` of them SearchBudgetExceeded
     is raised, with the items recorded so far as `partial`. The walk keeps
     its own stack, so `budget`, not Python's recursion limit, bounds its depth.
@@ -315,9 +315,7 @@ def maximal_paths(root, expand: Callable, record: Callable, budget: float, searc
             if edges:
                 stack.append(iter(edges))
                 break
-            item = record(labels[1:], node)
-            if item is not None:
-                out.append(item)
+            out.append(record(labels[1:], node))
             labels.pop()
         else:  # the node's edges are all walked: back to its parent
             stack.pop()

@@ -179,12 +179,15 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
 
     `exchange.maximal_paths` over the torsion-free classes F(seq), as masks
     over catalog positions, along their cover edges (see the module
-    docstring) in brick index order, each class's computed once. A path is
-    listed when F = 0 and dropped if it stops before.
+    docstring) in brick index order, each class's computed once. Every path
+    ends at F = 0: in finite type, a complete catalog gives every nonzero
+    torsion-free class a lower cover.
 
     Raises:
         SearchBudgetExceeded: past `budget` path nodes, with the sequences
             found so far as `partial`.
+        ValueError: if a path stops at a nonzero class, which only an
+            incomplete catalog allows.
     """
     schurian, out_mask, modules = catalog.schurian_indices(), catalog.out_mask, catalog.modules
 
@@ -193,8 +196,13 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
         below = [(c, free & ~out_mask(c)) for c in inside]
         return [(c, f) for c, f in below if all(out_mask(x) & f for x in inside if x != c)]
 
-    def record(seq: list[int], free: int) -> FhoSequence | None:
-        return None if free else FhoSequence(tuple([modules[i] for i in seq]))
+    def record(seq: list[int], free: int) -> FhoSequence:
+        if free:
+            left = [m.label or m.dims for x, m in enumerate(modules) if free >> x & 1]
+            raise ValueError(
+                f"incomplete catalog: the torsion-free class {left} has no lower cover"
+            )
+        return FhoSequence(tuple([modules[i] for i in seq]))
 
     every = (1 << len(catalog)) - 1
     return exchange.maximal_paths(every, expand, record, budget, "forward hom-orthogonal")

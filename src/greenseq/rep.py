@@ -724,19 +724,15 @@ def is_schurian(m: Representation) -> bool:
     return hom_dim(m, m) == 1
 
 
-# Brute-force budget of `stable_subspace_tuples`: the largest total dimension,
+# Brute-force budget of `submodule_dimvecs`: the largest total dimension,
 # and the largest number of subspace tuples it may enumerate.
 MAX_TOTAL_DIM = 12
 MAX_SUBSPACE_TUPLES = 2_000_000
 
 
-def stable_subspace_tuples(
-    m: Representation,
-) -> list[tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]]]:
-    """All arrow-stable subspace tuples of M.
-
-    Returns a list of (dimvec, {vertex: rref basis rows}) pairs, including the
-    zero tuple and M itself.
+def submodule_dimvecs(m: Representation) -> set[tuple[int, ...]]:
+    """The set {dim M' : M' an arrow-stable subspace tuple of M}, the zero
+    tuple and M itself included, over every tuple of subspaces.
 
     Raises:
         SearchBudgetExceeded: when M is larger than the brute-force budget
@@ -758,7 +754,7 @@ def stable_subspace_tuples(
         )
     verts = list(quiver.vertices)
     per_vertex = {v: linalg.subspaces(m.dims[quiver.pos(v)], p) for v in verts}
-    out = []
+    out = set()
     for combo in product(*(per_vertex[v] for v in verts)):
         chosen = dict(zip(verts, combo))
         ok = True
@@ -783,11 +779,5 @@ def stable_subspace_tuples(
             if not ok:
                 break
         if ok:
-            dimvec = tuple(len(chosen[v]) for v in verts)
-            out.append((dimvec, chosen))
+            out.add(tuple(len(chosen[v]) for v in verts))
     return out
-
-
-def submodule_dimvecs(m: Representation) -> set[tuple[int, ...]]:
-    """The set {dim M' : M' an arrow-stable subspace tuple of M}."""
-    return {dv for dv, _ in stable_subspace_tuples(m)}

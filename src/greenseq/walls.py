@@ -10,21 +10,21 @@ All geometry is exact and runs on integers inside. A rational point is
 multiplied by the lcm of its denominators, which keeps every sign the
 walls test, so the sign pass and the crossing points are integer vectors;
 feasibility questions go through a fraction-free phase-1 simplex on integer
-rows (Bland's rule, so it terminates). Its tableau stores u, the slacks, the
-equations' artificials and the right-hand side: each v column is the
-negated u column, and an inequality's artificial column is its slack column
-times the row's sign (plus D in the reduced costs). Every pivot keeps both
-relations, so the pivots are those of the full tableau
-(`rational_feasible`). `Fraction` appears only at the API edges: the
-crossing times and the points that are returned.
+rows (Bland's rule, so it terminates). Its tableau stores u, the slacks and
+the right-hand side: each v column is the negated u column, and each
+artificial column is its slack column times the row's sign (plus D in the
+reduced costs). Every pivot keeps both relations, so the pivots are those
+of the full tableau (`rational_feasible`). `Fraction` appears only at the
+API edges: the crossing times and the points that are returned.
 
 The walls of a catalog are built once, into a table kept in `Catalog.walls`
 (`catalog_walls`). It holds each distinct normal and face vector once (on
 a9, 63 vectors for 45 normals and 117 faces) and, per wall, the coordinate
 sums and vector positions that its crossing test reads. `crossing_sequence`
 takes one integer dot per distinct vector and tests every wall from those
-dots; `_side` tests a single point against a single wall. Both apply one
-sign rule, `_face_side`.
+dots with one sign rule, `_face_side`. It is the one sign pass: the
+compartment of a base is read from its records, and a base on a wall is
+the base of a path that meets the wall at t = 0.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def _scaled(x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (scale // c.denominator) for c in x), scale
 
 
-def _dot(x: Sequence, d: Sequence[int]):
-    return sum(map(mul, x, d))
-
-
 def _face_side(values: Sequence[int]) -> Optional[bool]:
     """The sign rule of D(M) at a point of its hyperplane.
 
@@ -102,19 +98,6 @@ def _face_side(values: Sequence[int]) -> Optional[bool]:
     if values and max(values) > 0:
         return None
     return 0 not in values
-
-
-def _side(wall: Wall, v: Sequence[int]) -> Optional[bool]:
-    """None when v is off D(M), otherwise whether v is in the interior of D(M).
-
-    v is an integer vector, a positive multiple of the point tested, so
-    every sign below is the sign at the point. The zero and full submodules
-    always give x . d = 0 on the hyperplane, so the proper nonzero faces
-    decide both membership and interiority.
-    """
-    if _dot(v, wall.normal):
-        return None
-    return _face_side([_dot(v, d) for d in wall.faces])
 
 
 class WallTable(NamedTuple):
@@ -226,11 +209,11 @@ def _entering(
 ) -> Optional[tuple[int, int, int]]:
     """Bland's entering column for `rational_feasible`, or None at the optimum.
 
-    `reduced` is the stored reduced-cost row: u, the slacks, the equations'
-    artificials, then the right-hand side. The scan takes the first negative
-    reduced cost in the full column order u, v, slacks, artificials, and
-    returns (that column's full index, the stored column it is read
-    through, the factor it is read with).
+    `reduced` is the stored reduced-cost row: u, the slacks, then the
+    right-hand side. The scan takes the first negative reduced cost in the
+    full column order u, v, slacks, artificials, and returns (that column's
+    full index, the stored column it is read through, the factor it is read
+    with).
     """
     rhs = len(reduced) - 1
     for j in range(n):
@@ -239,31 +222,26 @@ def _entering(
     for j in range(n):
         if reduced[j] > 0:
             return n + j, j, -1
-    # the slacks, then the equations' artificials: stored column j >= n is
-    # full column n + j
+    # the slacks: stored column j >= n is full column n + j
     for j in range(n, rhs):
         if reduced[j] < 0:
             return n + j, j, 1
-    # the inequalities' artificials, each read through its slack column j
+    # the artificials, each read through its slack column j
     for j, sign in enumerate(signs, n):
         if sign * reduced[j] + denom < 0:
             return rhs + j, j, sign
     return None
 
 
-def rational_feasible(
-    n: int,
-    eqs: Sequence[tuple[Sequence[int], int]],
-    ineqs: Sequence[tuple[Sequence[int], int]],
-) -> Optional[Vector]:
-    """A rational x with a.x = b for all eqs and a.x <= b for all ineqs, or None.
+def rational_feasible(n: int, ineqs: Sequence[tuple[Sequence[int], int]]) -> Optional[Vector]:
+    """A rational x with a.x <= b for all ineqs, or None.
 
     The rows a and bounds b are integers. x is split into u - v with
-    u, v >= 0, slacks turn inequalities into equations, and a phase-1
-    simplex with one artificial variable per constraint and Bland's pivoting
-    rule decides feasibility. A row with b < 0 is negated first: its sign
-    s_i is -1, else +1. The full column order is u, v, the slacks, the
-    artificials (equations first), then the right-hand side.
+    u, v >= 0, slacks turn the inequalities into equations, and a phase-1
+    simplex with one artificial variable per row and Bland's pivoting rule
+    decides feasibility. A row with b < 0 is negated first: its sign s_i is
+    -1, else +1. The full column order is u, v, the slacks, the
+    artificials, then the right-hand side.
 
     The tableau is held as integer numerators over one positive common
     denominator D, the determinant of the current basis (1 at the start).
@@ -273,14 +251,13 @@ def rational_feasible(
     divisions is exact, and asserted to be. The reduced costs, times D, are
     one more row of the tableau, updated by the same pivots.
 
-    Only u, the slacks, the equations' artificials and the right-hand side
-    are stored: n + m + e + 1 of the 2n + 2m + e + 1 columns, for m
-    inequalities and e equations. The other columns are derived by two
+    Only u, the slacks and the right-hand side are stored: n + m + 1 of the
+    2n + 2m + 1 columns, for m rows. The other columns are derived by two
     relations that hold in the first tableau:
     - each v column is the negation of its u column;
-    - the artificial column of inequality i is s_i times its slack column;
-      in the reduced-cost row, where artificials cost 1 and slacks 0, this
-      reads R_art = s_i*R_slack + D.
+    - the artificial column of row i is s_i times its slack column; in the
+      reduced-cost row, where artificials cost 1 and slacks 0, this reads
+      R_art = s_i*R_slack + D.
     The row update is linear, so every pivot keeps both relations; in the
     second, the D term becomes (piv*D - f*0)/D = piv, the new D. So each
     derived entry is the entry of the full tableau. Bland's scan
@@ -292,50 +269,38 @@ def rational_feasible(
     simplex over Fractions.
     """
     m = len(ineqs)
-    e = len(eqs)
-    constraints = [*eqs, *ineqs]
-    for a, b in constraints:
+    for a, b in ineqs:
         if len(a) != n:
             raise ValueError("constraint arity mismatch")
         if not isinstance(b, int) or not all(map(isinstance, a, repeat(int))):
             raise TypeError("constraint rows and bounds must be integers")
-    ncons = e + m
-    # full index of the first artificial; the inequalities' first artificial
-    # is full column n + rhs
+    # full index of the first artificial, n + rhs
     width = 2 * n + m
-    # stored columns: u, the slacks, the equations' artificials, then the
-    # right-hand side at position rhs
-    rhs = n + m + e
+    # stored columns: u, the slacks, then the right-hand side at position rhs
+    rhs = n + m
     tableau = []
-    for i, (a, b) in enumerate(constraints):
-        row = [*a, *repeat(0, m + e), b]
-        if i >= e:
-            row[n + i - e] = 1
-        if b < 0:
-            row = [-c for c in row]
-        if i < e:
-            row[n + m + i] = 1
-        tableau.append(row)
+    for i, (a, b) in enumerate(ineqs):
+        row = [*a, *repeat(0, m), b]
+        row[n + i] = 1
+        tableau.append([-c for c in row] if b < 0 else row)
     signs = [-1 if b < 0 else 1 for _, b in ineqs]
     # reduced costs of the phase-1 objective (the sum of the artificials)
-    # with every artificial basic: c_j - (sum of column j), which is 0 at
-    # the equations' artificials
+    # with every artificial basic: c_j - (sum of column j)
     reduced = [-c for c in map(sum, zip(*tableau))] or [0] * (rhs + 1)
-    reduced[n + m : rhs] = repeat(0, e)
     tableau.append(reduced)
     # row sums, for the exactness check of each pivot
     sums = [sum(row) for row in tableau]
-    basis = [width + i for i in range(ncons)]
+    basis = [width + i for i in range(m)]
     denom = 1
 
     while (step := _entering(reduced, n, signs, denom)) is not None:
         entering, col, sign = step
         coefs = [sign * row[col] for row in tableau]
         if entering >= n + rhs:
-            coefs[ncons] += denom
+            coefs[m] += denom
         leaving = -1
         best_num = best_den = 0
-        for i in range(ncons):
+        for i in range(m):
             coef = coefs[i]
             if coef > 0:
                 num = tableau[i][rhs]
@@ -361,21 +326,19 @@ def rational_feasible(
             assert denom * total == piv * sums[i] - f * psum, "inexact pivot"
             tableau[i] = new
             sums[i] = total
-        reduced = tableau[ncons]
+        reduced = tableau[m]
         denom = piv
         basis[leaving] = entering
 
-    if any(tableau[i][rhs] for i in range(ncons) if basis[i] >= width):
+    if any(tableau[i][rhs] for i in range(m) if basis[i] >= width):
         return None
-    nums = [0] * (width + ncons)
-    for i in range(ncons):
+    nums = [0] * (width + m)
+    for i in range(m):
         nums[basis[i]] = tableau[i][rhs]
-    # x = X/D with X integer and D > 0, so each row is checked as a.X vs b*D
+    # x = X/D with X integer and D > 0, so each row is checked as a.X <= b*D
     xs = [nums[j] - nums[n + j] for j in range(n)]
-    for a, b in eqs:
-        assert _dot(xs, a) == b * denom
     for a, b in ineqs:
-        assert _dot(xs, a) <= b * denom
+        assert sum(map(mul, xs, a)) <= b * denom
     return tuple(Fraction(v, denom) for v in xs)
 
 
@@ -412,7 +375,7 @@ def find_base_for_sequence(
         # t_i < t_j  <=>  s_i*(x.n_j) - s_j*(x.n_i) <= -1
         coeff = [s[i] * b.normal[c] - s[jdx] * a.normal[c] for c in range(n)]
         ineqs.append((coeff, -1))
-    return rational_feasible(n, [], ineqs)
+    return rational_feasible(n, ineqs)
 
 
 def realize_sequence(
@@ -475,15 +438,21 @@ def random_generic_base(
 
 
 def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
-    """crossing_sequence(base), after checking that base lies on no wall."""
-    v = _scaled(base)[0]
-    for wall in catalog_walls(catalog).walls:
-        if _side(wall, v) is not None:
+    """crossing_sequence(base), after checking that base lies on no wall.
+
+    The path meets the wall with normal n at t = -(base . n)/(1 . n), which
+    is 0 exactly when base is on its hyperplane; the crossing point is then
+    base itself, so the face signs tested are those of base. A base in the interior of
+    a wall thus gives a record at t = 0, and one on a wall's boundary, or
+    on two walls, already fails `crossing_sequence`'s genericity checks.
+    """
+    records = crossing_sequence(base, catalog)
+    for r in records:
+        if r.time == 0:
             raise GenericityError(
-                f"base lies on the wall of {wall.module.label or wall.normal}",
-                colliding=(wall.module,),
+                f"base lies on the wall of {r.module.label or r.dims}", colliding=(r.module,)
             )
-    return crossing_sequence(base, catalog)
+    return records
 
 
 def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:

@@ -20,7 +20,7 @@ from greenseq.fho import (
     is_weakly_fho,
     verify_theorem1,
 )
-from greenseq.rep import projective, simple
+from greenseq.rep import Catalog, projective, simple
 
 import common
 
@@ -112,6 +112,15 @@ def test_d4_enumeration_count(d4_qp, d4_catalog):
     assert len(seqs) == 112
     seed = exchange.initial_seed(d4_qp.quiver)
     assert len(exchange.enumerate_green_sequences(seed)) == len(seqs)
+
+
+def test_enumeration_rejects_an_incomplete_catalog(d4_catalog):
+    # without its other members, the d4 class {2<3<4, 2>1>4} has no lower
+    # cover: a path stops there, short of the zero class
+    labels = ["1<2", "2<3<4", "2>1>4", "1"]
+    part = Catalog(d4_catalog.algebra, tuple(d4_catalog.by_label(x) for x in labels))
+    with pytest.raises(ValueError, match=r"incomplete catalog.*\['2<3<4', '2>1>4'\]"):
+        enumerate_maximal_fho(part)
 
 
 def test_a5_seven_step_sequence(a5_algebra, a5_catalog):

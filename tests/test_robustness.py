@@ -20,8 +20,8 @@ from greenseq.rep import (
     Algebra,
     algebra_from_qp,
     make_rep,
-    stable_subspace_tuples,
     string_catalog,
+    submodule_dimvecs,
 )
 
 import common
@@ -107,7 +107,7 @@ def test_subspace_budget_is_checked_before_any_subspace_is_built(monkeypatch, a3
 
     monkeypatch.setattr(linalg, "subspaces", refuse)
     with pytest.raises(SearchBudgetExceeded, match="229755605 subspace tuples"):
-        stable_subspace_tuples(m)
+        submodule_dimvecs(m)
 
 
 KRONECKER = {

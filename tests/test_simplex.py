@@ -1,5 +1,10 @@
 """The fraction-free simplex of `walls.rational_feasible` against the Fraction
-simplex it replaced, kept here as the reference."""
+simplex it replaced, kept here as the reference.
+
+`rational_feasible` takes inequalities only, so each generated equation
+a.x = b is passed to both as the two rows a.x <= b and -a.x <= -b, and the
+reference is called with no equations.
+"""
 
 import random
 from fractions import Fraction
@@ -117,6 +122,14 @@ def random_system(rng):
     return n, eqs, ineqs
 
 
+def as_inequalities(eqs, ineqs):
+    """The rows of a system, each equation as two opposite inequalities."""
+    rows = []
+    for a, b in eqs:
+        rows += [(a, b), ([-c for c in a], -b)]
+    return rows + list(ineqs)
+
+
 @pytest.fixture
 def entering_path(monkeypatch):
     """The entering columns of each `rational_feasible` call, in order."""
@@ -138,8 +151,9 @@ def test_matches_the_fraction_simplex_on_random_systems():
     feasible = infeasible = 0
     for _ in range(600):
         n, eqs, ineqs = random_system(rng)
-        got = rational_feasible(n, eqs, ineqs)
-        assert got == reference_feasible(n, eqs, ineqs), (n, eqs, ineqs)
+        rows = as_inequalities(eqs, ineqs)
+        got = rational_feasible(n, rows)
+        assert got == reference_feasible(n, [], rows), (n, rows)
         if got is None:
             infeasible += 1
         else:
@@ -196,10 +210,11 @@ def test_pivots_are_those_of_the_fraction_simplex(entering_path):
     rng = random.Random(1706)
     for _ in range(300):
         n, eqs, ineqs = random_system(rng)
+        rows = as_inequalities(eqs, ineqs)
         entering_path.clear()
         expected = []
-        assert rational_feasible(n, eqs, ineqs) == reference_feasible(n, eqs, ineqs, expected)
-        assert entering_path == expected, (n, eqs, ineqs)
+        assert rational_feasible(n, rows) == reference_feasible(n, [], rows, expected)
+        assert entering_path == expected, (n, rows)
 
 
 def test_matches_the_fraction_simplex_on_a9_sized_systems(entering_path):
@@ -210,11 +225,12 @@ def test_matches_the_fraction_simplex_on_a9_sized_systems(entering_path):
     large = both_signs = with_eqs = 0
     for _ in range(30):
         n, eqs, ineqs = a9_sized_system(rng)
+        rows = as_inequalities(eqs, ineqs)
         entering_path.clear()
         expected = []
-        got = rational_feasible(n, eqs, ineqs)
-        assert got == reference_feasible(n, eqs, ineqs, expected), (n, eqs, ineqs)
-        assert entering_path == expected, (n, eqs, ineqs)
+        got = rational_feasible(n, rows)
+        assert got == reference_feasible(n, [], rows, expected), (n, rows)
+        assert entering_path == expected, (n, rows)
         outcomes.append(got is None)
         large += len(ineqs) >= 30
         both_signs += {b < 0 for _, b in ineqs} == {True, False}
@@ -225,8 +241,8 @@ def test_matches_the_fraction_simplex_on_a9_sized_systems(entering_path):
 
 def test_rows_must_be_integers():
     with pytest.raises(TypeError, match="integers"):
-        rational_feasible(1, [], [([Fraction(1, 2)], -1)])
+        rational_feasible(1, [([Fraction(1, 2)], -1)])
     with pytest.raises(TypeError, match="integers"):
-        rational_feasible(1, [([1], Fraction(1, 2))], [])
+        rational_feasible(1, [([1], Fraction(1, 2))])
     with pytest.raises(ValueError, match="arity"):
-        rational_feasible(2, [], [([1], -1)])
+        rational_feasible(2, [([1], -1)])

@@ -12,8 +12,6 @@ from greenseq.fho import enumerate_maximal_fho, is_maximal_fho, verify_theorem1
 from greenseq.rep import Catalog, submodule_dimvecs
 from greenseq.walls import (
     CrossingRecord,
-    _scaled,
-    _side,
     catalog_walls,
     compartment_cvectors,
     compartment_signature,
@@ -40,10 +38,14 @@ def test_wall_normals_and_submodule_faces(a3_catalog):
     assert w.normal == (0, 1, 1)
     # the submodule dims (0,0,0), (0,1,0), (0,1,1) without the zero and full ones
     assert w.faces == ((0, 1, 0),)
-    # None: off the wall; False: on its boundary; True: in its interior
-    assert _side(w, _scaled(frac(5, -1, 1))[0]) is True
-    assert _side(w, _scaled(frac(0, 1, -1))[0]) is None
-    assert _side(w, _scaled(frac(5, 0, 0))[0]) is False
+    # each base below is on the hyperplane, so the path through it meets the
+    # wall at t = 0 and the point tested is the base: in the interior, off
+    # the wall, and on its boundary
+    lone = Catalog(a3_catalog.algebra, (w.module,))
+    assert crossing_sequence(frac(5, -1, 1), lone) == [CrossingRecord(0, w.module, True)]
+    assert crossing_sequence(frac(0, 1, -1), lone) == []
+    with pytest.raises(GenericityError, match="on the wall boundary"):
+        crossing_sequence(frac(5, 0, 0), lone)
 
 
 def test_five_wall_path(a3_catalog):
@@ -134,8 +136,19 @@ def test_compartment_signatures(a3_qp, a3_catalog):
 
 
 def test_compartment_rejects_points_on_walls(a3_catalog):
-    with pytest.raises(GenericityError, match="wall"):
+    # inside the wall of 1: its crossing is at t = 0
+    with pytest.raises(GenericityError, match="base lies on the wall of 1") as info:
         compartment_signature(frac(0, 1, 2), a3_catalog)
+    assert info.value.colliding == (a3_catalog.by_label("1"),)
+    # on the boundary of the wall of 2<3, the one wall of this catalog
+    lone = Catalog(a3_catalog.algebra, (a3_catalog.by_label("2<3"),))
+    with pytest.raises(GenericityError, match="on the wall boundary") as info:
+        compartment_signature(frac(5, 0, 0), lone)
+    assert info.value.colliding == lone.modules
+    # inside the walls of 1 and 2 at once
+    with pytest.raises(GenericityError, match="collide at t=0") as info:
+        compartment_signature(frac(0, 0, 5), a3_catalog)
+    assert [m.label for m in info.value.colliding] == ["2", "1"]
 
 
 def test_random_generic_base_is_deterministic(a3_catalog):
@@ -203,9 +216,6 @@ def test_sign_pass_matches_the_wall_definition(name):
         ref = _reference_crossings(base, modules, subs)
         for wall, (t, m, pt, on, interior) in zip(walls, ref):
             assert wall.module is m
-            side = _side(wall, _scaled(pt)[0])
-            assert (side is not None) == on
-            assert (side is True) == interior
             seen.add((on, interior))
         crossed = sorted((r for r in ref if r[3]), key=lambda r: r[0])
         collisions = [(a[1], b[1]) for a, b in zip(crossed, crossed[1:]) if a[0] == b[0]]
