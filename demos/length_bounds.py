@@ -36,7 +36,7 @@ def main():
     report = bounds_report(prob.qp, catalog, enumerate_extrema=False)
     print(report_table(report))
 
-    best = max(report.cut_reports, key=lambda row: row["c_count"])
+    best = max(report["cuts"], key=lambda row: row["c_count"])
     cut = next(
         c for c in cuts(prob.qp) if sorted(c.deleted_arrows) == best["deleted"]
     )

@@ -6,6 +6,11 @@ ordered against their Hom digraph, which exhibits a lower bound for the
 maximal length. Vertex-disjoint cycles in the Hom digraph obstruct long
 sequences and give an upper bound. The Hom digraph is read only through the
 catalog table's row masks (`Catalog.out_mask`), with self-Homs cleared.
+
+`bounds_report` returns the report as its JSON payload, a dict of plain JSON
+values: `n`, `k`, `indec_count`, the extrema, the bounds, `cycle_count`,
+`conjecture_holds`, the `cuts` rows and the `hom_cycles`. `report_table`
+renders that dict as text.
 """
 
 from __future__ import annotations
@@ -271,81 +276,23 @@ def disjoint_hom_cycles(
     return taken
 
 
-class BoundsReport(FrozenRecord):
-    """Length bounds for the maximal green sequences of one quiver with potential.
-
-    `==` and `hash` read every field but `cut_reports` and `cycles`.
-    """
-
-    __slots__ = _fields = (
-        "n",
-        "k",
-        "indec_count",
-        "min_len",
-        "max_len",
-        "extrema_known",
-        "lower_bound",
-        "upper_bound",
-        "cycle_count",
-        "conjecture_holds",
-        "cut_reports",
-        "cycles",
-    )
-    _compared = _fields[:-2]
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        indec_count: int,
-        min_len: Optional[int],
-        max_len: Optional[int],
-        extrema_known: bool,
-        lower_bound: int,
-        upper_bound: int,
-        cycle_count: int,
-        conjecture_holds: Optional[bool],
-        cut_reports: tuple[dict, ...] = (),
-        cycles: tuple[tuple[str, ...], ...] = (),
-    ):
-        self._init(
-            n, k, indec_count, min_len, max_len, extrema_known, lower_bound,
-            upper_bound, cycle_count, conjecture_holds, cut_reports, cycles,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "indec_count": self.indec_count,
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "extrema_known": self.extrema_known,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "achieved_max": self.lower_bound,
-            "cycle_count": self.cycle_count,
-            "conjecture_holds": self.conjecture_holds,
-            "cuts": [dict(c) for c in self.cut_reports],
-            "hom_cycles": [list(c) for c in self.cycles],
-        }
-
-
-def report_table(report: BoundsReport) -> str:
+def report_table(report: dict) -> str:
+    """The report (`bounds_report`) as aligned `name  value` lines: the sizes,
+    the extrema ("unknown" when not enumerated), both bounds, the cycle count
+    and the conjecture verdict ("undecided" when the maximum is not known)."""
+    known = report["extrema_known"]
+    verdict = report["conjecture_holds"]
     rows = [
-        ("vertices", report.n),
-        ("potential cycles", report.k),
-        ("indecomposables", report.indec_count),
-        ("min length", report.min_len if report.extrema_known else "unknown"),
-        ("max length", report.max_len if report.extrema_known else "unknown"),
-        ("lower bound", report.lower_bound),
-        ("upper bound", report.upper_bound),
-        ("achieved", report.lower_bound),
-        ("disjoint hom cycles", report.cycle_count),
-        (
-            "max equals lower bound",
-            "undecided" if report.conjecture_holds is None else str(report.conjecture_holds).lower(),
-        ),
+        ("vertices", report["n"]),
+        ("potential cycles", report["k"]),
+        ("indecomposables", report["indec_count"]),
+        ("min length", report["min_len"] if known else "unknown"),
+        ("max length", report["max_len"] if known else "unknown"),
+        ("lower bound", report["lower_bound"]),
+        ("upper bound", report["upper_bound"]),
+        ("achieved", report["achieved_max"]),
+        ("disjoint hom cycles", report["cycle_count"]),
+        ("max equals lower bound", "undecided" if verdict is None else str(verdict).lower()),
     ]
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
@@ -356,7 +303,7 @@ def bounds_report(
     catalog: Catalog,
     budget: int = 1_000_000,
     enumerate_extrema: bool = True,
-) -> BoundsReport:
+) -> dict:
     """Assemble lower/upper bounds and (budget permitting) the exact extrema.
 
     Lower bound: the longest cut-carried sequence that passes the full
@@ -369,6 +316,13 @@ def bounds_report(
     False and marked unknown when the budget runs out. The same budget bounds
     the cut choices (`maximal_cut_sequences`). The conjecture flag compares
     the exact (or certified) maximum with the lower bound.
+
+    The report is its JSON payload, a dict with the keys, in order: `n`, `k`,
+    `indec_count`, `min_len` and `max_len` (None unless `extrema_known`),
+    `extrema_known`, `lower_bound`, `upper_bound`, `achieved_max` (the lower
+    bound again), `cycle_count`, `conjecture_holds` (None when the maximum is
+    not known), `cuts` (one row per cut: `deleted`, `c_count`, `tilted`,
+    `length` and, with a length, `labels`) and `hom_cycles` (module labels).
     """
     n = qp.quiver.n
     k = qp.cycle_count
@@ -395,11 +349,9 @@ def bounds_report(
         catalog, seed_cycles=triangle_seed_cycles(qp, catalog)
     )
     cycle_count = len(hom_cycles)
-    upper_candidates = [indec - cycle_count]
-    type_a = all(len(t.cycle) == 3 for t in qp.potential) and indec == comb(n + 1, 2)
-    if type_a:
-        upper_candidates.append(indec - k)
-    upper = min(upper_candidates)
+    upper = indec - cycle_count
+    if all(len(t.cycle) == 3 for t in qp.potential) and indec == comb(n + 1, 2):
+        upper = min(upper, indec - k)
 
     min_len: Optional[int] = None
     max_len: Optional[int] = None
@@ -422,20 +374,18 @@ def bounds_report(
         known_max = None
     conjecture = None if known_max is None else (known_max == lower)
 
-    def label(i: int) -> str:
-        return catalog.modules[i].label
-
-    return BoundsReport(
-        n=n,
-        k=k,
-        indec_count=indec,
-        min_len=min_len,
-        max_len=max_len,
-        extrema_known=extrema_known,
-        lower_bound=lower,
-        upper_bound=upper,
-        cycle_count=cycle_count,
-        conjecture_holds=conjecture,
-        cut_reports=tuple(cut_rows),
-        cycles=tuple(tuple(label(i) for i in cyc) for cyc in hom_cycles),
-    )
+    return {
+        "n": n,
+        "k": k,
+        "indec_count": indec,
+        "min_len": min_len,
+        "max_len": max_len,
+        "extrema_known": extrema_known,
+        "lower_bound": lower,
+        "upper_bound": upper,
+        "achieved_max": lower,
+        "cycle_count": cycle_count,
+        "conjecture_holds": conjecture,
+        "cuts": cut_rows,
+        "hom_cycles": [[catalog.modules[i].label for i in cyc] for cyc in hom_cycles],
+    }

@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--field-prime", type=int, default=None, help="override the field prime")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_positive_int,
             default=None,
             help="override the search budget: exchange-graph states for `mgs extrema`, "
             "path nodes for `mgs enumerate|classes` (which build that graph under the same "

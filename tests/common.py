@@ -4,6 +4,7 @@ Everything here is cached so the catalogs and algebras are constructed once
 per session no matter how many test modules ask for them.
 """
 
+import copy
 import hashlib
 from functools import lru_cache
 from pathlib import Path
@@ -59,12 +60,17 @@ def nakayama_catalog(p=2):
 
 
 @lru_cache(maxsize=None)
-def bounds_report(name, enumerate_extrema=True):
+def _bounds_report(name, enumerate_extrema):
     from greenseq import bounds
 
     return bounds.bounds_report(
         problem(name).qp, catalog(name), enumerate_extrema=enumerate_extrema
     )
+
+
+def bounds_report(name, enumerate_extrema=True):
+    """A fresh copy of the cached report, so no test sees another's edits."""
+    return copy.deepcopy(_bounds_report(name, enumerate_extrema))
 
 
 def labels(cat):

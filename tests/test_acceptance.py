@@ -72,7 +72,7 @@ def test_criterion_2_three_descriptions_agree():
 
 
 def test_criterion_3_triangle_bounds():
-    js = common.bounds_report("a3_cyclic").to_json()
+    js = common.bounds_report("a3_cyclic")
     assert (js["min_len"], js["max_len"]) == (4, 5)
     assert js["conjecture_holds"] is True
     assert len(js["cuts"]) == 3
@@ -83,7 +83,7 @@ def test_criterion_3_triangle_bounds():
 def test_criterion_4_two_triangle_line():
     cat = common.catalog("a5_example")
     assert len(cat.modules) == 15
-    js = common.bounds_report("a5_example").to_json()
+    js = common.bounds_report("a5_example")
     assert (js["min_len"], js["max_len"]) == (7, 13)
     uv = next(row for row in js["cuts"] if row["deleted"] == ["u", "v"])
     assert uv["tilted"] is True
@@ -124,7 +124,7 @@ def test_criterion_5_four_cycle():
 def test_criterion_6_long_quiver_certified_without_enumeration():
     qp = common.problem("a9_example").qp
     cat = common.catalog("a9_example")
-    js = common.bounds_report("a9_example", enumerate_extrema=False).to_json()
+    js = common.bounds_report("a9_example", enumerate_extrema=False)
     assert js["extrema_known"] is False
     assert js["indec_count"] == 45
     assert js["cycle_count"] >= 8
@@ -157,5 +157,5 @@ def test_criterion_7_bulk_invariants():
     assert test_properties.midpoint_suite() >= 1000
     assert test_properties.field_independence_suite() >= 200
     for name in ("a3_cyclic", "d4_cyclic", "a5_example"):
-        js = common.bounds_report(name).to_json()
+        js = common.bounds_report(name)
         assert js["min_len"] + js["max_len"] - js["n"] <= js["indec_count"]

@@ -14,6 +14,7 @@ from greenseq.errors import (
 from greenseq.bounds import (
     Cut,
     assem_tilted,
+    bounds_report,
     c_modules,
     construct_max_sequence,
     cuts,
@@ -149,8 +150,7 @@ def test_triangle_seeds_and_disjoint_cycles(a3_qp, a3_catalog):
 
 
 def test_a3_report(a3_qp, a3_catalog):
-    report = common.bounds_report("a3_cyclic")
-    js = report.to_json()
+    js = common.bounds_report("a3_cyclic")
     assert set(js) == REPORT_KEYS
     assert (js["n"], js["k"], js["indec_count"]) == (3, 1, 6)
     assert (js["min_len"], js["max_len"]) == (4, 5)
@@ -163,7 +163,7 @@ def test_a3_report(a3_qp, a3_catalog):
 
 
 def test_d4_report():
-    js = common.bounds_report("d4_cyclic").to_json()
+    js = common.bounds_report("d4_cyclic")
     assert (js["min_len"], js["max_len"]) == (6, 9)
     assert (js["lower_bound"], js["upper_bound"], js["achieved_max"]) == (9, 10, 9)
     assert js["cycle_count"] == 2
@@ -173,7 +173,7 @@ def test_d4_report():
 
 
 def test_a5_report():
-    js = common.bounds_report("a5_example").to_json()
+    js = common.bounds_report("a5_example")
     assert (js["n"], js["k"], js["indec_count"]) == (5, 2, 15)
     assert (js["min_len"], js["max_len"]) == (7, 13)
     assert (js["lower_bound"], js["upper_bound"], js["achieved_max"]) == (13, 13, 13)
@@ -182,11 +182,12 @@ def test_a5_report():
     assert sorted(js["hom_cycles"]) == [["2>3", "1>2", "1<3"], ["4>5", "3>4", "3<5"]]
 
 
+def table_lines(report):
+    return dict((ln[:24].strip(), ln[24:].strip()) for ln in report_table(report).splitlines())
+
+
 def test_report_table_mentions_the_headline_numbers():
-    text = report_table(common.bounds_report("a5_example"))
-    lines = dict(
-        (ln[:24].strip(), ln[24:].strip()) for ln in text.splitlines()
-    )
+    lines = table_lines(common.bounds_report("a5_example"))
     assert lines["indecomposables"] == "15"
     assert lines["min length"] == "7"
     assert lines["max length"] == "13"
@@ -199,7 +200,7 @@ def test_general_length_inequality():
     # With both extrema enumerated, max + min never exceeds the catalog
     # size plus the vertex count.
     for name in ("a3_cyclic", "d4_cyclic", "a5_example"):
-        js = common.bounds_report(name).to_json()
+        js = common.bounds_report(name)
         assert js["max_len"] + js["min_len"] - js["n"] <= js["indec_count"]
 
 
@@ -220,8 +221,42 @@ def sha256(text):
 def test_report_is_pinned(name, enumerate_extrema, digest):
     # every cut row, cycle, bound and table line goes into the digest
     report = common.bounds_report(name, enumerate_extrema)
-    text = json.dumps(report.to_json(), sort_keys=True) + "\n" + report_table(report)
+    text = json.dumps(report, sort_keys=True) + "\n" + report_table(report)
     assert sha256(text) == digest
+
+
+@pytest.mark.parametrize("enumerate_extrema", [True, False])
+@pytest.mark.parametrize("name", common.PROBLEM_NAMES)
+def test_report_is_plain_json(name, enumerate_extrema):
+    # a tuple or record left in the report would not survive the round trip
+    report = common.bounds_report(name, enumerate_extrema)
+    assert isinstance(report, dict)
+    assert json.loads(json.dumps(report)) == report
+
+
+@pytest.mark.parametrize(
+    "name, budget, cut_count, lower_upper, verdict, shown",
+    [
+        # 4 cut choices fit in 10, d4's 50 exchange-graph states do not, and
+        # the cuts stay below the upper bound: the verdict is undecided
+        ("d4_cyclic", 10, 4, (9, 10), None, "undecided"),
+        # 81 cut choices fit in 100, the exchange graph does not, but the
+        # cuts reach the upper bound, which certifies the maximum
+        ("a9_example", 100, 81, (37, 37), True, "true"),
+    ],
+)
+def test_exhausted_budget_leaves_the_extrema_unknown(
+    name, budget, cut_count, lower_upper, verdict, shown
+):
+    report = bounds_report(common.problem(name).qp, common.catalog(name), budget=budget)
+    assert len(report["cuts"]) == cut_count
+    assert report["extrema_known"] is False
+    assert (report["min_len"], report["max_len"]) == (None, None)
+    assert (report["lower_bound"], report["upper_bound"]) == lower_upper
+    assert report["conjecture_holds"] is verdict
+    lines = table_lines(report)
+    assert lines["min length"] == lines["max length"] == "unknown"
+    assert lines["max equals lower bound"] == shown
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +214,8 @@ def test_walls_requires_exactly_one_mode(capsys):
         (["--random", "2", "--retries", "0"], "--retries"),
         (["--random", "2", "--retries", "-1"], "--retries"),
         (["--random", "-3"], "--random"),
+        (["--random", "2", "--budget", "0"], "--budget"),
+        (["--random", "2", "--budget", "-3"], "--budget"),
     ],
 )
 def test_walls_counts_must_be_positive(capsys, argv, option):
@@ -253,7 +256,7 @@ def test_invalid_json(tmp_path, capsys):
 
 
 def test_unknown_key_is_rejected(tmp_path, capsys):
-    data = json.loads(open(A3).read())
+    data = json.loads(Path(A3).read_text())
     data["surprise"] = 1
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(data))
@@ -268,7 +271,7 @@ def test_bad_field_prime_is_rejected(capsys):
 
 
 def test_corrupted_module_fails_before_any_work(tmp_path, capsys):
-    data = json.loads(open(A3).read())
+    data = json.loads(Path(A3).read_text())
     data["modules"] = [
         {"dims": [1, 1, 1], "mats": {"a": [[1]], "b": [[1]], "g": [[1]]}}
     ]

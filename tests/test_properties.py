@@ -316,12 +316,12 @@ def test_field_independence():
 
 def test_length_extrema_inequality():
     for name in SMALL:
-        js = common.bounds_report(name).to_json()
+        js = common.bounds_report(name)
         assert js["min_len"] + js["max_len"] - js["n"] <= js["indec_count"]
     # tight for the two triangulated line quivers
-    a3 = common.bounds_report("a3_cyclic").to_json()
+    a3 = common.bounds_report("a3_cyclic")
     assert a3["min_len"] + a3["max_len"] - a3["n"] == a3["indec_count"]
-    a5 = common.bounds_report("a5_example").to_json()
+    a5 = common.bounds_report("a5_example")
     assert a5["min_len"] + a5["max_len"] - a5["n"] == a5["indec_count"]
 
 

@@ -18,12 +18,6 @@ MUTATION_FIELDS = (
     "beta", "gamma", "alpha_star", "beta_star", "gamma_star", "f_paths",
     "g_paths", "triangle_coeff",
 )
-REPORT_FIELDS = (
-    "n", "k", "indec_count", "min_len", "max_len", "extrema_known",
-    "lower_bound", "upper_bound", "cycle_count", "conjecture_holds",
-    "cut_reports", "cycles",
-)
-REPORT_VALUES = (3, 1, 6, 4, 5, True, 5, 5, 1, True, ({"cut": "x"},), (("M", "N"),))
 
 # the records that may be assigned to; every other one is frozen
 MUTABLE = {"Catalog", "ProblemFile"}
@@ -42,7 +36,6 @@ COMPARED = {
     "Representation": ("algebra", "dims", "mats"),
     "Catalog": ("algebra", "modules"),
     "Cut": ("deleted_arrows",),
-    "BoundsReport": REPORT_FIELDS[:10],
     "FhoSequence": ("modules",),
 }
 
@@ -54,7 +47,6 @@ DEFAULTS = {
     "Algebra": {"p": 2},
     "Representation": {"label": "", "walk": ()},
     "Cut": {"cycle_lengths": ()},
-    "BoundsReport": {"cut_reports": (), "cycles": ()},
 }
 
 
@@ -91,7 +83,6 @@ def _cases():
         ),
         (rep.Catalog, ("algebra", "modules"), (algebra, catalog.modules)),
         (bounds.Cut, ("deleted_arrows", "cycle_lengths"), (frozenset({"a"}), (3,))),
-        (bounds.BoundsReport, REPORT_FIELDS, REPORT_VALUES),
         (FhoSequence, ("modules",), ((m0, m1),)),
         (walls.Wall, ("module", "normal", "faces"), (wall.module, wall.normal, wall.faces)),
         (walls.CrossingRecord, ("time", "module", "interior"), (Fraction(1, 2), m0, True)),
@@ -108,7 +99,7 @@ NAMES = sorted(_cases())
 
 
 def test_every_record_is_listed():
-    assert len(NAMES) == 18
+    assert len(NAMES) == 17
     assert set(DEFAULTS) | MUTABLE | UNHASHABLE <= set(NAMES)
     cases = _cases()
     assert set(COMPARED) == {n for n in NAMES if not issubclass(cases[n][0], tuple)}
@@ -215,15 +206,6 @@ def test_cut_compares_its_deleted_arrows_only():
     assert hash(first) == hash(second)
     assert first != bounds.Cut(frozenset({"a"}), (3, 3))
     assert str(first) == "cut{a,b}"
-
-
-def test_bounds_report_compares_without_cut_reports_or_cycles():
-    cls = bounds.BoundsReport
-    first = cls(*REPORT_VALUES)
-    second = cls(*REPORT_VALUES[:10], cut_reports=(), cycles=(("P",),))
-    assert first == second
-    assert hash(first) == hash(second)
-    assert first != cls(4, *REPORT_VALUES[1:])
 
 
 @pytest.mark.parametrize(
