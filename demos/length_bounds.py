@@ -37,16 +37,14 @@ def main():
     print(report_table(report))
 
     best = max(report["cuts"], key=lambda row: row["c_count"])
-    cut = next(
-        c for c in cuts(prob.qp) if sorted(c.deleted_arrows) == best["deleted"]
-    )
+    cut = next(c for c in cuts(prob.qp) if sorted(c) == best["deleted"])
     seq = construct_max_sequence(cut, catalog)
-    print(f"\ndeleting {best['deleted']} carries a sequence of length {len(seq.modules)}:")
-    print("    " + " -> ".join(m.label for m in seq.modules))
+    print(f"\ndeleting {best['deleted']} carries a sequence of length {len(seq)}:")
+    print("    " + " -> ".join(m.label for m in seq))
 
     # replay the dimension vectors as c-vectors on the exchange matrix side
     replayed, final = replay_c_vector_sequence(
-        initial_seed(prob.qp.quiver), seq.dim_vectors
+        initial_seed(prob.qp.quiver), [m.dims for m in seq]
     )
     assert not any(is_green(final, k) for k in range(final.n))
     print(f"replayed as {len(replayed)} matrix mutations, ending with no green column")

@@ -32,7 +32,7 @@ def main():
     fho = enumerate_maximal_fho(catalog)
     print(f"\nmaximal forward hom-orthogonal sequences: {len(fho)}")
     for s in fho:
-        print("   ", " -> ".join(m.label for m in s.modules))
+        print("   ", " -> ".join(m.label for m in s))
 
     print("\nwall crossings of a few random generic lines:")
     rng = random.Random(4)

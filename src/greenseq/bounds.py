@@ -24,51 +24,27 @@ from .exchange import initial_seed, mgs_summary
 from .fho import FhoSequence, is_maximal_fho
 from .linalg import is_zero
 from .qp import QuiverWithPotential
-from .records import FrozenRecord
 from .rep import Catalog, Representation
 
 
-class Cut(FrozenRecord):
-    """A choice of one deleted arrow per potential cycle.
-
-    A cut is identified by its `deleted_arrows`, the only field `==` and
-    `hash` read; which catalog modules it keeps is read off the catalog's
-    per-arrow masks (`c_modules`). `cycle_lengths` records the lengths of
-    the potential cycles, which the orientation test needs for its
-    precondition.
-    """
-
-    __slots__ = _fields = ("deleted_arrows", "cycle_lengths")
-    _compared = ("deleted_arrows",)
-
-    def __init__(self, deleted_arrows: frozenset[str], cycle_lengths: tuple[int, ...] = ()):
-        self._init(deleted_arrows, cycle_lengths)
-
-    def __str__(self) -> str:
-        return "cut{" + ",".join(sorted(self.deleted_arrows)) + "}"
+# a cut: the set of deleted arrow ids, one from each potential cycle
+Cut = frozenset[str]
 
 
 def cuts(qp: QuiverWithPotential) -> list[Cut]:
     """All cuts of the potential, one deleted arrow per cycle.
 
-    With an empty potential the only cut deletes nothing.
+    Each cut is the set of its deleted arrow ids; the distinct sets of the
+    picks, in the order the picks first give them. With an empty potential
+    the only pick is empty, so the only cut deletes nothing.
     """
-    choices = [term.cycle for term in qp.potential]
-    lengths = tuple(len(c) for c in choices)
-    out = []
-    seen = set()
-    for pick in itertools.product(*choices) if choices else [()]:
-        deleted = frozenset(pick)
-        if deleted in seen:
-            continue
-        seen.add(deleted)
-        out.append(Cut(deleted_arrows=deleted, cycle_lengths=lengths))
-    return out
+    picks = itertools.product(*(term.cycle for term in qp.potential))
+    return list(dict.fromkeys(map(frozenset, picks)))
 
 
 def vanishes_on_cut(x: Representation, cut: Cut) -> bool:
     """True iff the module's matrices are zero on every deleted arrow."""
-    return all(is_zero(x.mat(aid)) for aid in cut.deleted_arrows)
+    return all(is_zero(x.mat(aid)) for aid in cut)
 
 
 def c_modules(cut: Cut, catalog: Catalog) -> list[int]:
@@ -76,7 +52,7 @@ def c_modules(cut: Cut, catalog: Catalog) -> list[int]:
     every member less those nonzero on a deleted arrow (`Catalog.arrow_mask`),
     so each module is tested once per arrow, not once per cut."""
     hit = 0
-    for aid in cut.deleted_arrows:
+    for aid in cut:
         hit |= catalog.arrow_mask(aid)
     return _members(((1 << len(catalog)) - 1) & ~hit)
 
@@ -89,33 +65,27 @@ def module_diagram(x: Representation, cut: Cut) -> str:
     module that vanishes on the deleted arrows yields the empty word.
     """
     if not x.walk:
-        raise NonStringAlgebraError(
-            f"module {x.label or x.dims} carries no string walk"
-        )
+        raise NonStringAlgebraError(f"module {x.label or x.dims} carries no string walk")
     _, word = x.walk
-    return "".join(
-        (">" if s > 0 else "<") for aid, s in word if aid in cut.deleted_arrows
-    )
+    return "".join((">" if s > 0 else "<") for aid, s in word if aid in cut)
 
 
 def is_alternating(diagram: str) -> bool:
     return all(a != b for a, b in zip(diagram, diagram[1:]))
 
 
-def assem_tilted(cut: Cut, catalog: Catalog) -> bool:
-    """Orientation test for cuts of a triangle potential.
+def assem_tilted(qp: QuiverWithPotential, cut: Cut, catalog: Catalog) -> bool:
+    """Orientation test for a cut (its deleted arrows) of a triangle potential.
 
     True iff every catalog module's diagram alternates between '>' and '<'.
-    Only defined when every potential cycle is a triangle; other shapes raise,
-    and `bounds_report` falls back to the acyclicity check instead.
+    Only defined when every cycle of `qp.potential` is a triangle; other shapes
+    raise, and `bounds_report` falls back to the acyclicity check instead.
     """
-    if any(length != 3 for length in cut.cycle_lengths):
+    if any(len(term.cycle) != 3 for term in qp.potential):
         raise UnsupportedPotentialError(
             "orientation test only covers potentials made of triangles"
         )
-    return all(
-        is_alternating(module_diagram(m, cut)) for m in catalog.modules
-    )
+    return all(is_alternating(module_diagram(m, cut)) for m in catalog.modules)
 
 
 def _members(mask: int) -> list[int]:
@@ -143,15 +113,15 @@ def _reverse_topological(catalog: Catalog, indices: Sequence[int]) -> Optional[l
 def construct_max_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     """The forward hom-orthogonal sequence carried by a cut, or None.
 
-    Takes the modules that vanish on the deleted arrows and orders them
+    Takes the modules that vanish on the cut's deleted arrows and orders them
     right-to-left along the Hom digraph read from the table's row masks
-    (`_reverse_topological`). Returns None when that digraph has a cycle
-    (the cut carries no such sequence).
+    (`_reverse_topological`), as a tuple of catalog modules. Returns None
+    when that digraph has a cycle (the cut carries no such sequence).
     """
     order = _reverse_topological(catalog, c_modules(cut, catalog))
     if order is None:
         return None
-    return FhoSequence(tuple(catalog.modules[i] for i in order))
+    return tuple(catalog.modules[i] for i in order)
 
 
 def _cuts_within(qp: QuiverWithPotential, budget: int) -> list[Cut]:
@@ -168,7 +138,7 @@ def _maximal_sequence(cut: Cut, catalog: Catalog) -> Optional[FhoSequence]:
     """The cut's sequence if it passes the full maximality check
     (`is_maximal_fho`), else None."""
     seq = construct_max_sequence(cut, catalog)
-    if seq is not None and is_maximal_fho(seq.modules, catalog):
+    if seq is not None and is_maximal_fho(seq, catalog):
         return seq
     return None
 
@@ -331,15 +301,15 @@ def bounds_report(
     cut_rows: list[dict] = []
     lower = 0
     for cut, seq in maximal_cut_sequences(qp, catalog, budget):
-        row: dict = {"deleted": sorted(cut.deleted_arrows)}
+        row: dict = {"deleted": sorted(cut)}
         row["c_count"] = len(c_modules(cut, catalog))
         try:
-            row["tilted"] = assem_tilted(cut, catalog)
+            row["tilted"] = assem_tilted(qp, cut, catalog)
         except UnsupportedPotentialError:
             row["tilted"] = None
         if seq is not None:
             row["length"] = len(seq)
-            row["labels"] = [m.label for m in seq.modules]
+            row["labels"] = [m.label for m in seq]
             lower = max(lower, len(seq))
         else:
             row["length"] = None

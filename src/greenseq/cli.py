@@ -63,16 +63,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="greenseq",
-        description="Maximal green sequences: mutation, enumeration, verification, walls.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _field_prime(text: str) -> int:
+    try:
+        value = int(text)
+        gio.check_field_prime(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return value
 
-    def common(p: argparse.ArgumentParser) -> None:
+
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, which reads the command name and leaves the rest,
+    and each command's parser, which reads that rest with
+    `parse_intermixed_args` so that options may come between its positionals."""
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name: str, description: str) -> argparse.ArgumentParser:
+        p = commands[name] = argparse.ArgumentParser(
+            prog=f"greenseq {name}", description=description
+        )
         p.add_argument("file", help="problem file (JSON)")
-        p.add_argument("--field-prime", type=int, default=None, help="override the field prime")
+        p.add_argument(
+            "--field-prime", type=_field_prime, default=None, help="override the field prime"
+        )
         p.add_argument(
             "--budget",
             type=_positive_int,
@@ -87,13 +100,12 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
 
-    p = sub.add_parser("mutate", help="print the exchange-matrix chain of a mutation sequence")
-    common(p)
+    p = command("mutate", "print the exchange-matrix chain of a mutation sequence")
     p.add_argument("sequence", nargs="*", type=int, help="vertex labels to mutate at, in order")
 
-    p = sub.add_parser("mgs", help="enumerate or summarize maximal green sequences")
-    common(p)
+    p = command("mgs", "enumerate or summarize maximal green sequences")
     p.add_argument(
         "action",
         nargs="?",
@@ -112,11 +124,9 @@ def _parser() -> argparse.ArgumentParser:
         "tried longest first, and the first whose sequence is maximal is printed",
     )
 
-    p = sub.add_parser("verify", help="check the three descriptions against each other")
-    common(p)
+    command("verify", "check the three descriptions against each other")
 
-    p = sub.add_parser("walls", help="wall-crossing report for one or more green paths")
-    common(p)
+    p = command("walls", "wall-crossing report for one or more green paths")
     p.add_argument("--base", default=None, help="comma-separated rational coordinates, e.g. 1/2,-3,4")
     p.add_argument(
         "--random", type=_positive_int, default=None, metavar="N", help="sample N generic bases"
@@ -124,7 +134,18 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--retries", type=_positive_int, default=50, help="genericity retry cap for --random"
     )
-    return top
+
+    top = argparse.ArgumentParser(
+        prog="greenseq",
+        description="Maximal green sequences: mutation, enumeration, verification, walls.",
+    )
+    top.add_argument(
+        "command",
+        choices=tuple(commands),
+        help="; ".join(f"{name}: {p.description}" for name, p in commands.items()),
+    )
+    top.add_argument("args", nargs=argparse.REMAINDER, help="see greenseq COMMAND -h")
+    return top, commands
 
 
 def _load(args) -> gio.ProblemFile:
@@ -397,23 +418,21 @@ def _construct_max(args, problem: gio.ProblemFile, seed) -> int:
         print("error: no cut carries a maximal sequence", file=sys.stderr)
         return 1
     best_cut, best = found
-    gs, final = exchange.replay_c_vector_sequence(
-        seed, [m.dims for m in best.modules]
-    )
+    gs, final = exchange.replay_c_vector_sequence(seed, [m.dims for m in best])
     maximal = not any(exchange.is_green(final, k) for k in range(final.n))
     vertices = _vertex_labels(quiver, gs.mutation_indices)
     _emit(
         args,
         lambda: {
-            "from_cut": sorted(best_cut.deleted_arrows),
+            "from_cut": sorted(best_cut),
             "length": len(gs),
             "maximal": maximal,
             "vertices": vertices,
             "c_vectors": [list(v) for v in gs.c_vectors],
-            "labels": [m.label for m in best.modules],
+            "labels": [m.label for m in best],
         },
         lambda: [
-            f"cut deleting {{{', '.join(sorted(best_cut.deleted_arrows))}}} "
+            f"cut deleting {{{', '.join(sorted(best_cut))}}} "
             f"carries a length-{len(gs)} sequence",
             "mutations: " + ",".join(str(v) for v in vertices),
             "maximal: " + str(maximal).lower(),
@@ -518,7 +537,9 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    top, commands = _parser()
+    found = top.parse_args(argv)
+    args = commands[found.command].parse_intermixed_args(found.args)
     try:
         problem = _load(args)
     except (OSError, json.JSONDecodeError, RecursionError) as e:
@@ -533,7 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "mgs": cmd_mgs,
         "verify": cmd_verify,
         "walls": cmd_walls,
-    }[args.command]
+    }[found.command]
     try:
         code = handler(args, problem)
         # flushed here, so that a reader that stopped early is caught below

@@ -33,27 +33,14 @@ from typing import Sequence
 from greenseq import exchange
 from greenseq.errors import GenericityError
 from greenseq.qp import QuiverWithPotential, b_matrix
-from greenseq.records import FrozenRecord
 from greenseq.rep import Catalog, Representation, hom_dim  # noqa: F401  (re-exported)
 
 # random generic green paths `verify_theorem1` samples before the directed search
 WALL_SAMPLES = 100
 
 
-class FhoSequence(FrozenRecord):
-    """An ordered, weakly forward hom-orthogonal sequence of catalog modules."""
-
-    __slots__ = _fields = ("modules",)
-
-    def __init__(self, modules: tuple[Representation, ...]):
-        self._init(modules)
-
-    @property
-    def dim_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(m.dims for m in self.modules)
-
-    def __len__(self) -> int:
-        return len(self.modules)
+# an ordered, weakly forward hom-orthogonal sequence: its catalog modules
+FhoSequence = tuple[Representation, ...]
 
 
 def _torsion_free_mask(catalog: Catalog, seq: Sequence[int]) -> int:
@@ -175,7 +162,8 @@ def is_fho_in_torsion_class(
 
 
 def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[FhoSequence]:
-    """All maximal forward hom-orthogonal sequences over a complete catalog.
+    """All maximal forward hom-orthogonal sequences over a complete catalog,
+    each the tuple of its catalog modules.
 
     `exchange.maximal_paths` over the torsion-free classes F(seq), as masks
     over catalog positions, along their cover edges (see the module
@@ -202,7 +190,7 @@ def enumerate_maximal_fho(catalog: Catalog, budget: int = 1_000_000) -> list[Fho
             raise ValueError(
                 f"incomplete catalog: the torsion-free class {left} has no lower cover"
             )
-        return FhoSequence(tuple([modules[i] for i in seq]))
+        return tuple([modules[i] for i in seq])
 
     every = (1 << len(catalog)) - 1
     return exchange.maximal_paths(every, expand, record, budget, "forward hom-orthogonal")
@@ -239,7 +227,7 @@ def verify_theorem1(
     set_mgs = {tuple(s.c_vectors) for s in mgs}
 
     fho_seqs = enumerate_maximal_fho(catalog, budget=budget)
-    set_fho = {s.dim_vectors for s in fho_seqs}
+    set_fho = {tuple(m.dims for m in s) for s in fho_seqs}
 
     rng = random.Random(rng_seed)
     witnesses: list[dict] = []

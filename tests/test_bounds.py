@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from greenseq import io as gio
 from greenseq import rep
 from greenseq.errors import (
     NonStringAlgebraError,
@@ -12,7 +13,6 @@ from greenseq.errors import (
     UnsupportedPotentialError,
 )
 from greenseq.bounds import (
-    Cut,
     assem_tilted,
     bounds_report,
     c_modules,
@@ -27,6 +27,7 @@ from greenseq.bounds import (
     vanishes_on_cut,
 )
 from greenseq.cli import main
+from greenseq.exchange import initial_seed, mgs_summary
 from greenseq.fho import is_maximal_fho
 from greenseq.rep import projective, string_catalog
 
@@ -58,22 +59,50 @@ def test_cut_enumeration_counts(a3_qp, d4_qp, a5_qp, a9_qp):
     assert len(cuts(a9_qp)) == 81
 
 
-def test_cut_str(a3_qp):
-    names = sorted(str(c) for c in cuts(a3_qp))
-    assert names == ["cut{a}", "cut{b}", "cut{g}"]
+def problem_of(arrows, cycles):
+    """A problem whose QP has these arrows (id, src, tgt) and unit-coefficient cycles."""
+    vertices = sorted({v for _, src, tgt in arrows for v in (src, tgt)})
+    return gio.problem_from_json({"qp": {
+        "vertices": vertices,
+        "arrows": [{"id": aid, "src": src, "tgt": tgt} for aid, src, tgt in arrows],
+        "potential": [{"coeff": "1", "cycle": list(cycle)} for cycle in cycles],
+    }})
+
+
+def test_zero_potential_has_one_empty_cut():
+    # acyclic A3, 1 -> 2 -> 3: the empty cut keeps every module, and its
+    # sequence is a maximum-length maximal green sequence
+    problem = problem_of([("a", 1, 2), ("b", 2, 3)], [])
+    assert cuts(problem.qp) == [frozenset()]
+    catalog = string_catalog(problem.algebra())
+    seq = construct_max_sequence(frozenset(), catalog)
+    assert len(seq) == len(catalog) == 6
+    assert is_maximal_fho(seq, catalog)
+    assert len(seq) == mgs_summary(initial_seed(problem.qp.quiver)).max_len
+
+
+def test_repeated_picks_give_one_cut_in_first_pick_order():
+    # abc + abde: 3 x 4 = 12 picks, and the pick (b, a) deletes the same
+    # arrows as (a, b), so 11 cuts
+    arrows = [("a", 1, 2), ("b", 2, 3), ("c", 3, 1), ("d", 3, 4), ("e", 4, 1)]
+    found = cuts(problem_of(arrows, ["abc", "abde"]).qp)
+    assert [sorted(c) for c in found] == [
+        ["a"], ["a", "b"], ["a", "d"], ["a", "e"], ["b"], ["b", "d"],
+        ["b", "e"], ["a", "c"], ["b", "c"], ["c", "d"], ["c", "e"],
+    ]
 
 
 def test_a3_cuts(a3_qp, a3_catalog):
     for cut in cuts(a3_qp):
         assert len(c_modules(cut, a3_catalog)) == 5
-        assert assem_tilted(cut, a3_catalog)
+        assert assem_tilted(a3_qp, cut, a3_catalog)
         seq = construct_max_sequence(cut, a3_catalog)
         assert seq is not None and len(seq) == 5
-        assert is_maximal_fho(list(seq.modules), a3_catalog)
+        assert is_maximal_fho(list(seq), a3_catalog)
 
 
 def test_vanishing(a3_qp, a3_catalog):
-    cut_a = next(c for c in cuts(a3_qp) if c.deleted_arrows == frozenset({"a"}))
+    cut_a = next(c for c in cuts(a3_qp) if c == frozenset({"a"}))
     assert vanishes_on_cut(a3_catalog.by_label("1"), cut_a)
     assert vanishes_on_cut(a3_catalog.by_label("2<3"), cut_a)
     assert not vanishes_on_cut(a3_catalog.by_label("1<2"), cut_a)
@@ -82,11 +111,11 @@ def test_vanishing(a3_qp, a3_catalog):
 
 
 def test_module_diagrams(a5_qp, a5_catalog):
-    cut_albe = next(c for c in cuts(a5_qp) if c.deleted_arrows == frozenset({"al", "be"}))
+    cut_albe = next(c for c in cuts(a5_qp) if c == frozenset({"al", "be"}))
     assert module_diagram(a5_catalog.by_label("2>3>4"), cut_albe) == ">>"
     assert not is_alternating(">>")
-    assert not assem_tilted(cut_albe, a5_catalog)
-    cut_alde = next(c for c in cuts(a5_qp) if c.deleted_arrows == frozenset({"al", "de"}))
+    assert not assem_tilted(a5_qp, cut_albe, a5_catalog)
+    cut_alde = next(c for c in cuts(a5_qp) if c == frozenset({"al", "de"}))
     assert module_diagram(a5_catalog.by_label("2>3<5"), cut_alde) == "><"
     assert is_alternating("><")
     assert module_diagram(a5_catalog.by_label("1"), cut_alde) == ""
@@ -101,7 +130,7 @@ def test_module_diagram_needs_a_walk(a3_qp, a3_algebra):
 def test_four_cycle_potential_has_no_tilting_test(d4_qp, d4_catalog):
     for cut in cuts(d4_qp):
         with pytest.raises(UnsupportedPotentialError):
-            assem_tilted(cut, d4_catalog)
+            assem_tilted(d4_qp, cut, d4_catalog)
 
 
 def test_d4_cuts_all_reach_the_maximum(d4_qp, d4_catalog):
@@ -109,17 +138,17 @@ def test_d4_cuts_all_reach_the_maximum(d4_qp, d4_catalog):
         assert len(c_modules(cut, d4_catalog)) == 9
         seq = construct_max_sequence(cut, d4_catalog)
         assert seq is not None and len(seq) == 9
-        assert is_maximal_fho(list(seq.modules), d4_catalog)
+        assert is_maximal_fho(list(seq), d4_catalog)
 
 
 def test_a5_cut_table(a5_qp, a5_catalog):
     rows = {}
     for cut in cuts(a5_qp):
-        key = tuple(sorted(cut.deleted_arrows))
+        key = tuple(sorted(cut))
         seq = construct_max_sequence(cut, a5_catalog)
         rows[key] = (
             len(c_modules(cut, a5_catalog)),
-            assem_tilted(cut, a5_catalog),
+            assem_tilted(a5_qp, cut, a5_catalog),
             len(seq) if seq is not None else None,
         )
     assert rows == A5_CUT_TABLE
@@ -135,7 +164,7 @@ def test_c_modules_match_the_per_module_test(name):
 
 
 def test_construction_fails_when_the_hom_digraph_is_cyclic(a3_catalog):
-    trivial = Cut(deleted_arrows=frozenset(), cycle_lengths=(3,))
+    trivial = frozenset()
     assert len(c_modules(trivial, a3_catalog)) == 6
     assert construct_max_sequence(trivial, a3_catalog) is None
 
@@ -274,8 +303,8 @@ def test_cut_sequences_are_pinned(name, cut_count, digest):
     rows = []
     for cut in cuts(common.problem(name).qp):
         seq = construct_max_sequence(cut, catalog)
-        labels = None if seq is None else [m.label for m in seq.modules]
-        rows.append([sorted(cut.deleted_arrows), labels])
+        labels = None if seq is None else [m.label for m in seq]
+        rows.append([sorted(cut), labels])
     assert len(rows) == cut_count
     assert sha256(json.dumps(rows)) == digest
 
@@ -317,8 +346,8 @@ def test_construct_max_prints_the_longest_maximal_cut(name, capsys):
     path = str(common.PROBLEMS / f"{name}.json")
     assert main(["mgs", path, "--construct-max", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["from_cut"] == sorted(cut.deleted_arrows)
-    assert payload["labels"] == [m.label for m in seq.modules]
+    assert payload["from_cut"] == sorted(cut)
+    assert payload["labels"] == [m.label for m in seq]
 
 
 def test_budget_bounds_the_cut_choices(a9_qp, a9_catalog):

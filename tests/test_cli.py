@@ -101,6 +101,27 @@ def test_retries_belongs_to_walls(capsys):
     assert out.startswith("base ")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["mgs", A3, "--budget", "50", "extrema"],
+            "maximal green sequences: 9\nmin length 4\nmax length 5\n",
+        ),
+        # `mutate A3 3 1 2 --format json`, pinned in test_mgs_stdout_is_pinned
+        (
+            ["mutate", A3, "3", "--format", "json", "1", "2"],
+            "1d60170d62c06a70103e6951eca16720e3cad7c9c35f18f49992149d3dd0e7e6",
+        ),
+    ],
+    ids=["mgs-extrema", "mutate-json"],
+)
+def test_options_may_come_between_positionals(capsys, argv, expected):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert expected in (out, hashlib.sha256(out.encode()).hexdigest())
+
+
 def test_mgs_budget_exhaustion(capsys):
     code, out, err = run(capsys, ["mgs", A3, "--budget", "3"])
     assert code == 1
@@ -266,8 +287,14 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
 
 
 def test_bad_field_prime_is_rejected(capsys):
-    code, out, err = run(capsys, ["verify", A3, "--field-prime", "4"])
-    assert code == 2
+    # the flag is at fault, not the file: argparse names it and nothing runs
+    for prime in ("4", "2147483659"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", A3, "--field-prime", prime])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --field-prime: field_prime " + prime in captured.err
 
 
 def test_corrupted_module_fails_before_any_work(tmp_path, capsys):

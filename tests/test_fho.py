@@ -9,7 +9,6 @@ import pytest
 from greenseq import exchange, fho
 from greenseq.errors import SearchBudgetExceeded
 from greenseq.fho import (
-    FhoSequence,
     _torsion_free_mask,
     _torsion_mask,
     enumerate_maximal_fho,
@@ -39,13 +38,6 @@ TORSION_CHAIN = [
 
 def by_labels(cat, labels):
     return [cat.by_label(s) for s in labels]
-
-
-def test_dim_vectors_follow_the_modules(a3_catalog):
-    mods = tuple(by_labels(a3_catalog, FIVE))
-    seq = FhoSequence(modules=mods)
-    dims = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
-    assert seq.dim_vectors == tuple(dims)
 
 
 def test_five_step_sequence_is_maximal(a3_catalog):
@@ -100,11 +92,11 @@ def test_torsion_pair_chain(a3_catalog):
 def test_enumeration_matches_green_sequences(a3_qp, a3_catalog):
     seqs = enumerate_maximal_fho(a3_catalog)
     assert len(seqs) == 9
-    lengths = sorted(len(s.modules) for s in seqs)
+    lengths = sorted(len(s) for s in seqs)
     assert lengths == [4] * 6 + [5] * 3
     seed = exchange.initial_seed(a3_qp.quiver)
     green = exchange.enumerate_green_sequences(seed)
-    assert {tuple(s.dim_vectors) for s in seqs} == {g.c_vectors for g in green}
+    assert {tuple(m.dims for m in s) for s in seqs} == {g.c_vectors for g in green}
 
 
 def test_d4_enumeration_count(d4_qp, d4_catalog):
@@ -155,7 +147,7 @@ def reference_maximal_fho(catalog):
         if not inside:
             modules = tuple(catalog.modules[i] for i in seq)
             if is_maximal_fho(modules, catalog):
-                found.append(FhoSequence(modules))
+                found.append(modules)
         for c in inside:
             walk([*seq, c], free & ~catalog.out_mask(c))
 
@@ -265,4 +257,4 @@ def test_maximal_sequences_are_maximal_in_their_torsion_class(name):
     catalog = common.catalog(name)
     seqs = enumerate_maximal_fho(catalog)
     assert seqs
-    assert all(is_fho_in_torsion_class(s.modules, catalog) for s in seqs)
+    assert all(is_fho_in_torsion_class(s, catalog) for s in seqs)

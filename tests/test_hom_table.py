@@ -86,8 +86,8 @@ def prefixes(cat):
     """Every prefix of every maximal FHO sequence, each once."""
     seen = {}
     for seq in enumerate_maximal_fho(cat):
-        for t in range(len(seq.modules) + 1):
-            seen.setdefault(tuple(id(m) for m in seq.modules[:t]), list(seq.modules[:t]))
+        for t in range(len(seq) + 1):
+            seen.setdefault(tuple(id(m) for m in seq[:t]), list(seq[:t]))
     return list(seen.values())
 
 

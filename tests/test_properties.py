@@ -187,12 +187,12 @@ def crossing_fho_suite():
             checked += 1
     a3 = common.catalog("a3_cyclic")
     for seq in enumerate_maximal_fho(a3):
-        assert realize_sequence(a3, list(seq.dim_vectors), random.Random(31)) is not None
+        assert realize_sequence(a3, [m.dims for m in seq], random.Random(31)) is not None
         checked += 1
     d4 = common.catalog("d4_cyclic")
     unrealized = set()
     for seq in enumerate_maximal_fho(d4):
-        dims = tuple(seq.dim_vectors)
+        dims = tuple(m.dims for m in seq)
         if find_base_for_sequence(d4, dims) is None:
             unrealized.add(dims)
         else:
@@ -204,11 +204,11 @@ def crossing_fho_suite():
     a5 = common.catalog("a5_example")
     sample = random.Random(5).sample(enumerate_maximal_fho(a5), 25)
     feasible = [
-        s for s in sample if find_base_for_sequence(a5, tuple(s.dim_vectors)) is not None
+        s for s in sample if find_base_for_sequence(a5, tuple(m.dims for m in s)) is not None
     ]
     assert len(feasible) == 15
     for s in feasible:
-        assert realize_sequence(a5, tuple(s.dim_vectors), random.Random(7)) is not None
+        assert realize_sequence(a5, tuple(m.dims for m in s), random.Random(7)) is not None
         checked += 1
     return checked
 

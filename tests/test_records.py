@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from greenseq import bounds, exchange, io, qp, qp_mutation, reflect, rep, walls
+from greenseq import exchange, io, qp, qp_mutation, reflect, rep, walls
 from greenseq.errors import InvalidQuiverError
-from greenseq.fho import FhoSequence
 
 import common
 
@@ -35,8 +34,6 @@ COMPARED = {
     "Algebra": ("quiver", "relations", "p"),
     "Representation": ("algebra", "dims", "mats"),
     "Catalog": ("algebra", "modules"),
-    "Cut": ("deleted_arrows",),
-    "FhoSequence": ("modules",),
 }
 
 # the optional trailing arguments of each record and their defaults
@@ -46,7 +43,6 @@ DEFAULTS = {
     "ProblemFile": {"field_prime": 2, "search_budget": 1_000_000, "rng_seed": 0},
     "Algebra": {"p": 2},
     "Representation": {"label": "", "walk": ()},
-    "Cut": {"cycle_lengths": ()},
 }
 
 
@@ -56,7 +52,7 @@ def _cases():
     algebra = catalog.algebra
     quiver = algebra.quiver
     problem = common.problem("a3_cyclic")
-    m0, m1 = catalog.modules[:2]
+    m0 = catalog.modules[0]
     data = qp_mutation.mutate_qp_data(problem.qp, quiver.vertices[0])
     seed = exchange.initial_seed(quiver)
     wall = walls.wall_for(m0)
@@ -82,8 +78,6 @@ def _cases():
             (m0.algebra, m0.dims, m0.mats, "M", m0.walk),
         ),
         (rep.Catalog, ("algebra", "modules"), (algebra, catalog.modules)),
-        (bounds.Cut, ("deleted_arrows", "cycle_lengths"), (frozenset({"a"}), (3,))),
-        (FhoSequence, ("modules",), ((m0, m1),)),
         (walls.Wall, ("module", "normal", "faces"), (wall.module, wall.normal, wall.faces)),
         (walls.CrossingRecord, ("time", "module", "interior"), (Fraction(1, 2), m0, True)),
         (
@@ -99,7 +93,7 @@ NAMES = sorted(_cases())
 
 
 def test_every_record_is_listed():
-    assert len(NAMES) == 17
+    assert len(NAMES) == 15
     assert set(DEFAULTS) | MUTABLE | UNHASHABLE <= set(NAMES)
     cases = _cases()
     assert set(COMPARED) == {n for n in NAMES if not issubclass(cases[n][0], tuple)}
@@ -199,15 +193,6 @@ def test_quiver_compares_without_its_lookup_tables():
     assert first != cls(values[0], values[1][:-1])
 
 
-def test_cut_compares_its_deleted_arrows_only():
-    first = bounds.Cut(frozenset({"a", "b"}), (3, 3))
-    second = bounds.Cut(frozenset({"b", "a"}), (4,))
-    assert first == second
-    assert hash(first) == hash(second)
-    assert first != bounds.Cut(frozenset({"a"}), (3, 3))
-    assert str(first) == "cut{a,b}"
-
-
 @pytest.mark.parametrize(
     "name, field, value",
     [
@@ -250,10 +235,8 @@ def test_eq_and_hash_read_exactly_the_compared_fields(name):
 
 
 def test_sequence_lengths():
-    cases = _cases()
-    for name in ("GreenSequence", "FhoSequence"):
-        cls, names, values = cases[name]
-        assert len(cls(*values)) == 2
+    cls, names, values = _cases()["GreenSequence"]
+    assert len(cls(*values)) == 2
 
 
 def test_constructors_still_validate():

@@ -341,7 +341,7 @@ def test_simplex_bases_are_pinned(name, count, digest):
     # the bases come from the exact simplex, so any change to its pivots
     # (or to the constraint rows and their order) changes these digests
     catalog = common.catalog(name)
-    keys = sorted(s.dim_vectors for s in enumerate_maximal_fho(catalog))[:count]
+    keys = sorted(tuple(m.dims for m in s) for s in enumerate_maximal_fho(catalog))[:count]
     assert len(keys) == count
     h = hashlib.sha256()
     for key in keys:
