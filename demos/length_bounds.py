@@ -11,7 +11,7 @@ once per catalog, so the whole script takes about a second.
 
 from pathlib import Path
 
-from greenseq.bounds import bounds_report, construct_max_sequence, cuts, report_table
+from greenseq.bounds import bounds_report, construct_max_sequence, report_table
 from greenseq.exchange import initial_seed, is_green, replay_c_vector_sequence
 from greenseq.io import load_problem
 from greenseq.rep import algebra_from_qp, string_catalog
@@ -37,8 +37,7 @@ def main():
     print(report_table(report))
 
     best = max(report["cuts"], key=lambda row: row["c_count"])
-    cut = next(c for c in cuts(prob.qp) if sorted(c) == best["deleted"])
-    seq = construct_max_sequence(cut, catalog)
+    seq = construct_max_sequence(frozenset(best["deleted"]), catalog)
     print(f"\ndeleting {best['deleted']} carries a sequence of length {len(seq)}:")
     print("    " + " -> ".join(m.label for m in seq))
 
