@@ -538,8 +538,11 @@ def cmd_walls(args, problem: gio.ProblemFile) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     top, commands = _parser()
-    found = top.parse_args(argv)
-    args = commands[found.command].parse_intermixed_args(found.args)
+    try:
+        found = top.parse_args(argv)
+        args = commands[found.command].parse_intermixed_args(found.args)
+    except SystemExit as e:  # argparse printed a usage error (2) or --help (0)
+        return e.code
     try:
         problem = _load(args)
     except (OSError, json.JSONDecodeError, RecursionError) as e:

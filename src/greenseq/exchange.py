@@ -9,12 +9,14 @@ Both green-sequence searches build one `_ExchangeGraph`, the oriented
 exchange graph of an initial seed, by one depth-first search over its states.
 `mgs_summary` folds it in post-order; `enumerate_green_sequences` walks its
 labelled paths with `maximal_paths`, the path walker of both listings. A green
-step is read from c-vector ids alone (B_t = C_t^T B_0 C_t); `mutate` runs once
-per state, when the build enters it.
+step is read from c-vector ids alone (B_t = C_t^T B_0 C_t). The build keeps
+B_t alone beside the ids, mutates it once per state it enters, and checks
+row k of it against the forms b_kj = c_k^T B_0 c_j that the step read.
 
 `mutate` does work only on the rows and entries that Fomin-Zelevinsky
 mutation at k changes: a row whose k-th entry is 0 is reused as it is, and
 any other row is updated at column k and at the nonzero entries of row k.
+`_mutated_b` does this for B; `mutate` adds the C half with the same split.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     with b_ik = 0 is reused as it is. Any other row i != k is copied, its
     k-th entry negated, and b_ik * |b_kj| added at just the columns j != k
     where b_kj has the sign of b_ik: the nonzero entries of row k, split by
-    sign once per call. Row k is negated. The B and C halves are updated
-    each on its own, so no 2n-row stack is built.
+    sign once per call by `_mutated_b`. Row k is negated. The B and C
+    halves are updated each on its own, so no 2n-row stack is built.
 
     Args:
         m: matrix to mutate (unchanged; a new value is returned).
@@ -115,24 +117,32 @@ def mutate(m: ExtExchangeMatrix, k: int) -> ExtExchangeMatrix:
     n = m.n
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} out of range for n={n}")
-    row_k = m.b[k]
-    plus: list[tuple[int, int]] = []  # (j, b_kj) where b_kj > 0
-    minus: list[tuple[int, int]] = []  # (j, -b_kj) where b_kj < 0
-    for j in compress(range(n), row_k):
+    b, plus, minus = _mutated_b(m.b, k)
+    return ExtExchangeMatrix(n, b, tuple(_mutated_half(m.c, k, plus, minus)))
+
+
+Split = list[tuple[int, int]]  # (j, |b_kj|) for the j != k where b_kj has one sign
+
+
+def _mutated_b(b: IntMatrix, k: int) -> tuple[IntMatrix, Split, Split]:
+    """B mutated at k as `mutate` says, with row k split by sign: the
+    (j, b_kj) where b_kj > 0 and the (j, -b_kj) where b_kj < 0."""
+    row_k = b[k]
+    plus: Split = []
+    minus: Split = []
+    for j in compress(range(len(row_k)), row_k):
         if j != k:
             x = row_k[j]
             if x > 0:
                 plus.append((j, x))
             else:
                 minus.append((j, -x))
-    b = _mutated_half(m.b, k, plus, minus)
-    b[k] = tuple([-x for x in row_k])
-    return ExtExchangeMatrix(n, tuple(b), tuple(_mutated_half(m.c, k, plus, minus)))
+    out = _mutated_half(b, k, plus, minus)
+    out[k] = tuple([-x for x in row_k])
+    return tuple(out), plus, minus
 
 
-def _mutated_half(
-    rows: IntMatrix, k: int, plus: list[tuple[int, int]], minus: list[tuple[int, int]]
-) -> list[IntVector]:
+def _mutated_half(rows: IntMatrix, k: int, plus: Split, minus: Split) -> list[IntVector]:
     """`rows` with each row i that has b_ik != 0 mutated as `mutate` says."""
     out = list(rows)
     for i in compress(range(len(rows)), map(itemgetter(k), rows)):
@@ -175,11 +185,19 @@ class _ExchangeGraph:
     step. `step` reads an edge from the ids alone: c_k -> -c_k and c_j ->
     c_j + [b_kj]_+ c_k with b_kj = c_k^T B_0 c_j, memoized in one row per
     green c_k, which `fill_row` completes where `step` finds an entry
-    missing. `build` enters each state once, through `enter`, the one place
-    a matrix is built, checked against the c-vectors of the predicted ids.
-    It numbers the states in post-order, a topological order with the seed
-    last, and `children[s]` holds the numbers of the states one green step
-    below s.
+    missing; `forms` keeps the b_kj themselves beside `rows`. `build` enters
+    each state once, through `enter`, which checks row k of the parent's
+    B_t, mutated from B_0 by Fomin-Zelevinsky's rule, against the forms the
+    step read, and mutates B_t at k. It numbers the states in post-order, a
+    topological order with the seed last, and `children[s]` holds the
+    numbers of the states one green step below s.
+
+    Why the row check suffices: at a green k, FZ mutation of C gives c_j' =
+    c_j + [b_kj]_+ c_k (the c-vectors are sign-coherent), and the parent's
+    C_t holds the vectors of its ids, by induction from C = I. So FZ's C at
+    the child is the predicted one exactly when the positive parts of row k
+    of B_t are the step's multipliers; the whole row, negative entries
+    included, is compared.
     """
 
     def __init__(self):
@@ -187,6 +205,7 @@ class _ExchangeGraph:
         self.vecs: list[IntVector] = []
         self.green: list[bool] = []
         self.rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self.forms: defaultdict[int, dict[int, int]] = defaultdict(dict)  # c_k^T B_0 c_j
         self.number: dict[Ids, Optional[int]] = {}  # state -> post-order number
         self.children: list[tuple[int, ...]] = []
         self.b0_cols: IntMatrix = ()
@@ -216,15 +235,18 @@ class _ExchangeGraph:
             return pick(self.fill_row(ids, k))
 
     def fill_row(self, ids: Ids, k: int) -> dict[int, int]:
-        """The memoized row of c_k, given an entry for each of `ids` it lacked."""
+        """The memoized row of c_k, given an entry for each of `ids` it lacked,
+        and the same entry of its forms, b_kj itself."""
         ck = ids[k]
-        row = self.rows[ck]
+        row, forms = self.rows[ck], self.forms[ck]
         vk = self.vecs[ck]
         form = [sum(map(mul, vk, col)) for col in self.b0_cols]  # c_k^T B_0
         row[ck] = self.id(tuple([-x for x in vk]))
+        forms[ck] = 0
         for cj in set(ids).difference(row):
-            b = max(sum(map(mul, form, self.vecs[cj])), 0)  # [b_kj]_+
-            row[cj] = self.id(tuple([x + b * y for x, y in zip(self.vecs[cj], vk)]))
+            bkj = forms[cj] = sum(map(mul, form, self.vecs[cj]))
+            plus = max(bkj, 0)  # [b_kj]_+
+            row[cj] = self.id(tuple([x + plus * y for x, y in zip(self.vecs[cj], vk)]))
         return row
 
     def build(self, seed: ExtExchangeMatrix, budget: float = float("inf")) -> None:
@@ -236,33 +258,32 @@ class _ExchangeGraph:
         frame. The child numbers of all open states share one list, `below`,
         each state's after its parent's, and a frame holds where its own
         start; a child's number joins its parent's as the child closes. A
-        frame also holds `_picker(ids)`: `step` reads the frame's steps with
-        it, and a new state's own picker reads its predicted c-vectors."""
+        frame also holds `_picker(ids)`, with which `step` and `enter` read
+        the frame's rows and forms, and its B_t."""
         ids = self.of(seed)
         if seed != initial_seed_from_matrix(seed.b):
             raise ValueError("a green-sequence search starts from an initial seed (C = I)")
         self.b0_cols = tuple(zip(*seed.b))
         self.budget = budget
-        vecs, green, number, children = self.vecs, self.green, self.number, self.children
+        green, number, children = self.green, self.number, self.children
         step, enter = self.step, self.enter
         key = tuple(sorted(ids))
-        m = enter(seed, None, ())
+        b = enter(seed.b)
         number[key] = None  # open until it is numbered
         greens = iter([k for k, i in enumerate(ids) if green[i]])
         below: list[int] = []
-        stack = [(key, ids, _picker(ids), m, greens, 0)]
+        stack = [(key, ids, _picker(ids), b, greens, 0)]
         while stack:
-            key, ids, pick, m, branches, start = stack[-1]
+            key, ids, pick, b, branches, start = stack[-1]
             for k in branches:
                 child = step(ids, k, pick)
                 target = tuple(sorted(child))
                 seen = number.get(target, -1)
                 if seen == -1:  # a new state: enter it, and resume here once it closes
-                    get = _picker(child)
-                    entered = enter(m, k, get(vecs))
+                    entered = enter(b, k, ids, pick)
                     number[target] = None
                     greens = iter([j for j, i in enumerate(child) if green[i]])
-                    stack.append((target, child, get, entered, greens, len(below)))
+                    stack.append((target, child, _picker(child), entered, greens, len(below)))
                     break
                 if seen is None:
                     raise AssertionError("green mutation returned to an open state")
@@ -276,18 +297,19 @@ class _ExchangeGraph:
                     below.append(number[key])
 
     def enter(
-        self, m: ExtExchangeMatrix, k: Optional[int], cols: tuple[IntVector, ...]
-    ) -> ExtExchangeMatrix:
-        """The matrix of a new state, the seed's (k is None) or that of
-        step(of(m), k), whose c-vectors `cols` the step predicted, if the
-        state budget has room for it."""
+        self, b: IntMatrix, k: Optional[int] = None, ids: Ids = (), pick: Optional[Callable] = None
+    ) -> IntMatrix:
+        """The B-matrix of a new state, the seed's b (k is None) or that of
+        step(ids, k, pick) from the state of B-matrix b, if the state budget
+        has room for it. Row k of b must be the forms of c_k that the step
+        read, `pick` being `_picker(ids)`."""
         if k is not None:
-            m = mutate(m, k)
-            if tuple(zip(*m.c)) != cols:
-                raise AssertionError(f"mutate(m, {k}) disagrees with the green mutation rule")
+            if pick(self.forms[ids[k]]) != b[k]:
+                raise AssertionError(f"row {k} of B_t disagrees with the green mutation rule")
+            b = _mutated_b(b, k)[0]
         if len(self.number) >= self.budget:
             raise SearchBudgetExceeded(f"exchange-graph search exceeded {self.budget} states")
-        return m
+        return b
 
 
 def maximal_paths(root, expand: Callable, record: Callable, budget: float, search: str) -> list:
@@ -331,10 +353,10 @@ def enumerate_green_sequences(
     A green sequence is maximal when its final matrix has no green column.
 
     The exchange graph is built first, with `budget` as its state budget, so
-    `mutate` runs once per state but the seed's. The listing is then
-    `maximal_paths` over labelled seeds, each its c-vector ids in column
-    order, whose children `_ExchangeGraph.step` gives through the node's
-    picker, labelled by mutation index and consumed c-vector.
+    B_t is mutated and its row checked once per state but the seed. The
+    listing is then `maximal_paths` over labelled seeds, each its c-vector
+    ids in column order, whose children `_ExchangeGraph.step` gives through
+    the node's picker, labelled by mutation index and consumed c-vector.
 
     Args:
         seed: an initial seed (B over the identity).
@@ -344,8 +366,9 @@ def enumerate_green_sequences(
     Raises:
         SearchBudgetExceeded: if more than `budget` nodes are visited; the
             exception's `partial` attribute carries the sequences found so far.
-        AssertionError: on a sign-incoherent c-vector, or if `mutate`
-            disagrees with the predicted c-vector ids.
+        AssertionError: on a sign-incoherent c-vector, or if row k of some
+            state's mutated B_t disagrees with the forms c_k^T B_0 c_j that
+            its step at k read.
         ValueError: if the seed's C is not the identity.
     """
     graph = _ExchangeGraph()
@@ -392,8 +415,8 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     up to relabelling, which changes none of the three numbers), and
     `_ExchangeGraph.build` numbers them in post-order, so count, minimum and
     maximum are one fold over that order: a state's three come from its
-    children's, which are numbered before it. `mutate` runs once per state,
-    when the build enters it, and not for the seed.
+    children's, which are numbered before it. B_t is mutated and its row
+    checked once per state, when the build enters it, and not for the seed.
 
     Args:
         seed: an initial seed (B over the identity).
@@ -402,9 +425,10 @@ def mgs_summary(seed: ExtExchangeMatrix, budget: int = 1_000_000) -> MgsSummary:
     Raises:
         SearchBudgetExceeded: if more than `budget` states are entered. No
             partial answer is kept (`partial` is None).
-        AssertionError: on a sign-incoherent c-vector, if `mutate` disagrees
-            with the predicted c-vector ids, or if a green mutation leads back
-            to a state whose search is still open.
+        AssertionError: on a sign-incoherent c-vector, if row k of some
+            state's mutated B_t disagrees with the forms c_k^T B_0 c_j that
+            its step at k read, or if a green mutation leads back to a state
+            whose search is still open.
         ValueError: if the seed's C is not the identity.
     """
     graph = _ExchangeGraph()

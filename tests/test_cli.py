@@ -92,13 +92,19 @@ def test_mgs_extrema_a9(capsys):
 
 def test_retries_belongs_to_walls(capsys):
     for command in ("mutate", "mgs", "verify"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, A3, "--retries", "5"])
-        assert exc.value.code == 2
+        assert main([command, A3, "--retries", "5"]) == 2
         assert "unrecognized arguments: --retries 5" in capsys.readouterr().err
     code, out, err = run(capsys, ["walls", A3, "--random", "1", "--retries", "5"])
     assert code == 0
     assert out.startswith("base ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mgs", A3, "--help"]], ids=["top", "mgs"])
+def test_help_returns_0(capsys, argv):
+    # usage errors and --help are return values of main, as every other exit is
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
 
 
 @pytest.mark.parametrize(
@@ -240,9 +246,7 @@ def test_walls_requires_exactly_one_mode(capsys):
     ],
 )
 def test_walls_counts_must_be_positive(capsys, argv, option):
-    with pytest.raises(SystemExit) as exc:
-        main(["walls", A3] + argv)
-    assert exc.value.code == 2
+    assert main(["walls", A3] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}: expected a positive integer" in captured.err
@@ -289,9 +293,7 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
 def test_bad_field_prime_is_rejected(capsys):
     # the flag is at fault, not the file: argparse names it and nothing runs
     for prime in ("4", "2147483659"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", A3, "--field-prime", prime])
-        assert exc.value.code == 2
+        assert main(["verify", A3, "--field-prime", prime]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --field-prime: field_prime " + prime in captured.err

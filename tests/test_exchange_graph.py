@@ -167,40 +167,60 @@ def test_enumeration_matches_the_recursive_definition(name):
         )
 
 
+def record_b_mutations(monkeypatch):
+    """The list to which each later call of `exchange._mutated_b` appends
+    its (k, B in, B out)."""
+    calls = []
+    mutated_b = exchange._mutated_b
+
+    def recorded(b, k):
+        out = mutated_b(b, k)
+        calls.append((k, b, out[0]))
+        return out
+
+    monkeypatch.setattr(exchange, "_mutated_b", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_mutate_runs_once_per_seed_entered(monkeypatch, name):
-    # both searches: once per exchange-graph state other than the first
-    calls = []
-    mutate = exchange.mutate
-
-    def counted(m, k):
-        calls.append(k)
-        return mutate(m, k)
-
-    monkeypatch.setattr(exchange, "mutate", counted)
+    # both searches mutate B_t once per exchange-graph state other than the
+    # first, and build no extended matrix past the seed
     seed = seed_of(name)
+    calls = record_b_mutations(monkeypatch)
+    matrices = []
+    init = exchange.ExtExchangeMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        matrices.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exchange.ExtExchangeMatrix, "__init__", counted)
     for search in (exchange.enumerate_green_sequences, exchange.mgs_summary):
-        del calls[:]
+        del calls[:], matrices[:]
         search(seed)
         assert len(calls) == SUMMARIES[name][3] - 1
+        assert len(matrices) == 1  # the build's check that C is the identity
 
 
 def test_mutate_is_called_only_where_a_state_is_entered():
-    # every reference to `mutate` in exchange.py, named by its enclosing
-    # class and function; the searches reach it only through the graph
-    found = []
+    # every reference to `mutate` and to its B half `_mutated_b` in
+    # exchange.py, named by its enclosing class and function; the searches
+    # reach FZ mutation only through the graph, which mutates B alone
+    found = {"mutate": [], "_mutated_b": []}
 
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = where + (child.name,)
-            elif isinstance(child, ast.Name) and child.id == "mutate":
-                found.append(".".join(where))
+            elif isinstance(child, ast.Name) and child.id in found:
+                found[child.id].append(".".join(where))
             walk(child, inner)
 
     walk(ast.parse(Path(exchange.__file__).read_text()), ())
-    assert sorted(found) == ["_ExchangeGraph.enter", "replay_c_vector_sequence"]
+    assert sorted(found["_mutated_b"]) == ["_ExchangeGraph.enter", "mutate"]
+    assert found["mutate"] == ["replay_c_vector_sequence"]
 
 
 @pytest.mark.parametrize(
@@ -259,29 +279,65 @@ def test_searches_start_from_an_initial_seed():
             search(seed)
 
 
+def corrupt_before_a_row_check(monkeypatch, name, sign):
+    """Corrupt the B_t of an entered state from which the next state is
+    entered, at some k, in one skew pair: b_kj, of `sign`, and b_jk move one
+    further from zero. Returns the list that each B mutation appends to, and
+    its length when that next state is entered."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_b_mutations(patch)
+        built_graph(name)
+    for t in range(4, len(calls) - 1):
+        k, b, _ = calls[t + 1]
+        j = next((j for j, x in enumerate(b[k]) if x * sign > 0), None)
+        if b == calls[t][2] and j is not None:  # entered from the state t made
+            break
+    else:
+        pytest.fail(f"no state of {name} to corrupt")
+    done = []
+    mutated_b = exchange._mutated_b
+
+    def corrupted(b, at):
+        out, plus, minus = mutated_b(b, at)
+        done.append(at)
+        if len(done) == t + 1:
+            rows = [list(row) for row in out]
+            rows[k][j] += sign
+            rows[j][k] -= sign
+            out = tuple(map(tuple, rows))
+        return out, plus, minus
+
+    monkeypatch.setattr(exchange, "_mutated_b", corrupted)
+    return done, t + 1
+
+
 @pytest.mark.parametrize(
     "search",
     [exchange.enumerate_green_sequences, exchange.mgs_summary],
     ids=["enumerate", "summary"],
 )
 def test_mutate_is_checked_against_the_predicted_c_vectors(monkeypatch, search):
-    # the 5th matrix that mutate returns gets one c-entry moved away from zero
-    # in its column's sign, so every column stays sign-coherent
-    calls = []
-    mutate = exchange.mutate
-
-    def corrupted(m, k):
-        out = mutate(m, k)
-        calls.append(k)
-        if len(calls) != 5:
-            return out
-        c = [list(row) for row in out.c]
-        c[0][0] += 1 if max(row[0] for row in c) > 0 else -1
-        return exchange.ExtExchangeMatrix(out.n, out.b, tuple(map(tuple, c)))
-
-    monkeypatch.setattr(exchange, "mutate", corrupted)
+    # a positive b_kj is the multiplier of c_k in the step's c_j', so the
+    # child entered at k from the corrupted state reads a wrong row
+    done, made = corrupt_before_a_row_check(monkeypatch, "d4_cyclic", 1)
     with pytest.raises(AssertionError, match="green mutation rule"):
         search(seed_of("d4_cyclic"))
+    assert len(done) == made
+
+
+@pytest.mark.parametrize(
+    "search",
+    [exchange.enumerate_green_sequences, exchange.mgs_summary],
+    ids=["enumerate", "summary"],
+)
+def test_row_check_sees_a_negative_entry(monkeypatch, search):
+    # a negative b_kj changes no c-vector of the step at k, since FZ
+    # mutation of C at a green k adds only [b_kj]_+ c_k; the whole row of
+    # B_t is compared, so the child entered at k still fails at once
+    done, made = corrupt_before_a_row_check(monkeypatch, "d4_cyclic", -1)
+    with pytest.raises(AssertionError, match="green mutation rule"):
+        search(seed_of("d4_cyclic"))
+    assert len(done) == made
 
 
 @pytest.mark.parametrize(
@@ -385,14 +441,7 @@ def built_graph(name):
 def test_kept_graph_is_numbered_in_post_order(monkeypatch, name):
     # one build enters every state once; a child is numbered before its
     # parent, so the numbers are a topological order with the seed last
-    calls = []
-    mutate = exchange.mutate
-
-    def counted(m, k):
-        calls.append(k)
-        return mutate(m, k)
-
-    monkeypatch.setattr(exchange, "mutate", counted)
+    calls = record_b_mutations(monkeypatch)
     graph = built_graph(name)
     children = graph.children
     states = len(children)
