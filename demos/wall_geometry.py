@@ -3,17 +3,17 @@
 Each catalog module M contributes a wall D(M); a straight line x + t*(1,1,1)
 from a generic base crosses some of them, and the crossing order is a green
 sequence.  Different bases give different sequences (here: a length-5 and a
-length-4 one), and the compartment of the base is read off from the signs.
+length-4 one), and the compartment of the base is read off from the signs:
+it is named by the walls its path has crossed before t = 0.  Everything here
+is computed from the modules alone, without the exchange matrix.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
-from greenseq.exchange import initial_seed
 from greenseq.io import load_problem
 from greenseq.rep import algebra_from_qp, string_catalog
 from greenseq.walls import (
-    compartment_cvectors,
     compartment_signature,
     crossing_sequence,
     wall_for,
@@ -40,13 +40,10 @@ def main():
     show_crossings((-12, -5, -9), catalog)
 
     print("\ncompartments (which walls lie in the past of the base):")
-    seed = initial_seed(prob.qp.quiver)
     for base in ((-5, -7, -11), (2, -3, -7), (5, 7, 11)):
         sig = compartment_signature(base, catalog)
-        cvecs = compartment_cvectors(base, catalog, seed)
         crossed = [catalog.unique_by_dims(d).label for d in sig]
         print(f"    base {base}: crossed {crossed or 'nothing'}")
-        print(f"        c-vectors {cvecs}")
 
     # scaling the base scales the crossing times but keeps the order: the
     # sequence only depends on the compartment of the base

@@ -148,20 +148,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     return top, commands
 
 
-def _load(args) -> gio.ProblemFile:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("problem file must be a JSON object")
-    if args.field_prime is not None:
-        data["field_prime"] = args.field_prime
-    if args.budget is not None:
-        data["search_budget"] = args.budget
-    if args.seed is not None:
-        data["rng_seed"] = args.seed
-    return gio.problem_from_json(data)
-
-
 # how many rendered int tuples one `_emit` call keeps (see `_json_parts`)
 _JSON_MEMO_SIZE = 1024
 
@@ -544,7 +530,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:  # argparse printed a usage error (2) or --help (0)
         return e.code
     try:
-        problem = _load(args)
+        problem = gio.load_problem(
+            args.file, field_prime=args.field_prime, search_budget=args.budget, rng_seed=args.seed
+        )
     except (OSError, json.JSONDecodeError, RecursionError) as e:
         # RecursionError: JSON nested past the decoder's recursion limit
         print(f"error: cannot read problem file: {e}", file=sys.stderr)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from greenseq.qp import Arrow, PotentialTerm, Quiver, QuiverWithPotential
-from greenseq.records import Record
+from greenseq.records import FrozenRecord
 
 if TYPE_CHECKING:
     from greenseq.rep import Algebra
@@ -155,8 +155,8 @@ def qp_from_json(data: dict) -> QuiverWithPotential:
     return QuiverWithPotential(quiver=quiver, potential=tuple(potential))
 
 
-class ProblemFile(Record):
-    """A fully validated problem description; mutable, so unhashable."""
+class ProblemFile(FrozenRecord):
+    """A fully validated problem description."""
 
     __slots__ = _fields = ("qp", "field_prime", "search_budget", "rng_seed")
 
@@ -167,12 +167,7 @@ class ProblemFile(Record):
         search_budget: int = 1_000_000,
         rng_seed: int = 0,
     ):
-        self.qp = qp
-        self.field_prime = field_prime
-        self.search_budget = search_budget
-        self.rng_seed = rng_seed
-
-    __hash__ = None
+        self._init(qp, field_prime, search_budget, rng_seed)
 
     def algebra(self) -> Algebra:
         # imported here so that loading a problem does not load the module layer
@@ -201,7 +196,12 @@ def problem_from_json(data: dict) -> ProblemFile:
     return ProblemFile(qp=qp, field_prime=prime, search_budget=budget, rng_seed=seed)
 
 
-def load_problem(path: str) -> ProblemFile:
+def load_problem(path: str, **overrides) -> ProblemFile:
+    """The problem file at `path`. Each override (a file key, such as
+    `field_prime`) that is not None replaces the file's own value before
+    `problem_from_json` validates the whole."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if isinstance(data, dict):
+        data.update((key, value) for key, value in overrides.items() if value is not None)
     return problem_from_json(data)

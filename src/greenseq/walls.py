@@ -25,6 +25,10 @@ takes one integer dot per distinct vector and tests every wall from those
 dots with one sign rule, `_face_side`. It is the one sign pass: the
 compartment of a base is read from its records, and a base on a wall is
 the base of a path that meets the wall at t = 0.
+
+The walls are computed from the modules alone: this layer imports neither
+`exchange` nor `fho`, so `fho.verify_theorem1` compares wall crossings with
+descriptions that share none of their code.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from greenseq import exchange
 from greenseq.errors import GenericityError
 from greenseq.rep import Catalog, Representation, submodule_dimvecs
 
@@ -427,18 +430,18 @@ def random_generic_base(
     if retries < 1:
         raise ValueError(f"retries must be at least 1, got {retries}")
     n = catalog.algebra.quiver.n
-    for _ in range(retries - 1):
+    for attempt in range(retries):
         base = random_rational_base(rng, n)
         try:
             return base, crossing_sequence(base, catalog)
         except GenericityError:
-            pass
-    base = random_rational_base(rng, n)
-    return base, crossing_sequence(base, catalog)
+            if attempt == retries - 1:
+                raise
 
 
-def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRecord]:
-    """crossing_sequence(base), after checking that base lies on no wall.
+def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:
+    """Identity of the compartment containing base: the ordered walls already
+    crossed at t < 0 (compartments are convex, so this is well defined).
 
     The path meets the wall with normal n at t = -(base . n)/(1 . n), which
     is 0 exactly when base is on its hyperplane; the crossing point is then
@@ -452,46 +455,4 @@ def _compartment_crossings(base: Sequence, catalog: Catalog) -> list[CrossingRec
             raise GenericityError(
                 f"base lies on the wall of {r.module.label or r.dims}", colliding=(r.module,)
             )
-    return records
-
-
-def compartment_signature(base: Sequence, catalog: Catalog) -> tuple:
-    """Identity of the compartment containing base: the ordered walls already
-    crossed at t < 0 (compartments are convex, so this is well defined)."""
-    records = _compartment_crossings(base, catalog)
     return tuple(r.module.dims for r in records if r.time < 0)
-
-
-def compartment_cvectors(
-    base: Sequence, catalog: Catalog, seed
-) -> tuple[tuple[int, ...], ...]:
-    """c-vectors of the compartment containing base.
-
-    Replays the green mutations of the walls crossed before the base point on
-    the initial exchange seed, then reads off the c-matrix columns. Verifies
-    there are n distinct columns and that the walls bracketing the base along
-    its line occur among the columns (up to the crossed sign).
-
-    Args:
-        base: rational point on no wall.
-        catalog: complete module catalog of the algebra.
-        seed: initial extended exchange matrix of the same quiver.
-
-    Raises:
-        GenericityError: if base lies on a wall or fails genericity.
-        ValueError: if a crossed wall is not the c-vector of a green vertex
-            (the wall and exchange descriptions disagree).
-    """
-    records = _compartment_crossings(base, catalog)
-    before = [r.module.dims for r in records if r.time < 0]
-    after = [r.module.dims for r in records if r.time > 0]
-    _, m = exchange.replay_c_vector_sequence(seed, before)
-    columns = tuple(zip(*m.c))
-    assert len(set(columns)) == m.n
-    if before:
-        assert tuple(-c for c in before[-1]) in columns, (
-            f"wall {before[-1]} behind the base is not a negated c-vector"
-        )
-    if after:
-        assert after[0] in columns, f"wall {after[0]} ahead of the base is not a c-vector"
-    return columns

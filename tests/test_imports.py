@@ -1,9 +1,9 @@
 """Import graph: every module imports first without a cycle, loading a
-problem file loads neither the exchange nor the module layer, each command
-loads only the layers it runs (`mgs` and `mutate` neither `linalg` nor QP
-mutation), no command loads `dataclasses` or the
-standard-library modules it pulls in, and every name the benchmark tracer
-wraps is bound."""
+problem file loads neither the exchange nor the module layer, the wall layer
+loads neither the exchange nor the FHO layer, each command loads only the
+layers it runs (`mgs` and `mutate` neither `linalg` nor QP mutation), no
+command loads `dataclasses` or the standard-library modules it pulls in, and
+every name the benchmark tracer wraps is bound."""
 
 import importlib
 import importlib.util
@@ -105,6 +105,14 @@ def test_command_loads_only_its_layers(argv, absent):
     assert "exchange" in loaded
     assert not loaded & absent
     assert not modules & HEAVY
+
+
+def test_walls_loads_neither_the_exchange_nor_the_fho_layer():
+    # the wall description is computed from modules alone, so `verify`
+    # compares it with descriptions that share none of its code
+    modules = _loaded_modules("import sys, greenseq.walls; print(' '.join(sys.modules))")
+    assert "greenseq.walls" in modules
+    assert not modules & {"greenseq.exchange", "greenseq.fho", "greenseq.bounds"}
 
 
 def test_setup_probe_skips_dataclasses():

@@ -1,12 +1,15 @@
 """Problem file parsing, serialization round trips, eager validation."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from greenseq.cli import main
 from greenseq.io import (
     fraction_from_str,
     fraction_to_str,
+    load_problem,
     problem_from_json,
     qp_from_json,
     qp_to_json,
@@ -77,3 +80,21 @@ def test_problem_algebra(a3_qp):
     alg = prob.algebra()
     assert alg.p == prob.field_prime
     assert alg.quiver == prob.qp.quiver
+
+
+def test_load_problem_overrides_come_before_validation(a3_qp, tmp_path):
+    # the file's own field prime, 4, is not prime; the override replaces it
+    path = tmp_path / "p4.json"
+    data = {"qp": qp_to_json(a3_qp), "field_prime": 4, "search_budget": 77, "rng_seed": 5}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="not prime"):
+        load_problem(str(path))
+    prob = load_problem(str(path), field_prime=3)
+    assert (prob.field_prime, prob.search_budget, prob.rng_seed) == (3, 77, 5)
+    prob = load_problem(str(path), field_prime=3, search_budget=None, rng_seed=9)
+    assert (prob.field_prime, prob.search_budget, prob.rng_seed) == (3, 77, 9)
+    assert prob.qp == a3_qp
+    # an override is validated as the file's value would be
+    with pytest.raises(ValueError, match="budget"):
+        load_problem(str(path), field_prime=3, search_budget=0)
+    assert main(["mgs", str(path), "extrema", "--field-prime", "3"]) == 0

@@ -19,9 +19,9 @@ MUTATION_FIELDS = (
 )
 
 # the records that may be assigned to; every other one is frozen
-MUTABLE = {"Catalog", "ProblemFile"}
+MUTABLE = {"Catalog"}
 # the records whose hash raises: mutable ones, and ones holding dicts
-UNHASHABLE = {"Catalog", "ProblemFile", "MutationData", "ReflectionContext"}
+UNHASHABLE = {"Catalog", "MutationData", "ReflectionContext"}
 
 # each slotted record and the fields its `==` and `hash` read; its other slots
 # are left out of both
@@ -150,14 +150,6 @@ def test_unhashable_records(name):
     cls, names, values = _cases()[name]
     with pytest.raises(TypeError):
         hash(cls(*values))
-
-
-def test_problem_file_is_mutable():
-    cls, names, values = _cases()["ProblemFile"]
-    problem = cls(*values)
-    problem.rng_seed = 11
-    assert problem.rng_seed == 11
-    assert problem != cls(*values)
 
 
 def test_catalog_walls_are_assignable_and_not_compared():
